@@ -1,49 +1,16 @@
-"""Kernel backend selection.
+"""Sparse monomial kernels; the implementation lives in kernel_py."""
 
-The compiled extension is preferred when it imported cleanly; set
-JETFACT_PURE_PYTHON=1 to force the reference implementation.  BACKEND
-records which one is active.
-"""
+from .kernel_py import (
+    lc_add,
+    lc_derive,
+    lc_mul,
+    lc_scale,
+    mono_derive,
+    mono_mul,
+    mono_weight,
+)
 
-import os
-
-if os.environ.get("JETFACT_PURE_PYTHON"):
-    from .kernel_py import (
-        lc_add,
-        lc_derive,
-        lc_mul,
-        lc_scale,
-        mono_derive,
-        mono_mul,
-        mono_weight,
-    )
-
-    BACKEND = "python"
-else:
-    try:
-        from .kernel_cy import (  # type: ignore[attr-defined]
-            lc_add,
-            lc_derive,
-            lc_mul,
-            lc_scale,
-            mono_derive,
-            mono_mul,
-            mono_weight,
-        )
-
-        BACKEND = "compiled"
-    except ImportError:
-        from .kernel_py import (
-            lc_add,
-            lc_derive,
-            lc_mul,
-            lc_scale,
-            mono_derive,
-            mono_mul,
-            mono_weight,
-        )
-
-        BACKEND = "python"
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

@@ -1,13 +1,10 @@
-"""Reference implementation of the sparse monomial kernels.
+"""The sparse monomial kernels.
 
 A monomial is a tuple of (generator, order) factors, sorted by generator
 name ascending and then order descending.  A linear combination is a dict
 mapping monomials to coefficients.  Coefficients are opaque ring elements:
 the kernels only use +, *, unary truthiness, and integer scaling, so the
 same code serves the exact scalar field.
-
-kernel_cy.pyx mirrors this module statement for statement; keep the two in
-sync (tests/test_kernels.py checks parity).
 """
 
 __all__ = [

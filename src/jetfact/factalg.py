@@ -35,7 +35,7 @@ from .diskgeom import (
 )
 from .grading import GradedElement, format_monomial
 from .jetalg import AlgebraHom, AlgebraPresentation
-from .reports import check_entry
+from .reports import SampledChecks, check_entry
 from .sampling import Sampler
 from .scalars import Scalar
 from .vertex import VertexAlgebra, completion_rotation, completion_translation
@@ -473,14 +473,7 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
     ]
     if corrupt:
         names.append("negative_control")
-    passes = {n: 0 for n in names}
-    failures = {}
-
-    def record(name, ok, detail=None):
-        if ok:
-            passes[name] += 1
-        elif name not in failures:
-            failures[name] = detail
+    tally = SampledChecks(names)
 
     for _ in range(samples):
         # Chain L inside M inside N of nested basis opens.
@@ -491,7 +484,7 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
 
         via_m = corestrict(corestrict(s, M), N)
         direct = corestrict(s, N)
-        record("functoriality_chain", via_m == direct, {"L": repr(L), "M": repr(M)})
+        tally.record("functoriality_chain", via_m == direct, {"L": repr(L), "M": repr(M)})
 
         # Tensor compatibility across a far-disjoint pair of targets.
         shift = GroupElement(Scalar(1), Scalar(1000))
@@ -499,7 +492,7 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
         t = _sample_section(sampler, L2, P)
         lhs = corestrict(tensor_concat(s, t), M.union(M2))
         rhs = tensor_concat(corestrict(s, M), corestrict(t, M2))
-        record("functoriality_tensor", lhs == rhs, {"L": repr(L)})
+        tally.record("functoriality_tensor", lhs == rhs, {"L": repr(L)})
 
         # Symmetry: reordered construction and reversed multiplication agree.
         disks = list(L)
@@ -514,7 +507,7 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
         ok = ok and multiply_sections(s, t, N.union(act(shift, N))) == multiply_sections(
             t, s, N.union(act(shift, N))
         )
-        record("symmetry", ok, {"perm": perm})
+        tally.record("symmetry", ok, {"perm": perm})
 
         # Associativity square on a jittered three-disk template.
         g = sampler.group_element()
@@ -536,7 +529,7 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
             s1, multiply_sections(s2, s3, BasisElement([v2])), wbe
         )
         straight = corestrict(tensor_concat(tensor_concat(s1, s2), s3), wbe)
-        record(
+        tally.record(
             "associativity",
             left == right == straight,
             {"left": repr(left), "right": repr(right)},
@@ -549,7 +542,7 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
         ok = ok and corestrict(
             TensorSection.unit_on_empty(P, c), M
         ) == TensorSection.simple(M, [P.unit()] * len(M), P, c)
-        record("unit", ok)
+        tally.record("unit", ok)
 
         # Equivariance, on a two-disk section: the action works factor by
         # factor and the translation flow densifies elements, so small
@@ -559,12 +552,12 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
         Le = sampler.disjoint_disks(2)
         se = _sample_section(sampler, Le, P)
         seq = equivariant_act(g1, equivariant_act(g2, se, V), V)
-        record(
+        tally.record(
             "equivariance_compose",
             seq == equivariant_act(g1.compose(g2), se, V),
             {"g1": repr(g1), "g2": repr(g2)},
         )
-        record(
+        tally.record(
             "equivariance_identity",
             equivariant_act(GroupElement.identity(), se, V) == se,
         )
@@ -576,8 +569,8 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
             equivariant_act(g1, te, V),
             act(g1, big),
         )
-        record("equivariance_multiplication", lhs == rhs, {"g": repr(g1)})
-        record(
+        tally.record("equivariance_multiplication", lhs == rhs, {"g": repr(g1)})
+        tally.record(
             "equivariance_unit",
             equivariant_act(g1, unit, V).as_scalar() == c,
         )
@@ -592,16 +585,9 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
             ]
             pair = tensor_concat(fixed[0], fixed[1])
             broken = corestrict(corestrict(pair, BasisElement([v1]), True), wbe, True)
-            record("negative_control", broken != corestrict(pair, wbe))
+            tally.record("negative_control", broken != corestrict(pair, wbe))
 
-    checks = []
-    for name in names:
-        ok = passes[name] == samples
-        detail = {"passed": passes[name], "samples": samples}
-        if not ok:
-            detail["first_counterexample"] = failures.get(name)
-        checks.append(check_entry(name, ok, detail))
-    return {"checks": checks, "samples": samples, "seed": seed}
+    return {"checks": tally.entries(samples), "samples": samples, "seed": seed}
 
 
 # -- coequalizer chains ------------------------------------------------------
@@ -694,10 +680,8 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
                             row.pop(col, None)
                     rows.append(row)
                     # pi kills (p - q): both routes into the top disk agree.
-                    via_i = push_through(mono, inter, disks[i])
-                    via_j = push_through(mono, inter, disks[j])
-                    sec_i = TensorSection.simple(BasisElement([disks[i]]), [via_i], P)
-                    sec_j = TensorSection.simple(BasisElement([disks[j]]), [via_j], P)
+                    sec_i = TensorSection.simple(BasisElement([disks[i]]), [into_i], P)
+                    sec_j = TensorSection.simple(BasisElement([disks[j]]), [into_j], P)
                     if corestrict(sec_i, top) != corestrict(sec_j, top):
                         pi_ok = False
 

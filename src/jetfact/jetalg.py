@@ -35,9 +35,6 @@ __all__ = [
     "AlgebraHom",
     "DifferentialHom",
     "LiftError",
-    "multiply",
-    "derive",
-    "weight_basis",
     "lift_hom",
 ]
 
@@ -302,20 +299,6 @@ class AlgebraPresentation:
 
     def __hash__(self):
         return hash((self.generators, self.wmax, len(self.relations)))
-
-
-def multiply(a: GradedElement, b: GradedElement, P: AlgebraPresentation) -> GradedElement:
-    """Commutative product in the quotient algebra, truncated at the bound."""
-    return P.multiply(a, b)
-
-
-def derive(a: GradedElement, P: AlgebraPresentation) -> GradedElement:
-    """Leibniz derivation: bumps every jet order, raising weight by one."""
-    return P.derive(a)
-
-
-def weight_basis(P: AlgebraPresentation, delta: int):
-    return P.weight_basis(delta)
 
 
 class AlgebraHom:

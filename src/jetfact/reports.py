@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["check_entry", "merge_checks", "make_report", "all_pass"]
+__all__ = ["check_entry", "SampledChecks", "make_report", "all_pass"]
 
 
 def check_entry(name: str, ok: bool, detail=None) -> dict:
@@ -14,11 +14,30 @@ def check_entry(name: str, ok: bool, detail=None) -> dict:
     return entry
 
 
-def merge_checks(*groups) -> list:
-    out = []
-    for g in groups:
-        out.extend(g)
-    return out
+class SampledChecks:
+    """Pass counts and first counterexamples of checks run once per sample."""
+
+    def __init__(self, names):
+        self.names = list(names)
+        self.passes = dict.fromkeys(self.names, 0)
+        self.failures = {}
+
+    def record(self, name: str, ok: bool, detail=None) -> None:
+        if ok:
+            self.passes[name] += 1
+        elif name not in self.failures:
+            self.failures[name] = detail
+
+    def entries(self, samples: int) -> list:
+        """One check entry per name; it passes only if every sample did."""
+        checks = []
+        for name in self.names:
+            ok = self.passes[name] == samples
+            detail = {"passed": self.passes[name], "samples": samples}
+            if not ok:
+                detail["first_counterexample"] = self.failures.get(name)
+            checks.append(check_entry(name, ok, detail))
+        return checks
 
 
 def make_report(command: str, params: dict, checks: list, started: float) -> dict:

@@ -20,7 +20,7 @@ from math import comb, factorial
 
 from .grading import GradedElement, format_element
 from .jetalg import AlgebraPresentation
-from .reports import check_entry
+from .reports import SampledChecks
 from .sampling import Sampler
 from .scalars import Scalar
 
@@ -182,21 +182,10 @@ def check_vertex_axioms(
     if translate_fn is None:
         translate_fn = V.translate
 
-    names = [
-        "vacuum_left",
-        "vacuum_right",
-        "translation",
-        "mode_weights",
-        "commutative_modes",
-    ] + [f"locality_N{N}" for N in locality_orders]
-    passes = {name: 0 for name in names}
-    failures = {}
-
-    def record(name, ok, detail):
-        if ok:
-            passes[name] += 1
-        elif name not in failures:
-            failures[name] = detail
+    tally = SampledChecks(
+        ["vacuum_left", "vacuum_right", "translation", "mode_weights", "commutative_modes"]
+        + [f"locality_N{N}" for N in locality_orders]
+    )
 
     for _ in range(samples):
         a = sampler.homogeneous_element(V.presentation)
@@ -206,12 +195,12 @@ def check_vertex_axioms(
         # Y(|0>, z) = id: the only mode of (vacuum, b) is b itself at n = -1.
         got = mode_fn(vacuum, b, -1)
         ok = got == b and not mode_fn(vacuum, b, -2) and not mode_fn(vacuum, b, 0)
-        record("vacuum_left", ok, {"b": str(b), "got": str(got)})
+        tally.record("vacuum_left", ok, {"b": str(b), "got": str(got)})
 
         # Y(a, z)|0> has no poles and evaluates to a at z = 0.
         got = mode_fn(a, vacuum, -1)
         ok = got == a and not mode_fn(a, vacuum, 0) and not mode_fn(a, vacuum, 1)
-        record("vacuum_right", ok, {"a": str(a), "got": str(got)})
+        tally.record("vacuum_right", ok, {"a": str(a), "got": str(got)})
 
         # [T, Y(a, z)] = d/dz Y(a, z) as the mode identity.
         table = vertex_op(a, b, V)
@@ -222,7 +211,7 @@ def check_vertex_axioms(
             tb = vertex_op(a, V.translate(b), V)
             detail["lhs"] = str(V.translate(table[n]))
             detail["rhs"] = str(table[n - 1].scale(Scalar(-n)) + tb[n])
-        record("translation", not bad, detail)
+        tally.record("translation", not bad, detail)
 
         # Grading: a_(n) b lands in weight da + db - n - 1.
         da, db = a.weight(), b.weight()
@@ -230,17 +219,17 @@ def check_vertex_axioms(
             elem.is_homogeneous() and elem.weight() == da + db - n - 1
             for n, elem in table.items()
         )
-        record("mode_weights", ok, {"a": str(a), "b": str(b)})
+        tally.record("mode_weights", ok, {"a": str(a), "b": str(b)})
 
         # Non-negative modes vanish.
         ok = not mode_fn(a, b, 0) and not mode_fn(a, b, 1) and not mode_fn(a, b, 2)
-        record("commutative_modes", ok, {"a": str(a), "b": str(b)})
+        tally.record("commutative_modes", ok, {"a": str(a), "b": str(b)})
 
         m = -sampler.rng.randint(1, 2)
         n = -sampler.rng.randint(1, 2)
         for N in locality_orders:
             lhs, rhs = locality_sides(a, b, c, m, n, N, V, mode_fn)
-            record(
+            tally.record(
                 f"locality_N{N}",
                 lhs == rhs,
                 {
@@ -254,11 +243,4 @@ def check_vertex_axioms(
                 },
             )
 
-    checks = []
-    for name in names:
-        ok = passes[name] == samples
-        detail = {"passed": passes[name], "samples": samples}
-        if not ok:
-            detail["first_counterexample"] = failures.get(name)
-        checks.append(check_entry(name, ok, detail))
-    return {"checks": checks, "samples": samples, "seed": seed}
+    return {"checks": tally.entries(samples), "samples": samples, "seed": seed}

@@ -18,6 +18,7 @@ from jetfact.reconstruct import (
 from jetfact.sampling import Sampler
 from jetfact.scalars import Scalar
 from jetfact.vertex import (
+    ModeTable,
     VertexAlgebra,
     completion_rotation,
     completion_translation,
@@ -205,6 +206,27 @@ def test_eta_roundtrip_quotient():
     V = VertexAlgebra(AlgebraPresentation(["x", "y"], ["x*y"], 4))
     report = eta_roundtrip_check(V, nmax=4)
     assert all_pass(report["checks"])
+
+
+def test_eta_roundtrip_catches_a_wrong_mode(v4, monkeypatch):
+    import jetfact.reconstruct as reconstruct
+
+    x = v4.presentation.gen("x")
+
+    def perturbed(a, b, V):
+        table = vertex_op(a, b, V)
+        if a == x and b == x:
+            modes = dict(table.modes)
+            modes[-1] = modes[-1].scale(Scalar(2))
+            return ModeTable(modes, table.wmax)
+        return table
+
+    monkeypatch.setattr(reconstruct, "vertex_op", perturbed)
+    report = eta_roundtrip_check(v4, nmax=6)
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert status == {"vacuum": "pass", "translation": "pass", "modes": "fail"}
+    modes = report["checks"][-1]
+    assert modes["detail"]["first_counterexample"] == {"a": str(x), "b": str(x)}
 
 
 def test_reconstructed_structure_satisfies_axioms(v4):
