@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands build jet presentations, extract vertex modes, and run the
-check suites; every command emits one JSON report of the form
+check suites.  Each handler takes the parsed flags, the presentation and
+the preset and returns its check list; run() builds the presentation,
+times the handler and emits one JSON report of the form
 {command, params, checks: [{name, status, detail}], timing_ms} to stdout
 or --out.  Exit status is 0 when every check passes, 1 on check failures,
 and 2 on parse errors.  All randomness flows from the --seed flag.
@@ -25,7 +27,7 @@ from .factalg import (
     check_coequalizer_chain,
     check_pfa_axioms,
 )
-from .grading import format_element
+from .grading import format_element, format_monomial
 from .jetalg import AlgebraPresentation, lift_hom
 from .numcx import mode_agreement_check, residue_swap_check
 from .reconstruct import eta_roundtrip_check
@@ -41,84 +43,50 @@ def load_preset(path):
         return json.load(fh)
 
 
-def build_presentation(args, exprs=()):
-    """Presentation from flags or preset; generators are inferred from the
-    element expressions when not given explicitly."""
-    preset = load_preset(args.preset) if getattr(args, "preset", None) else {}
+def build_presentation(args):
+    """Presentation from flags or preset; flags override the preset's
+    presentation document, and generators are inferred from --a/--b when
+    neither gives them."""
+    preset = load_preset(args.preset) if args.preset else {}
     doc = preset.get("presentation", {})
-    if isinstance(doc, str):
-        doc = load_preset(doc)
-    gens = getattr(args, "gens", None)
-    if gens:
-        gens = [g.strip() for g in gens.split(",") if g.strip()]
-    elif doc.get("generators"):
-        gens = doc["generators"]
-    else:
+    doc = dict(load_preset(doc) if isinstance(doc, str) else doc)
+    if args.gens:
+        doc["generators"] = [g.strip() for g in args.gens.split(",") if g.strip()]
+    elif not doc.get("generators"):
+        exprs = [getattr(args, k) for k in ("a", "b") if hasattr(args, k)]
         inferred = sorted({name for e in exprs for name in free_names(e)})
-        gens = inferred or ["x"]
-    relations = getattr(args, "relations", None)
-    if relations is None:
-        relations = doc.get("relations", [])
-    else:
-        relations = [r for r in relations.split(";") if r.strip()]
-    wmax = getattr(args, "max_weight", None)
-    if wmax is None:
-        wmax = int(doc.get("max_weight", 6))
-    return AlgebraPresentation(gens, relations, wmax), preset
+        doc["generators"] = inferred or ["x"]
+    if args.relations is not None:
+        doc["relations"] = [r for r in args.relations.split(";") if r.strip()]
+    if args.max_weight is not None:
+        doc["max_weight"] = args.max_weight
+    return AlgebraPresentation.from_json(doc), preset
 
 
-def emit(report: dict, args) -> int:
-    text = json.dumps(report, indent=2, default=str)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0 if all_pass(report) else 1
-
-
-def cmd_jet_build(args) -> int:
-    t0 = time.perf_counter()
-    P, _ = build_presentation(args)
-    checks = []
+def cmd_jet_build(args, P, preset) -> list:
     detail = {"generators": list(P.generators), "max_weight": P.wmax}
     if args.dims:
         detail["dims"] = P.dims()
     if args.basis is not None:
-        from .grading import format_monomial
-
         detail["basis"] = [format_monomial(m) for m in P.weight_basis(args.basis)]
-    checks.append(check_entry("build", True, detail))
-    report = make_report("jet build", vars_of(args), checks, t0)
-    return emit(report, args)
+    return [check_entry("build", True, detail)]
 
 
-def cmd_vertex_modes(args) -> int:
-    t0 = time.perf_counter()
-    P, _ = build_presentation(args, exprs=[args.a, args.b])
-    V = VertexAlgebra(P)
-    a = P.parse(args.a)
-    b = P.parse(args.b)
-    table = vertex_op(a, b, V)
+def cmd_vertex_modes(args, P, preset) -> list:
+    table = vertex_op(P.parse(args.a), P.parse(args.b), VertexAlgebra(P))
     if args.n is not None:
         detail = {"n": args.n, "mode": format_element(table[args.n])}
     else:
         detail = {"modes": {str(n): format_element(e) for n, e in table.items()}}
-    report = make_report("vertex modes", vars_of(args), [check_entry("mode", True, detail)], t0)
-    return emit(report, args)
+    return [check_entry("mode", True, detail)]
 
 
-def cmd_vertex_check(args) -> int:
-    t0 = time.perf_counter()
-    P, _ = build_presentation(args)
-    result = check_vertex_axioms(VertexAlgebra(P), samples=args.samples, seed=args.seed)
-    report = make_report("vertex check", vars_of(args), result["checks"], t0)
-    return emit(report, args)
+def cmd_vertex_check(args, P, preset) -> list:
+    V = VertexAlgebra(P)
+    return check_vertex_axioms(V, samples=args.samples, seed=args.seed)["checks"]
 
 
-def cmd_fact_check(args) -> int:
-    t0 = time.perf_counter()
-    P, preset = build_presentation(args)
+def cmd_fact_check(args, P, preset) -> list:
     checks = []
     # Named geometry in the scenario is validated up front: construction
     # enforces disjointness for basis elements and connectivity plus
@@ -136,24 +104,16 @@ def cmd_fact_check(args) -> int:
     for entry in preset.get("checks", [{}]):
         samples = entry.get("samples", args.samples)
         seed = entry.get("seed", args.seed)
-        result = check_pfa_axioms(P, samples=samples, seed=seed)
-        checks.extend(result["checks"])
-    report = make_report("fact check", vars_of(args), checks, t0)
-    return emit(report, args)
+        checks.extend(check_pfa_axioms(P, samples=samples, seed=seed)["checks"])
+    return checks
 
 
-def cmd_fact_coeq(args) -> int:
-    t0 = time.perf_counter()
-    P, _ = build_presentation(args)
+def cmd_fact_coeq(args, P, preset) -> list:
     radii = [Fraction(r) for r in args.radii.split(",")]
-    result = check_coequalizer_chain(P, radii)
-    report = make_report("fact coeq", vars_of(args), result["checks"], t0)
-    return emit(report, args)
+    return check_coequalizer_chain(P, radii)["checks"]
 
 
-def cmd_fact_adjunction(args) -> int:
-    t0 = time.perf_counter()
-    P, _ = build_presentation(args)
+def cmd_fact_adjunction(args, P, preset) -> list:
     sampler = Sampler(args.seed)
     target = AlgebraPresentation(["u"], [], P.wmax)
     failures = 0
@@ -176,28 +136,21 @@ def cmd_fact_adjunction(args) -> int:
             ok = adjunction_theta_prime(extracted).apply(s) == phi.apply(s)
         if not ok:
             failures += 1
-    checks = [
+    return [
         check_entry(
             "adjunction_round_trips",
             failures == 0,
             {"samples": args.samples, "failures": failures},
         )
     ]
-    report = make_report("fact adjunction", vars_of(args), checks, t0)
-    return emit(report, args)
 
 
-def cmd_reconstruct_roundtrip(args) -> int:
-    t0 = time.perf_counter()
-    P, _ = build_presentation(args)
-    result = eta_roundtrip_check(VertexAlgebra(P), nmax=args.nmax, seed=args.seed)
-    report = make_report("reconstruct roundtrip", vars_of(args), result["checks"], t0)
-    return emit(report, args)
+def cmd_reconstruct_roundtrip(args, P, preset) -> list:
+    V = VertexAlgebra(P)
+    return eta_roundtrip_check(V, nmax=args.nmax, seed=args.seed)["checks"]
 
 
-def cmd_num_laurent(args) -> int:
-    t0 = time.perf_counter()
-    P, _ = build_presentation(args)
+def cmd_num_laurent(args, P, preset) -> list:
     V = VertexAlgebra(P)
     sampler = Sampler(args.seed)
     checks = []
@@ -208,16 +161,11 @@ def cmd_num_laurent(args) -> int:
             a, b, V, nmax=args.nmax, nodes=args.nodes, tolerance=args.tolerance
         )
         for c in result["checks"]:
-            c = dict(c)
-            c["name"] = f"sample_{i}_{c['name']}"
-            checks.append(c)
-    report = make_report("num laurent", vars_of(args), checks, t0)
-    return emit(report, args)
+            checks.append({**c, "name": f"sample_{i}_{c['name']}"})
+    return checks
 
 
-def cmd_num_swap(args) -> int:
-    t0 = time.perf_counter()
-    P, _ = build_presentation(args)
+def cmd_num_swap(args, P, preset) -> list:
     V = VertexAlgebra(P)
     sampler = Sampler(args.seed)
     checks = []
@@ -239,8 +187,7 @@ def cmd_num_swap(args) -> int:
                 {"m": m, "n": n, "N": N, "subchecks": result["checks"]},
             )
         )
-    report = make_report("num swap", vars_of(args), checks, t0)
-    return emit(report, args)
+    return checks
 
 
 def vars_of(args) -> dict:
@@ -248,14 +195,13 @@ def vars_of(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
-def _add_common(p, presentation=True):
+def _add_common(p):
     p.add_argument("--preset", help="scenario JSON file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    if presentation:
-        p.add_argument("--gens", help="comma-separated generator names")
-        p.add_argument("--relations", help="semicolon-separated relation expressions")
-        p.add_argument("--max-weight", dest="max_weight", type=int)
+    p.add_argument("--gens", help="comma-separated generator names")
+    p.add_argument("--relations", help="semicolon-separated relation expressions")
+    p.add_argument("--max-weight", dest="max_weight", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,10 +273,20 @@ def run(argv) -> int:
     except SystemExit as exc:
         return PARSE_ERROR if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        P, preset = build_presentation(args)
+        checks = args.func(args, P, preset)
+        report = make_report(f"{args.group} {args.cmd}", vars_of(args), checks, t0)
+        text = json.dumps(report, indent=2, default=str)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     except (ExprError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
+    return 0 if all_pass(checks) else 1
 
 
 def main():

@@ -655,35 +655,25 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
         index = {m: k for k, m in enumerate(basis)}
 
         def coords(elem, block):
-            out = {}
-            for mono, c in elem.data.items():
-                out[block * d + index[mono]] = c
-            return out
+            return {block * d + index[mono]: c for mono, c in elem.data.items()}
 
         rows = []
         pi_ok = True
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                inter = min(i, j)
-                for mono in basis:
-                    into_i = push_through(mono, inter, disks[i])
-                    into_j = push_through(mono, inter, disks[j])
-                    row = coords(into_i, i)
-                    for col, c in coords(into_j, j).items():
-                        acc = row.get(col)
-                        nv = -c if acc is None else acc - c
-                        if nv:
-                            row[col] = nv
-                        else:
-                            row.pop(col, None)
-                    rows.append(row)
-                    # pi kills (p - q): both routes into the top disk agree.
-                    sec_i = TensorSection.simple(BasisElement([disks[i]]), [into_i], P)
-                    sec_j = TensorSection.simple(BasisElement([disks[j]]), [into_j], P)
-                    if corestrict(sec_i, top) != corestrict(sec_j, top):
-                        pi_ok = False
+        # The pair (j, i) gives the negated row and the same two routes, so
+        # unordered pairs suffice; disk i is the intersection of i < j.
+        for i, j in combinations(range(n), 2):
+            for mono in basis:
+                into_i = push_through(mono, i, disks[i])
+                into_j = push_through(mono, i, disks[j])
+                # The row of p - q; blocks i and j are disjoint column ranges.
+                row = coords(into_i, i)
+                row.update((col, -c) for col, c in coords(into_j, j).items())
+                rows.append(row)
+                # pi kills (p - q): both routes into the top disk agree.
+                sec_i = TensorSection.simple(BasisElement([disks[i]]), [into_i], P)
+                sec_j = TensorSection.simple(BasisElement([disks[j]]), [into_j], P)
+                if corestrict(sec_i, top) != corestrict(sec_j, top):
+                    pi_ok = False
 
         # pi is onto: composed with each inclusion it fixes every basis monomial.
         for i in range(n):

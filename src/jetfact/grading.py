@@ -135,10 +135,6 @@ class GradedElement:
         """Mapping weight -> sub-element, covering exactly the stored weights."""
         return {w: self.project(w) for w in self.weights()}
 
-    def min_weight(self):
-        ws = self.weights()
-        return ws[0] if ws else None
-
     def is_homogeneous(self) -> bool:
         return len(self.weights()) <= 1
 

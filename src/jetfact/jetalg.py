@@ -23,8 +23,6 @@ readers at worst recompute a value; no synchronization is required.
 
 from __future__ import annotations
 
-import json
-
 from .exprs import parse_element, unparse_element
 from .grading import GradedElement, format_element
 from .scalars import Scalar
@@ -275,11 +273,6 @@ class AlgebraPresentation:
             doc.get("relations", ()),
             int(doc.get("max_weight", 6)),
         )
-
-    @classmethod
-    def from_file(cls, path) -> "AlgebraPresentation":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
     def __repr__(self):
         rels = ", ".join(format_element(r) for r in self.relations)

@@ -50,6 +50,4 @@ def make_report(command: str, params: dict, checks: list, started: float) -> dic
 
 
 def all_pass(checks) -> bool:
-    if isinstance(checks, dict):
-        checks = checks.get("checks", [])
     return all(c["status"] == "pass" for c in checks)

@@ -1,6 +1,8 @@
 import json
 
-from jetfact.cli import run
+import pytest
+
+from jetfact.cli import build_parser, run
 
 
 def run_json(argv, tmp_path, name="report.json"):
@@ -95,6 +97,36 @@ def test_num_swap(tmp_path):
         ["num", "swap", "--gens", "x", "--max-weight", "4", "--samples", "2"], tmp_path
     )
     assert code == 0
+
+
+SMALL = ["--gens", "x", "--max-weight", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jet", "build", *SMALL, "--dims"],
+        ["vertex", "modes", "--a", "x", "--b", "x"],
+        ["vertex", "check", *SMALL, "--samples", "2"],
+        ["fact", "check", *SMALL, "--samples", "1"],
+        ["fact", "coeq", *SMALL, "--radii", "1,2"],
+        ["fact", "adjunction", *SMALL, "--samples", "1"],
+        ["reconstruct", "roundtrip", *SMALL, "--nmax", "2"],
+        ["num", "laurent", *SMALL, "--samples", "1", "--nodes", "32"],
+        ["num", "swap", *SMALL, "--samples", "1", "--nodes", "32"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_every_subcommand_reports(argv, tmp_path):
+    code, report = run_json(argv, tmp_path)
+    assert code == 0
+    assert report["command"] == " ".join(argv[:2])
+    parsed = vars(build_parser().parse_args(argv))
+    expected = {
+        k: v for k, v in parsed.items() if k not in ("func", "out") and v is not None
+    }
+    assert report["params"] == expected
+    assert report["checks"]
 
 
 def test_parse_error_exit_code(capsys):

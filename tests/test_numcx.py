@@ -276,9 +276,7 @@ def test_residue_swap_commutative_case_is_product(v5):
     x = P.gen("x")
     report = residue_swap_check(x, x, x, -1, -1, 0, v5)
     assert all_pass(report["checks"])
-    lhs, rhs = locality_sides(
-        x, x, x, -1, -1, 0, v5, lambda a, b, n: vertex_op(a, b, v5)[n]
-    )
+    lhs, rhs = locality_sides(x, x, x, -1, -1, 0, v5, lambda a, b: vertex_op(a, b, v5))
     triple = P.product([x, x, x])
     assert lhs == triple and rhs == triple
 

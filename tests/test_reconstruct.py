@@ -236,9 +236,8 @@ def test_reconstructed_structure_satisfies_axioms(v4):
         v4,
         samples=25,
         seed=5,
-        mode_fn=lambda a, b, n: mode_of(a, b, n, v4),
+        table_fn=lambda a, b: modes_of(a, b, v4),
         vacuum=vacuum_of(v4),
-        translate_fn=lambda a: translation_of(a, v4),
     )
     assert all_pass(report["checks"])
 

@@ -135,11 +135,11 @@ def test_skew_symmetry(vx):
 def test_locality_binomial_identity(vx):
     s = Sampler(41)
     P = vx.presentation
-    mode = lambda a, b, n: vertex_op(a, b, vx)[n]
+    table = lambda a, b: vertex_op(a, b, vx)
     for _ in range(10):
         a, b, c = (s.homogeneous_element(P) for _ in range(3))
         for N in (0, 1, 2):
-            lhs, rhs = locality_sides(a, b, c, -1, -1, N, vx, mode)
+            lhs, rhs = locality_sides(a, b, c, -1, -1, N, vx, table)
             assert lhs == rhs
     # The N = 0 case is commutative associativity itself.
     a, b, c = (s.homogeneous_element(P) for _ in range(3))
@@ -165,6 +165,25 @@ def test_corrupted_mode_table_fails_translation(vx, free_x):
     )
     assert translation_identity_failures(x, x, corrupted, vx)
     assert not translation_identity_failures(x, x, table, vx)
+
+
+def test_axiom_suite_reads_the_given_table_fn(vx):
+    # Doubling every a_(-2) b breaks [T, Y(a, z)] = d/dz Y(a, z); the
+    # translation check must see it through table_fn.
+    def perturbed(a, b):
+        table = vertex_op(a, b, vx)
+        return ModeTable(
+            {n: (e.scale(Scalar(2)) if n == -2 else e) for n, e in table.items()},
+            table.wmax,
+        )
+
+    report = check_vertex_axioms(vx, samples=10, seed=0, table_fn=perturbed)
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert status["translation"] == "fail"
+    assert status["vacuum_left"] == status["vacuum_right"] == "pass"
+    assert status["mode_weights"] == "pass"
+    translation = next(c for c in report["checks"] if c["name"] == "translation")
+    assert translation["detail"]["first_counterexample"]["bad_n"]
 
 
 def test_report_structure(vx):
