@@ -154,7 +154,7 @@ def cmd_num_laurent(args, P, preset) -> list:
     V = VertexAlgebra(P)
     sampler = Sampler(args.seed)
     checks = []
-    for i in range(max(args.samples, 1)):
+    for i in range(args.samples):
         a = sampler.homogeneous_element(P)
         b = sampler.homogeneous_element(P)
         result = mode_agreement_check(
@@ -169,7 +169,7 @@ def cmd_num_swap(args, P, preset) -> list:
     V = VertexAlgebra(P)
     sampler = Sampler(args.seed)
     checks = []
-    for i in range(max(args.samples, 1)):
+    for i in range(args.samples):
         a = sampler.homogeneous_element(P)
         b = sampler.homogeneous_element(P)
         c = sampler.homogeneous_element(P)

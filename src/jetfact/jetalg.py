@@ -9,12 +9,14 @@ over its factors.
 Quotients are handled by saturating the differential ideal degree by
 degree up to the truncation bound: relation jets are multiplied by all
 monomials that keep the weight in range and the resulting span is put in
-reduced row-echelon form under a fixed monomial order.  Reduction against
-that echelon basis gives canonical normal forms.  Relations whose jets are
-weight-homogeneous (relations of the degree-zero algebra always are) make
-the quotient genuinely graded; inhomogeneous relations are accepted but
-the grading then reflects leading structure only, which is a documented
-restriction of the truncated model.
+row-echelon form under a fixed monomial order.  The rows are not reduced
+against each other, yet normal forms are canonical: the set of leading
+monomials and the remainder of an element after full reduction depend
+only on the span, not on the echelon basis chosen for it.  Relations
+whose jets are weight-homogeneous (relations of the degree-zero algebra
+always are) make the quotient genuinely graded; inhomogeneous relations
+are accepted but the grading then reflects leading structure only, which
+is a documented restriction of the truncated model.
 
 Presentations are immutable after construction.  The internal caches
 (normal forms of monomials, weight bases) are idempotent, so concurrent
@@ -29,6 +31,7 @@ from .scalars import Scalar
 from ._kernels import lc_derive, lc_mul, mono_weight
 
 __all__ = [
+    "Echelon",
     "AlgebraPresentation",
     "AlgebraHom",
     "DifferentialHom",
@@ -39,6 +42,55 @@ __all__ = [
 
 def _order_key(mono):
     return (mono_weight(mono), mono)
+
+
+class Echelon:
+    """Sparse rows over the Gaussian rationals in row-echelon form.
+
+    pivots maps the leading key of each row, its largest key under the
+    sort key given (natural order by default), to that row scaled to a
+    leading coefficient of one.  The rows are not reduced against later
+    pivots.
+    """
+
+    __slots__ = ("pivots", "key")
+
+    def __init__(self, key=None):
+        self.pivots = {}
+        self.key = key
+
+    def reduce(self, row: dict) -> dict:
+        """The remainder of row after full reduction: no key of it is a
+        pivot.  It depends only on the span of the rows added."""
+        pivots = self.pivots
+        if not pivots:
+            return row
+        row = dict(row)
+        while True:
+            hits = [m for m in row if m in pivots]
+            if not hits:
+                return row
+            m = max(hits, key=self.key)
+            c = row.pop(m)
+            for pm, pv in pivots[m].items():
+                if pm == m:
+                    continue
+                acc = row.get(pm)
+                nv = -(c * pv) if acc is None else acc - c * pv
+                if nv:
+                    row[pm] = nv
+                else:
+                    row.pop(pm, None)
+
+    def add(self, row: dict) -> bool:
+        """Add row to the span; True if it was independent of the rows before."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        lead = max(row, key=self.key)
+        inv = Scalar(1) / row[lead]
+        self.pivots[lead] = {m: c * inv for m, c in row.items()}
+        return True
 
 
 class AlgebraPresentation:
@@ -61,71 +113,24 @@ class AlgebraPresentation:
             if r:
                 rels.append(r)
         self.relations = tuple(rels)
-        self._pivots = {}
         self._basis_cache = {}
         self._mono_nf = {}
-        if rels:
-            self._build_reducer()
+        # Saturate the differential ideal: every jet of every relation
+        # times every monomial that keeps the weight within the bound.
+        self._echelon = Echelon(_order_key)
+        for rel in rels:
+            jet = rel.data
+            while jet:
+                low = min(mono_weight(m) for m in jet)
+                for mono in self._monomials_up_to(max_weight - low):
+                    self._echelon.add(lc_mul({mono: Scalar(1)}, jet, max_weight))
+                jet = lc_derive(jet, max_weight)
 
-    # -- reduction engine ------------------------------------------------------
-
-    def _build_reducer(self):
-        jets = []
-        for rel in self.relations:
-            cur = dict(rel.data)
-            while cur:
-                jets.append(cur)
-                cur = lc_derive(cur, self.wmax)
-        rows = []
-        for jet in jets:
-            mw = min(mono_weight(m) for m in jet)
-            for mono in self._monomials_up_to(self.wmax - mw):
-                row = lc_mul({mono: Scalar(1)}, jet, self.wmax)
-                if row:
-                    rows.append(row)
-        for row in rows:
-            row = self._reduce_data(row)
-            if not row:
-                continue
-            lead = max(row, key=_order_key)
-            inv = Scalar(1) / row[lead]
-            row = {m: c * inv for m, c in row.items()}
-            for prow in self._pivots.values():
-                c = prow.get(lead)
-                if c is None:
-                    continue
-                for m, v in row.items():
-                    acc = prow.get(m)
-                    nv = -(c * v) if acc is None else acc - c * v
-                    if nv:
-                        prow[m] = nv
-                    else:
-                        prow.pop(m, None)
-            self._pivots[lead] = row
-
-    def _reduce_data(self, data: dict) -> dict:
-        if not self._pivots:
-            return data
-        data = dict(data)
-        while True:
-            hits = [m for m in data if m in self._pivots]
-            if not hits:
-                return data
-            m = max(hits, key=_order_key)
-            c = data.pop(m)
-            for pm, pv in self._pivots[m].items():
-                if pm == m:
-                    continue
-                acc = data.get(pm)
-                nv = -(c * pv) if acc is None else acc - c * pv
-                if nv:
-                    data[pm] = nv
-                else:
-                    data.pop(pm, None)
+    # -- normal forms ----------------------------------------------------------
 
     def normal_form(self, elem: GradedElement) -> GradedElement:
         self._check_element(elem)
-        return GradedElement._make(self._reduce_data(elem.data), self.wmax)
+        return GradedElement._make(self._echelon.reduce(elem.data), self.wmax)
 
     def reduce_monomial(self, mono) -> GradedElement:
         """Cached normal form of a single free monomial.
@@ -139,7 +144,7 @@ class AlgebraPresentation:
                 out = GradedElement.zero(self.wmax)
             else:
                 out = GradedElement._make(
-                    self._reduce_data({mono: Scalar(1)}), self.wmax
+                    self._echelon.reduce({mono: Scalar(1)}), self.wmax
                 )
             self._mono_nf[mono] = out
         return out
@@ -175,7 +180,7 @@ class AlgebraPresentation:
         self._check_element(a)
         self._check_element(b)
         prod = lc_mul(a.data, b.data, self.wmax)
-        return GradedElement._make(self._reduce_data(prod), self.wmax)
+        return GradedElement._make(self._echelon.reduce(prod), self.wmax)
 
     def product(self, elements) -> GradedElement:
         out = self.unit()
@@ -187,7 +192,7 @@ class AlgebraPresentation:
         self._check_element(a)
         data = a.data
         for _ in range(times):
-            data = self._reduce_data(lc_derive(data, self.wmax))
+            data = self._echelon.reduce(lc_derive(data, self.wmax))
         return GradedElement._make(data, self.wmax)
 
     # -- graded bases ---------------------------------------------------------
@@ -233,7 +238,7 @@ class AlgebraPresentation:
             raise ValueError(f"weight {delta} exceeds truncation bound {self.wmax}")
         if delta not in self._basis_cache:
             self._basis_cache[delta] = [
-                m for m in self._free_monomials(delta) if m not in self._pivots
+                m for m in self._free_monomials(delta) if m not in self._echelon.pivots
             ]
         return list(self._basis_cache[delta])
 

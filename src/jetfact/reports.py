@@ -23,10 +23,15 @@ class SampledChecks:
         self.failures = {}
 
     def record(self, name: str, ok: bool, detail=None) -> None:
+        """Count a pass, or keep the first failure's counterexample.
+
+        detail is a function of no arguments returning the counterexample;
+        it is called only for the first failure of each check.
+        """
         if ok:
             self.passes[name] += 1
         elif name not in self.failures:
-            self.failures[name] = detail
+            self.failures[name] = None if detail is None else detail()
 
     def entries(self, samples: int) -> list:
         """One check entry per name; it passes only if every sample did."""

@@ -99,7 +99,17 @@ def test_num_swap(tmp_path):
     assert code == 0
 
 
-SMALL = ["--gens", "x", "--max-weight", "3"]
+@pytest.mark.parametrize("cmd", ["laurent", "swap"])
+def test_num_zero_samples_runs_none(cmd, tmp_path):
+    code, report = run_json(
+        ["num", cmd, "--gens", "x", "--max-weight", "3", "--samples", "0"], tmp_path
+    )
+    assert code == 0
+    assert report["params"]["samples"] == 0
+    assert report["checks"] == []
+
+
+SMALL =["--gens", "x", "--max-weight", "3"]
 
 
 @pytest.mark.parametrize(
