@@ -4,8 +4,8 @@ Subcommands build jet presentations, extract vertex modes, and run the
 check suites.  Each handler takes the parsed flags, the presentation and
 the preset and returns its check list; run() builds the presentation,
 times the handler and emits one JSON report of the form
-{command, params, checks: [{name, status, detail}], timing_ms} to stdout
-or --out.  Exit status is 0 when every check passes, 1 on check failures,
+{command, params, checks: [{name, status, detail}], timing_ms, elapsed_ms,
+version, backend, python} to stdout or --out.  Exit status is 0 when every check passes, 1 on check failures,
 and 2 on parse errors.  All randomness flows from the --seed flag.
 """
 

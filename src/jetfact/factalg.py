@@ -66,6 +66,10 @@ class TensorSection:
 
     data maps tuples of monomials (one per disk of L, in canonical disk
     order) to nonzero scalars; for the empty union the single key is ().
+    Equality and hashing read L and data, not the presentation P: like
+    GradedElement's, they compare the section's terms, and every check
+    compares sections of one presentation.  Arithmetic across presentations
+    is still refused (see __add__).
     """
 
     __slots__ = ("L", "P", "data")

@@ -45,7 +45,11 @@ class GradedElement:
     """Immutable sparse linear combination of jet monomials.
 
     data maps monomials to nonzero Scalars; wmax is the truncation bound.
-    Two elements are equal when their normalized mappings are equal.
+    Two elements are equal when their normalized mappings are equal; wmax
+    takes no part in equality or hashing.  The bound only records which
+    weights were kept, so elements with the same terms are the same
+    polynomial whatever their bounds.  The checks compare elements built
+    under one bound, and their reports rely on this equality.
     """
 
     __slots__ = ("data", "wmax")

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import platform
 import time
+
+from ._kernels import BACKEND as KERNEL_BACKEND
 
 __all__ = ["check_entry", "SampledChecks", "make_report", "all_pass"]
 
@@ -46,11 +49,23 @@ class SampledChecks:
 
 
 def make_report(command: str, params: dict, checks: list, started: float) -> dict:
+    """The report of one command, with an envelope naming what produced it.
+
+    timing_ms is the whole-millisecond count it always was; elapsed_ms is
+    the same wall time as a float, so sub-millisecond commands read nonzero.
+    """
+    from . import __version__  # read here: this module loads during package init
+
+    elapsed_ms = (time.perf_counter() - started) * 1000
     return {
         "command": command,
         "params": params,
         "checks": checks,
-        "timing_ms": int((time.perf_counter() - started) * 1000),
+        "timing_ms": int(elapsed_ms),
+        "elapsed_ms": elapsed_ms,
+        "version": __version__,
+        "backend": KERNEL_BACKEND,
+        "python": platform.python_version(),
     }
 
 

@@ -1,7 +1,9 @@
 import json
+import platform
 
 import pytest
 
+import jetfact
 from jetfact.cli import build_parser, run
 
 
@@ -137,6 +139,12 @@ def test_every_subcommand_reports(argv, tmp_path):
     }
     assert report["params"] == expected
     assert report["checks"]
+    assert isinstance(report["timing_ms"], int)
+    assert isinstance(report["elapsed_ms"], float)
+    assert report["elapsed_ms"] > 0
+    assert report["version"] == jetfact.__version__
+    assert report["backend"] == jetfact.KERNEL_BACKEND
+    assert report["python"] == platform.python_version()
 
 
 def test_parse_error_exit_code(capsys):
@@ -161,8 +169,9 @@ def test_reports_deterministic(tmp_path):
         tmp_path,
         "b.json",
     )
-    r1.pop("timing_ms")
-    r2.pop("timing_ms")
+    for r in (r1, r2):
+        r.pop("timing_ms")
+        r.pop("elapsed_ms")
     assert r1 == r2
 
 

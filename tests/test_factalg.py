@@ -348,3 +348,16 @@ def test_nested_chain_is_weiss_for_grid_points():
     assert is_weiss_cover(chain, grid[:12], max_subset=3)
     # Dropping the top disk breaks it: points near the rim pair badly.
     assert not is_weiss_cover(chain[:1], [Scalar(0), Scalar(Fraction(7, 2))])
+
+
+def test_section_equality_ignores_the_presentation(free_x, quot_x2):
+    # Pinned: equality and hashing read L and the terms, not P (see the
+    # TensorSection docstring); reports depend on it.
+    L = small_disks(0, 1)
+    s = TensorSection.simple(L, [free_x.gen("x"), free_x.gen("x", 1)], free_x)
+    t = TensorSection.simple(L, [quot_x2.gen("x"), quot_x2.gen("x", 1)], quot_x2)
+    assert s.P != t.P
+    assert s == t and hash(s) == hash(t)
+    assert s != TensorSection.simple(small_disks(0, 2), [free_x.gen("x")] * 2, free_x)
+    with pytest.raises(ValueError):
+        s + t

@@ -7,6 +7,7 @@ from jetfact.numcx import (
     ContourFunction,
     Curve,
     Line,
+    QuadratureError,
     cauchy_coeff,
     classify_singularity,
     contour_integral,
@@ -309,3 +310,19 @@ def test_residue_swap_validation(v5):
     x = P.gen("x")
     with pytest.raises(ValueError):
         residue_swap_check(x, x, x, -1, -1, 0, v5, inner_radius=2.0, outer_radius=1.0)
+
+
+def test_unconverged_line_quadrature_raises():
+    # The midpoint rule on z**-1/2 from 0 errs by O(n**-1/2), so no two
+    # estimates up to 2**21 nodes agree to 1e-12.
+    f = ContourFunction(lambda zs: 1 / np.sqrt(zs)[..., None], vectorized=True)
+    with pytest.raises(QuadratureError, match=r"2097152 nodes, last difference") as exc:
+        contour_integral(f, Curve([Line(0, 1)]))
+    assert not isinstance(exc.value, ValueError)
+
+
+def test_line_quadrature_meets_its_tolerance_on_a_quartic():
+    # Plain midpoint refinement stops short of 1e-12 here at 2**21 nodes.
+    f = ContourFunction(lambda zs: (zs**4 - zs)[..., None], vectorized=True)
+    val = contour_integral(f, Curve([Line(0, 2)]))
+    assert abs(val[0] - (2**5 / 5 - 2)) < 1e-12
