@@ -7,16 +7,24 @@ the uniform-angle trapezoid rule, which is spectrally exact for the
 trigonometric-polynomial integrands this system produces; line segments
 use the midpoint rule with dyadic refinement and one Richardson step, and
 raise QuadratureError when it does not settle.  Laurent coefficients come
-from the circle rule, and singularity classification is a bounded-window
-heuristic with an explicit threshold: with finitely many samples the tail
-of the expansion can only be probed, never decided, so reports say
-"within the probed window".
+from the circle rule: laurent_coeffs samples a circle once and reads
+every coefficient from one FFT of the samples, the same trapezoid sums
+cauchy_coeff forms one at a time.  The two-variable residues of the
+locality check are the trapezoid double sum over the node grid,
+reassociated into small matrix products of the node Vandermonde matrices.
+On a finite node set exponents that differ by a multiple of the node
+count alias onto each other, so both numeric checks compute the smallest
+node count from which their series reads no other exponent and refuse
+fewer nodes with a ValueError.  Singularity classification is a
+bounded-window heuristic with an explicit threshold: with finitely many
+samples the tail of the expansion can only be probed, never decided, so
+reports say "within the probed window".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi
+from math import gcd, pi
 
 import numpy as np
 
@@ -38,6 +46,9 @@ __all__ = [
     "riemann_integral_tagged",
     "contour_integral",
     "cauchy_coeff",
+    "laurent_coeffs",
+    "coefficient_tensor",
+    "double_residue",
     "classify_singularity",
     "SingularityReport",
     "mode_agreement_check",
@@ -230,6 +241,34 @@ def series_function(series: InsertionSeries, P: AlgebraPresentation):
     return fn
 
 
+def coefficient_tensor(series: InsertionSeries, P: AlgebraPresentation) -> np.ndarray:
+    """Coordinates of every coefficient of a series in one array.
+
+    C[e_1, ..., e_k, :] is the coefficient of the monomial with exponents
+    e_1..e_k; every exponent axis runs over 0..total_degree.
+    """
+    shape = (series.total_degree() + 1,) * len(series.variables)
+    C = np.zeros(shape + (len(P.basis_monomials()),), dtype=complex)
+    for exps, elem in series.coeffs.items():
+        C[exps] = element_vector(elem, P)
+    return C
+
+
+def _refuse_aliasing(nodes: int, offsets, what: str):
+    """Raise ValueError unless the trapezoid rule on this many nodes per
+    circle reads the wanted coefficient alone.
+
+    Each offset is the difference between an exponent vector the integrand
+    holds and the one a sum reads.  The node average over a circle in each
+    variable picks the offset up exactly when the node count divides every
+    entry, i.e. divides their gcd, so the least node count from which
+    nothing aliases is one more than the largest gcd of an offset.
+    """
+    need = 1 + max((gcd(*p) for p in offsets), default=0)
+    if nodes < need:
+        raise ValueError(f"{nodes} nodes alias {what}: need at least {need} nodes")
+
+
 # -- quadrature ----------------------------------------------------------------
 
 
@@ -345,6 +384,47 @@ def cauchy_coeff(f, center, n: int, radius, nodes: int = 128) -> np.ndarray:
     return (values * weights[:, None]).sum(axis=0) / nodes
 
 
+def laurent_coeffs(f, center, ns, radius, nodes: int = 128) -> np.ndarray:
+    """The Laurent coefficient estimates of cauchy_coeff for every n in ns.
+
+    Samples the circle once; the trapezoid sums of all coefficients are
+    one discrete Fourier transform of the samples, read at n mod nodes and
+    scaled by radius^-n.  Row i of the result belongs to ns[i].
+    """
+    f = _as_contour_function(f)
+    center = complex(center)
+    radius = float(radius)
+    f.check_circle(center, radius)
+    theta = 2 * pi * np.arange(nodes) / nodes
+    values = f.eval_many(center + radius * np.exp(1j * theta))
+    ns = np.asarray(ns, dtype=int)
+    spectrum = np.fft.fft(values, axis=0)[ns % nodes] / nodes
+    return spectrum * (radius ** -ns.astype(float))[:, None]
+
+
+def double_residue(coeffs: np.ndarray, weight, r_z: float, r_w: float, nodes: int) -> np.ndarray:
+    """Res_z Res_w of weight(z, w) * F(z, w) on the circles |z| = r_z and
+    |w| = r_w, by the trapezoid rule with the given node count per circle.
+
+    F is the polynomial sum of coeffs[e1, e2, :] z^e1 w^e2 and weight maps
+    a column of z nodes and a row of w nodes to their grid of scalar
+    weights.  The double node average of g(z, w) = weight(z, w) z w times
+    F is reassociated as the sum over (e1, e2) of (Vz^T g Vw)[e1, e2]
+    coeffs[e1, e2, :] / nodes^2, with Vz, Vw the node Vandermonde
+    matrices, so no grid of coefficient vectors is formed.  The sum is
+    exact for Laurent polynomials that alias nothing at this node count;
+    which radius is larger decides the expansion region.
+    """
+    theta = 2 * pi * np.arange(nodes) / nodes
+    z = r_z * np.exp(1j * theta)
+    w = r_w * np.exp(1j * theta)
+    Vz = np.vander(z, coeffs.shape[0], increasing=True)
+    Vw = np.vander(w, coeffs.shape[1], increasing=True)
+    Z, W = z[:, None], w[None, :]
+    g = weight(Z, W) * Z * W
+    return np.tensordot(Vz.T @ g @ Vw, coeffs, axes=2) / (nodes * nodes)
+
+
 @dataclass
 class SingularityReport:
     kind: str
@@ -379,16 +459,15 @@ def classify_singularity(
     if window < 1:
         raise ValueError("window must probe at least a_{-1}")
     f = _as_contour_function(f)
-    mags = {}
+    ns = range(-1, -window - 1, -1)
+    mags = dict.fromkeys(ns, 0.0)
     residue = None
-    for k in range(1, window + 1):
-        worst = 0.0
-        for r in probe_radii:
-            coeff = cauchy_coeff(f, center, -k, r, nodes)
-            worst = max(worst, max_norm(coeff))
-            if k == 1 and residue is None:
-                residue = coeff
-        mags[-k] = worst
+    for r in probe_radii:
+        coeffs = laurent_coeffs(f, center, ns, r, nodes)
+        if residue is None:
+            residue = coeffs[0]
+        for n, coeff in zip(ns, coeffs):
+            mags[n] = max(mags[n], max_norm(coeff))
     significant = [k for k in range(1, window + 1) if mags[-k] > threshold]
     if not significant:
         kind, order = "removable", 0
@@ -409,17 +488,29 @@ def mode_agreement_check(
     tolerance: float = 1e-9,
 ) -> dict:
     """Laurent coefficients of the numeric two-point insertion against the
-    exact modes, for |n| <= nmax, in the max-norm."""
+    exact modes, for |n| <= nmax, in the max-norm.
+
+    The series is sampled once on the circle and every mode is read from
+    one FFT of the samples (laurent_coeffs).  Raises ValueError when the
+    node count is below the smallest one from which no exponent of the
+    series aliases onto a mode that is read.
+    """
     P = V.presentation
     series = insert(["z", Scalar(0)], [a, b], V)
-    fn = series_function(series, P)
-    f = ContourFunction(lambda zs: fn(zs), vectorized=True)
+    ns = range(-nmax, nmax + 1)
+    powers = [-n - 1 for n in ns]
+    _refuse_aliasing(
+        nodes,
+        ((e - k,) for (e,) in series.coeffs for k in powers),
+        f"the modes |n| <= {nmax} of a series of degree {series.total_degree()}",
+    )
+    f = ContourFunction(series_function(series, P), vectorized=True)
+    numeric = laurent_coeffs(f, 0.0, powers, radius, nodes)
     gaps = {}
-    for n in range(-nmax, nmax + 1):
-        numeric = cauchy_coeff(f, 0.0, -n - 1, radius, nodes)
+    for n, k, coeff in zip(ns, powers, numeric):
         # The series has no pole, so modes n >= 0 read zero from it.
-        exact = element_vector(series.coefficient((-n - 1,)), P)
-        gaps[n] = max_norm(numeric - exact)
+        exact = element_vector(series.coefficient((k,)), P)
+        gaps[n] = max_norm(coeff - exact)
     worst = max(gaps.values())
     checks = [
         check_entry(
@@ -451,30 +542,37 @@ def residue_swap_check(
     at (z, w, 0).  Taking the w-contour inside the z-contour matches the
     mode sum with the first state outermost; swapping the radii matches
     the other association.  Both numeric values and both exact sums must
-    agree within the tolerance in the max-norm.
+    agree within the tolerance in the max-norm.  Each contour order is
+    the trapezoid double sum on the node grid, computed by double_residue
+    from the stacked series coefficients as small matrix products.
+    Raises ValueError when N is negative, or when the node count is below
+    the smallest one from which no monomial of the integrand aliases onto
+    the residue.
     """
     if not 0 < inner_radius < outer_radius:
         raise ValueError("need 0 < inner radius < outer radius")
+    if N < 0:
+        raise ValueError("locality order N must be non-negative")
     P = V.presentation
     series = insert(["z", "w", Scalar(0)], [a, b, c], V)
-    fn = series_function(series, P)
+    # (z - w)^N contributes z^i w^(N-i); the residue reads z^-1 w^-1.
+    _refuse_aliasing(
+        nodes,
+        (
+            (m + 1 + i + e1, n + 1 + N - i + e2)
+            for e1, e2 in series.coeffs
+            for i in range(N + 1)
+        ),
+        f"the residue at m={m}, n={n}, N={N} of a series of degree "
+        f"{series.total_degree()}",
+    )
+    C = coefficient_tensor(series, P)
 
-    def double_residue(r_z: float, r_w: float) -> np.ndarray:
-        # Res_z Res_w of the integrand: on circles |z| = r_z, |w| = r_w the
-        # residue in each variable is the node average of g(z, w) * z * w,
-        # exact for Laurent polynomials whose exponents stay below the node
-        # count.  Which radius is larger decides the expansion region.
-        theta = 2 * pi * np.arange(nodes) / nodes
-        Z = (r_z * np.exp(1j * theta))[:, None]
-        W = (r_w * np.exp(1j * theta))[None, :]
-        vals = fn(
-            np.broadcast_to(Z, (nodes, nodes)), np.broadcast_to(W, (nodes, nodes))
-        )
-        integrand = (Z**m * W**n * (Z - W) ** N * Z * W)[..., None] * vals
-        return integrand.sum(axis=(0, 1)) / (nodes * nodes)
+    def weight(z, w):
+        return z**m * w**n * (z - w) ** N
 
-    order_w_inner = double_residue(outer_radius, inner_radius)
-    order_z_inner = double_residue(inner_radius, outer_radius)
+    order_w_inner = double_residue(C, weight, outer_radius, inner_radius, nodes)
+    order_z_inner = double_residue(C, weight, inner_radius, outer_radius, nodes)
 
     lhs, rhs = locality_sides(a, b, c, m, n, N, V, lambda x, y: vertex_op(x, y, V))
     lhs_vec = element_vector(lhs, P)

@@ -10,8 +10,11 @@ from jetfact.numcx import (
     QuadratureError,
     cauchy_coeff,
     classify_singularity,
+    coefficient_tensor,
     contour_integral,
+    double_residue,
     element_vector,
+    laurent_coeffs,
     max_norm,
     mode_agreement_check,
     residue_swap_check,
@@ -286,23 +289,90 @@ def test_residue_swap_negative_control(v5):
     # A spurious pole on the diagonal makes the two orders disagree.
     P = v5.presentation
     x = P.gen("x")
-    series = insert(["z", "w", Scalar(0)], [x, x, x], v5)
-    fn = series_function(series, P)
-    import numpy as np
+    C = coefficient_tensor(insert(["z", "w", Scalar(0)], [x, x, x], v5), P)
 
-    nodes = 64
+    def bad(Z, W):
+        return Z**-1 * W**-1 / (Z - W)  # not holomorphic across the diagonal
 
-    def double_residue(r_z, r_w):
-        theta = 2 * np.pi * np.arange(nodes) / nodes
-        Z = (r_z * np.exp(1j * theta))[:, None]
-        W = (r_w * np.exp(1j * theta))[None, :]
-        vals = fn(np.broadcast_to(Z, (nodes, nodes)), np.broadcast_to(W, (nodes, nodes)))
-        bad = 1.0 / (Z - W)  # not holomorphic across the diagonal
-        integrand = (Z**-1 * W**-1 * bad * Z * W)[..., None] * vals
-        return integrand.sum(axis=(0, 1)) / (nodes * nodes)
-
-    gap = max_norm(double_residue(1.5, 0.5) - double_residue(0.5, 1.5))
+    gap = max_norm(double_residue(C, bad, 1.5, 0.5, 64) - double_residue(C, bad, 0.5, 1.5, 64))
     assert gap > 1e-3
+
+
+def _grid_double_residue(fn, weight, r_z, r_w, nodes):
+    # Reference: the trapezoid double sum over the full node grid, with the
+    # series evaluated at every grid point.
+    theta = 2 * np.pi * np.arange(nodes) / nodes
+    Z = (r_z * np.exp(1j * theta))[:, None]
+    W = (r_w * np.exp(1j * theta))[None, :]
+    vals = fn(np.broadcast_to(Z, (nodes, nodes)), np.broadcast_to(W, (nodes, nodes)))
+    integrand = (weight(Z, W) * Z * W)[..., None] * vals
+    return integrand.sum(axis=(0, 1)) / (nodes * nodes)
+
+
+@pytest.mark.parametrize("nodes", [32, 128])
+def test_double_residue_matches_the_grid_sum(v5, nodes):
+    P = v5.presentation
+    s = Sampler(37)
+    # State weights and exponents chosen so that each residue reads a
+    # nonzero coefficient z^e1 w^e2 of the series with e1 != e2.
+    cases = [
+        ((1, 1, 0), -3, -1, 0),
+        ((1, 1, 1), -1, -3, 0),
+        ((2, 1, 0), -3, -2, 1),
+        ((1, 0, 1), -2, -3, 2),
+    ]
+    for weights, m, n, N in cases:
+        a, b, c = (s.homogeneous_element(P, delta=d) for d in weights)
+        series = insert(["z", "w", Scalar(0)], [a, b, c], v5)
+        fn = series_function(series, P)
+        C = coefficient_tensor(series, P)
+
+        def weight(Z, W):
+            return Z**m * W**n * (Z - W) ** N
+
+        for r_z, r_w in ((1.5, 0.5), (0.5, 1.5)):
+            reference = _grid_double_residue(fn, weight, r_z, r_w, nodes)
+            got = double_residue(C, weight, r_z, r_w, nodes)
+            assert max_norm(got - reference) < 1e-12
+
+
+def test_laurent_coeffs_match_cauchy_coeff(v5):
+    # Every coefficient mode_agreement_check reads at nmax = 6.
+    P = v5.presentation
+    s = Sampler(41)
+    ks = [-n - 1 for n in range(-6, 7)]
+    for weights in ((1, 0), (1, 1), (2, 1), (1, 3), (0, 2)):
+        a, b = (s.homogeneous_element(P, delta=d) for d in weights)
+        series = insert(["z", Scalar(0)], [a, b], v5)
+        f = ContourFunction(series_function(series, P), vectorized=True)
+        for nodes in (32, 128):
+            got = laurent_coeffs(f, 0, ks, 0.75, nodes)
+            for k, row in zip(ks, got):
+                assert max_norm(row - cauchy_coeff(f, 0, k, 0.75, nodes)) < 1e-12
+
+
+def test_mode_agreement_refuses_aliasing_node_counts(v5):
+    # x(z) x(0) has z-exponents 0..3, and nmax = 6 reads z^-7 .. z^5, so
+    # 10 nodes fold z^3 onto z^-7 and 11 nodes are the least that do not.
+    P = v5.presentation
+    x = P.gen("x")
+    with pytest.raises(ValueError, match=r"10 nodes alias .* need at least 11 nodes"):
+        mode_agreement_check(x, x, v5, nmax=6, nodes=10)
+    assert all_pass(mode_agreement_check(x, x, v5, nmax=6, nodes=11)["checks"])
+    series = insert(["z", Scalar(0)], [x, x], v5)
+    f = ContourFunction(series_function(series, P), vectorized=True)
+    aliased = laurent_coeffs(f, 0, [-7], 0.75, 10)[0]
+    assert max_norm(aliased - element_vector(series.coefficient((-7,)), P)) > 1e-3
+
+
+def test_residue_swap_refuses_aliasing_node_counts(v5):
+    # z^-1 w^-1 (z - w)^2 z w times a series of degree 2 holds z^4 w^0.
+    x = v5.presentation.gen("x")
+    with pytest.raises(ValueError, match=r"need at least 5 nodes"):
+        residue_swap_check(x, x, x, -1, -1, 2, v5, nodes=4)
+    assert all_pass(residue_swap_check(x, x, x, -1, -1, 2, v5, nodes=5)["checks"])
+    with pytest.raises(ValueError, match="non-negative"):
+        residue_swap_check(x, x, x, -1, -1, -1, v5)
 
 
 def test_residue_swap_validation(v5):
