@@ -170,9 +170,8 @@ def cmd_num_swap(args, P, preset) -> list:
     sampler = Sampler(args.seed)
     checks = []
     for i in range(args.samples):
-        a = sampler.homogeneous_element(P)
-        b = sampler.homogeneous_element(P)
-        c = sampler.homogeneous_element(P)
+        weights = sampler.weight_triple(P.wmax)
+        a, b, c = (sampler.homogeneous_element(P, delta=d) for d in weights)
         m = -sampler.rng.randint(1, 2)
         n = -sampler.rng.randint(1, 2)
         N = sampler.rng.randint(0, args.nmax)

@@ -10,6 +10,11 @@ pair is concatenation followed by corestriction.  The isometry group acts
 on a section by moving the disks and applying the translation-rotation
 flow to every factor.
 
+Corestriction, evaluation, the isometry action and algebra morphisms are
+one pushforward, _expand, from each monomial-tensor key to a list of
+factors.  Internal results are already clean and wrapped by the trusted
+TensorSection._make; TensorSection() validates data from outside callers.
+
 Evaluation on more general supported opens (finite unions of connected
 finite disk unions) collapses each connected region to a single tensor
 factor, which is what local constancy forces.  Membership of a section
@@ -21,6 +26,7 @@ the exact geometry.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product as iproduct
 
 from .diskgeom import (
@@ -87,6 +93,16 @@ class TensorSection:
             clean[tuple(key)] = coeff
         self.data = clean
 
+    @classmethod
+    def _make(cls, L: BasisElement, P: AlgebraPresentation, data: dict) -> "TensorSection":
+        """Wrap data that is already clean (tuple keys of length len(L),
+        nonzero Scalars) without re-validating; for internal results."""
+        self = object.__new__(cls)
+        self.L = L
+        self.P = P
+        self.data = data
+        return self
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -97,7 +113,7 @@ class TensorSection:
             raise ValueError("factor count does not match disk count")
         data = {}
         _accumulate_expansion(data, factors, Scalar.coerce(coeff))
-        return cls(L, P, data)
+        return cls._make(L, P, data)
 
     @classmethod
     def on_disks(cls, disks, factors, P, coeff=Scalar(1)) -> "TensorSection":
@@ -117,19 +133,15 @@ class TensorSection:
     def unit_on_empty(cls, P: AlgebraPresentation, coeff=Scalar(1)) -> "TensorSection":
         return cls(BasisElement(), P, {(): Scalar.coerce(coeff)})
 
-    @classmethod
-    def zero(cls, L: BasisElement, P: AlgebraPresentation) -> "TensorSection":
-        return cls(L, P, {})
-
     # -- linear structure -------------------------------------------------------
 
     def __add__(self, other: "TensorSection") -> "TensorSection":
         if self.L != other.L or self.P != other.P:
             raise ValueError("sections live on different basis opens")
-        return TensorSection(self.L, self.P, lc_add(self.data, other.data))
+        return TensorSection._make(self.L, self.P, lc_add(self.data, other.data))
 
     def scale(self, coeff) -> "TensorSection":
-        return TensorSection(self.L, self.P, lc_scale(self.data, Scalar.coerce(coeff)))
+        return TensorSection._make(self.L, self.P, lc_scale(self.data, Scalar.coerce(coeff)))
 
     def __sub__(self, other):
         return self + other.scale(Scalar(-1))
@@ -179,7 +191,7 @@ def _group_product(P, key, index_lists):
 
 def _accumulate_expansion(data: dict, factors, coeff) -> None:
     """Add coeff times the monomial expansion of a simple tensor to data."""
-    for combo in iproduct(*[f.terms() for f in factors]):
+    for combo in iproduct(*[f.data.items() for f in factors]):
         key = tuple(m for m, _ in combo)
         c = coeff
         for _, fc in combo:
@@ -194,6 +206,15 @@ def _accumulate_expansion(data: dict, factors, coeff) -> None:
             del data[key]
 
 
+def _expand(s: TensorSection, factors_of) -> dict:
+    """Pushforward of a section's data: the sum over its keys of the
+    coefficient times the expansion of the simple tensor factors_of(key)."""
+    data = {}
+    for key, coeff in s.data.items():
+        _accumulate_expansion(data, factors_of(key), coeff)
+    return data
+
+
 def corestrict(s: TensorSection, M: BasisElement, _drop_extra_factors=False) -> TensorSection:
     """Push a section along an inclusion of basis opens.
 
@@ -205,11 +226,8 @@ def corestrict(s: TensorSection, M: BasisElement, _drop_extra_factors=False) -> 
     index_lists = decompose(s.L, M)
     if _drop_extra_factors:
         index_lists = [idxs[:1] for idxs in index_lists]
-    data = {}
-    for key, coeff in s.data.items():
-        factors = _group_product(s.P, key, index_lists)
-        _accumulate_expansion(data, factors, coeff)
-    return TensorSection(M, s.P, data)
+    data = _expand(s, lambda key: _group_product(s.P, key, index_lists))
+    return TensorSection._make(M, s.P, data)
 
 
 def tensor_concat(s: TensorSection, t: TensorSection) -> TensorSection:
@@ -233,7 +251,7 @@ def tensor_concat(s: TensorSection, t: TensorSection) -> TensorSection:
         for k1, c1 in s.data.items()
         for k2, c2 in t.data.items()
     }
-    return TensorSection(U, s.P, data)
+    return TensorSection._make(U, s.P, data)
 
 
 def multiply_sections(s: TensorSection, t: TensorSection, N: BasisElement) -> TensorSection:
@@ -297,11 +315,7 @@ class Evaluation:
             if j is None:
                 raise ValueError(f"disk {d} is not inside any region")
             index_lists[j].append(i)
-        data = {}
-        for key, coeff in s.data.items():
-            factors = _group_product(self.P, key, index_lists)
-            _accumulate_expansion(data, factors, coeff)
-        return data
+        return _expand(s, lambda key: _group_product(self.P, key, index_lists))
 
 
 def evaluate(P: AlgebraPresentation, U: SupportedOpen) -> Evaluation:
@@ -334,25 +348,15 @@ def mu_l_via_placement(P, elements, placement: BasisElement, ambient: Disk) -> G
 def equivariant_act(g: GroupElement, s: TensorSection, V: VertexAlgebra) -> TensorSection:
     """Move a section by an isometry: disks by the point action, factors by
     the translation-rotation flow e^{tT} q^{L0}."""
-    new_disks = [act(g, d) for d in s.L]
-    cache = {}
+    newL = BasisElement([act(g, d) for d in s.L])
 
+    @cache
     def transform(mono):
-        out = cache.get(mono)
-        if out is None:
-            elem = GradedElement._make({mono: Scalar(1)}, s.P.wmax)
-            out = completion_translation(
-                g.t, completion_rotation(g.q, elem, V), V
-            )
-            cache[mono] = out
-        return out
+        elem = GradedElement._make({mono: Scalar(1)}, s.P.wmax)
+        return completion_translation(g.t, completion_rotation(g.q, elem, V), V)
 
-    newL = BasisElement(new_disks)
-    data = {}
-    for key, coeff in s.data.items():
-        factors = [transform(key[newL.order[j]]) for j in range(len(key))]
-        _accumulate_expansion(data, factors, coeff)
-    return TensorSection(newL, s.P, data)
+    data = _expand(s, lambda key: [transform(key[i]) for i in newL.order])
+    return TensorSection._make(newL, s.P, data)
 
 
 class FAMorphism:
@@ -372,19 +376,13 @@ class FAMorphism:
     def apply(self, s: TensorSection) -> TensorSection:
         if s.P != self.source:
             raise ValueError("section is not over the morphism source")
-        cache = {}
 
+        @cache
         def image(mono):
-            out = cache.get(mono)
-            if out is None:
-                out = self.hom.apply(GradedElement._make({mono: Scalar(1)}, s.P.wmax))
-                cache[mono] = out
-            return out
+            return self.hom.apply(GradedElement._make({mono: Scalar(1)}, s.P.wmax))
 
-        data = {}
-        for key, coeff in s.data.items():
-            _accumulate_expansion(data, [image(m) for m in key], coeff)
-        return TensorSection(s.L, self.target, data)
+        data = _expand(s, lambda key: [image(m) for m in key])
+        return TensorSection._make(s.L, self.target, data)
 
 
 def adjunction_theta(phi: FAMorphism) -> AlgebraHom:
@@ -414,12 +412,6 @@ def adjunction_theta_prime(f: AlgebraHom) -> FAMorphism:
 # -- axiom harness -----------------------------------------------------------
 
 
-def _as_presentation(obj) -> AlgebraPresentation:
-    if isinstance(obj, VertexAlgebra):
-        return obj.presentation
-    return obj
-
-
 def _sample_section(sampler: Sampler, L: BasisElement, P) -> TensorSection:
     """A sum of two simple tensors with homogeneous single-monomial factors.
 
@@ -444,8 +436,8 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
     control runs a broken corestriction and reports pass when the harness
     catches it.
     """
-    P = _as_presentation(algebra)
-    V = algebra if isinstance(algebra, VertexAlgebra) else VertexAlgebra(P)
+    V = algebra if isinstance(algebra, VertexAlgebra) else VertexAlgebra(algebra)
+    P = V.presentation
     sampler = Sampler(seed)
 
     names = [
@@ -462,12 +454,16 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
     if corrupt:
         names.append("negative_control")
     tally = SampledChecks(names)
+    # N holds every sampled configuration; its far translate by shift is
+    # disjoint from it, so big holds the products of disjoint pairs.
+    N = BasisElement([Disk(Scalar(0), 64)])
+    shift = GroupElement(Scalar(1), Scalar(1000))
+    big = N.union(act(shift, N))
 
     for _ in range(samples):
         # Chain L inside M inside N of nested basis opens.
         counts = [sampler.rng.randint(1, 2) for _ in range(sampler.rng.randint(1, 2))]
         L, M = sampler.nested_config(len(counts), counts)
-        N = BasisElement([Disk(Scalar(0), 64)])
         s = _sample_section(sampler, L, P)
 
         via_m = corestrict(corestrict(s, M), N)
@@ -477,7 +473,6 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
         )
 
         # Tensor compatibility across a far-disjoint pair of targets.
-        shift = GroupElement(Scalar(1), Scalar(1000))
         L2, M2 = act(shift, L), act(shift, M)
         t = _sample_section(sampler, L2, P)
         lhs = corestrict(tensor_concat(s, t), M.union(M2))
@@ -494,9 +489,7 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
             [disks[i] for i in perm], [factors[i] for i in perm], P
         )
         ok = direct == permuted
-        ok = ok and multiply_sections(s, t, N.union(act(shift, N))) == multiply_sections(
-            t, s, N.union(act(shift, N))
-        )
+        ok = ok and multiply_sections(s, t, big) == multiply_sections(t, s, big)
         tally.record("symmetry", ok, lambda: {"perm": perm})
 
         # Associativity square on a jittered three-disk template.
@@ -529,9 +522,7 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
         c = sampler.nonzero_scalar()
         unit = TensorSection.unit_on_empty(P, c)
         ok = multiply_sections(s, unit, N) == corestrict(s, N).scale(c)
-        ok = ok and corestrict(
-            TensorSection.unit_on_empty(P, c), M
-        ) == TensorSection.simple(M, [P.unit()] * len(M), P, c)
+        ok = ok and corestrict(unit, M) == TensorSection.simple(M, [P.unit()] * len(M), P, c)
         tally.record("unit", ok)
 
         # Equivariance, on a two-disk section: the action works factor by
@@ -552,7 +543,6 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
             equivariant_act(GroupElement.identity(), se, V) == se,
         )
         te = _sample_section(sampler, act(shift, Le), P)
-        big = N.union(act(shift, N))
         lhs = equivariant_act(g1, multiply_sections(se, te, big), V)
         rhs = multiply_sections(
             equivariant_act(g1, se, V),
@@ -609,58 +599,52 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
         raise ValueError("need at least one radius")
     wmax = P.wmax if wmax is None else wmax
     n = len(radii)
-    disks = [Disk(Scalar(0), r) for r in radii]
-    top = BasisElement([disks[-1]])
+    opens = [BasisElement([Disk(Scalar(0), r)]) for r in radii]
 
-    def push_through(mono, i, target_disk):
-        """Coordinates of the corestriction of basis monomial mono from
-        disk i into the target, computed through the section machinery."""
-        sec = TensorSection.simple(
-            BasisElement([disks[i]]),
-            [GradedElement._make({mono: Scalar(1)}, P.wmax)],
-            P,
-        )
-        return corestrict(sec, BasisElement([target_disk])).as_element()
+    def push(elem, i, j):
+        """The corestriction of elem from disk i into disk j, computed
+        through the section machinery."""
+        return corestrict(TensorSection.simple(opens[i], [elem], P), opens[j]).as_element()
 
     checks = []
     for delta in range(wmax + 1):
         basis = P.weight_basis(delta)
         d = len(basis)
         index = {m: k for k, m in enumerate(basis)}
-
-        def coords(elem, block):
-            return {block * d + index[mono]: c for mono, c in elem.data.items()}
-
+        units = [GradedElement._make({m: Scalar(1)}, P.wmax) for m in basis]
         rows = []
-        pi_ok = True
-        # The pair (j, i) gives the negated row and the same two routes, so
-        # unordered pairs suffice; disk i is the intersection of i < j.
-        for i, j in combinations(range(n), 2):
-            for mono in basis:
-                into_i = push_through(mono, i, disks[i])
-                into_j = push_through(mono, i, disks[j])
-                # The row of p - q; blocks i and j are disjoint column ranges.
-                row = coords(into_i, i)
-                row.update((col, -c) for col, c in coords(into_j, j).items())
-                rows.append(row)
-                # pi kills (p - q): both routes into the top disk agree.
-                sec_i = TensorSection.simple(BasisElement([disks[i]]), [into_i], P)
-                sec_j = TensorSection.simple(BasisElement([disks[j]]), [into_j], P)
-                if corestrict(sec_i, top) != corestrict(sec_j, top):
-                    pi_ok = False
+        maps_ok = True
+        for i in range(n - 1):
+            for e in units:
+                # e in disk i and its route into the top disk serve every pair
+                # i < j, whose intersection is disk i; the pair (j, i) gives the
+                # negated row and the same two routes, so unordered pairs suffice.
+                own = push(e, i, i)
+                own_top = push(own, i, n - 1)
+                for j in range(i + 1, n):
+                    into_j = push(e, i, j)
+                    # pi kills (p - q): both routes into the top disk agree.
+                    if own_top != push(into_j, j, n - 1):
+                        maps_ok = False
+                    # The row of p - q; blocks i and j are disjoint column
+                    # ranges.  An image outside the weight-delta basis has none.
+                    if not own.data.keys() | into_j.data.keys() <= index.keys():
+                        maps_ok = False
+                        continue
+                    row = {i * d + index[m]: c for m, c in own.data.items()}
+                    row.update((j * d + index[m], -c) for m, c in into_j.data.items())
+                    rows.append(row)
 
         # pi is onto: composed with each inclusion it fixes every basis monomial.
         for i in range(n):
-            for mono in basis:
-                if push_through(mono, i, disks[-1]) != GradedElement._make(
-                    {mono: Scalar(1)}, P.wmax
-                ):
-                    pi_ok = False
+            for e in units:
+                if push(e, i, n - 1) != e:
+                    maps_ok = False
 
         rank = _exact_rank(rows)
         expected = (n - 1) * d
         coker = n * d - rank
-        ok = pi_ok and rank == expected and coker == d
+        ok = maps_ok and rank == expected and coker == d
         checks.append(
             check_entry(
                 f"weight_{delta}",

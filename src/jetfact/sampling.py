@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from .diskgeom import BasisElement, Disk, GroupElement
 from .grading import GradedElement
@@ -81,6 +82,13 @@ class Sampler:
                 data = {m: self.nonzero_scalar() for m in picks}
                 return GradedElement._make(data, P.wmax)
         raise ValueError("presentation has no nonzero weight components")
+
+    def weight_triple(self, wmax: int) -> tuple:
+        """Three weights that sum to at most wmax, uniform over all such
+        triples, so that the product of states of these weights survives
+        truncation at wmax."""
+        triples = [t for t in product(range(wmax + 1), repeat=3) if sum(t) <= wmax]
+        return self.rng.choice(triples)
 
     def element(self, P, max_terms: int = 3) -> GradedElement:
         out = P.zero()

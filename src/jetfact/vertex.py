@@ -131,14 +131,9 @@ def completion_translation(z: Scalar, a: GradedElement, V: VertexAlgebra) -> Gra
         n += 1
 
 
-def translation_identity_failures(a, b, table: ModeTable, V: VertexAlgebra, tb=None):
-    """Indices where T(a_(n) b) != -n a_(n-1) b + a_(n) (T b).
-
-    tb optionally supplies the mode table of (a, T b); passing a corrupted
-    table makes this the negative control of the axiom suite.
-    """
-    if tb is None:
-        tb = vertex_op(a, V.translate(b), V)
+def translation_identity_failures(a, b, table: ModeTable, V: VertexAlgebra, tb: ModeTable):
+    """Indices where T(a_(n) b) != -n a_(n-1) b + a_(n) (T b), with table
+    the mode table of (a, b) and tb that of (a, T b)."""
     bad = []
     for n in set(table.indices()) | {i + 1 for i in table.indices()} | set(tb.indices()):
         lhs = V.translate(table[n])
@@ -170,7 +165,6 @@ def check_vertex_axioms(
     V: VertexAlgebra,
     samples: int = 50,
     seed: int = 0,
-    locality_orders=(0, 1, 2),
     table_fn=None,
     vacuum=None,
 ) -> dict:
@@ -192,7 +186,7 @@ def check_vertex_axioms(
 
     tally = SampledChecks(
         ["vacuum_left", "vacuum_right", "translation", "mode_weights", "commutative_modes"]
-        + [f"locality_N{N}" for N in locality_orders]
+        + [f"locality_N{N}" for N in (0, 1, 2)]
     )
 
     for _ in range(samples):
@@ -242,7 +236,7 @@ def check_vertex_axioms(
 
         m = -sampler.rng.randint(1, 2)
         n = -sampler.rng.randint(1, 2)
-        for N in locality_orders:
+        for N in (0, 1, 2):
             lhs, rhs = locality_sides(a, b, c, m, n, N, V, tables)
             tally.record(
                 f"locality_N{N}",

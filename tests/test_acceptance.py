@@ -59,9 +59,7 @@ def test_acceptance_02_vertex_axiom_suite():
     ok = True
     for gens, rels in [(["x"], []), (["x", "y"], ["x*y"])]:
         V = VertexAlgebra(AlgebraPresentation(gens, rels, 6))
-        report = check_vertex_axioms(
-            V, samples=200, seed=0, locality_orders=(0, 1, 2)
-        )
+        report = check_vertex_axioms(V, samples=200, seed=0)
         ok = ok and all_pass(report["checks"])
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0

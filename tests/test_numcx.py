@@ -264,7 +264,9 @@ def test_residue_swap_orders_and_mode_sums(v5):
     s = Sampler(31)
     P = v5.presentation
     for _ in range(5):
-        a, b, c = (s.homogeneous_element(P) for _ in range(3))
+        weights = s.weight_triple(P.wmax)
+        a, b, c = (s.homogeneous_element(P, delta=d) for d in weights)
+        assert insert(["z", "w", Scalar(0)], [a, b, c], v5).coeffs
         for N in (0, 1, 2):
             report = residue_swap_check(a, b, c, -1, -1, N, v5)
             assert all_pass(report["checks"])

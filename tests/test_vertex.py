@@ -163,8 +163,9 @@ def test_corrupted_mode_table_fails_translation(vx, free_x):
     corrupted = ModeTable(
         {n: (e.scale(Scalar(2)) if n == -2 else e) for n, e in table.items()}, 6
     )
-    assert translation_identity_failures(x, x, corrupted, vx)
-    assert not translation_identity_failures(x, x, table, vx)
+    tb = vertex_op(x, vx.translate(x), vx)
+    assert translation_identity_failures(x, x, corrupted, vx, tb)
+    assert not translation_identity_failures(x, x, table, vx, tb)
 
 
 def test_axiom_suite_reads_the_given_table_fn(vx):
