@@ -12,8 +12,11 @@ flow to every factor.
 
 Corestriction, evaluation, the isometry action and algebra morphisms are
 one pushforward, _expand, from each monomial-tensor key to a list of
-factors.  Internal results are already clean and wrapped by the trusted
-TensorSection._make; TensorSection() validates data from outside callers.
+factors.  TensorSection() puts outside keys in canonical form (factors
+sorted, keys with a factor above the bound dropped as zero, equal keys
+summed) and TensorSection.simple refuses factors of another bound, so
+internal results are wrapped by the trusted TensorSection._make.  The
+gluing check memoises each corestriction by (value, disk, disk).
 
 Evaluation on more general supported opens (finite unions of connected
 finite disk unions) collapses each connected region to a single tensor
@@ -39,13 +42,13 @@ from .diskgeom import (
     decompose,
     disjoint,
 )
-from .grading import GradedElement, format_monomial
+from .grading import GradedElement, format_monomial, normalize_monomial
 from .jetalg import AlgebraHom, AlgebraPresentation, Echelon
 from .reports import SampledChecks, check_entry
 from .sampling import Sampler
 from .scalars import Scalar
 from .vertex import VertexAlgebra, completion_rotation, completion_translation
-from ._kernels import lc_add, lc_scale, mono_mul
+from ._kernels import lc_add, lc_scale, mono_mul, mono_weight
 
 __all__ = [
     "TensorSection",
@@ -85,13 +88,14 @@ class TensorSection:
         self.P = P
         clean = {}
         for key, coeff in data.items():
-            coeff = Scalar.coerce(coeff)
-            if not coeff:
-                continue
             if len(key) != len(L):
                 raise ValueError("tensor key length does not match disk count")
-            clean[tuple(key)] = coeff
-        self.data = clean
+            key = tuple(normalize_monomial(m) for m in key)
+            # A factor above the bound is zero, and so is its tensor.
+            if any(mono_weight(m) > P.wmax for m in key):
+                continue
+            clean[key] = clean.get(key, Scalar(0)) + Scalar.coerce(coeff)
+        self.data = {key: c for key, c in clean.items() if c}
 
     @classmethod
     def _make(cls, L: BasisElement, P: AlgebraPresentation, data: dict) -> "TensorSection":
@@ -111,6 +115,8 @@ class TensorSection:
         factors = list(factors)
         if len(factors) != len(L):
             raise ValueError("factor count does not match disk count")
+        if any(f.wmax != P.wmax for f in factors):
+            raise ValueError("factor truncation bound does not match the presentation")
         data = {}
         _accumulate_expansion(data, factors, Scalar.coerce(coeff))
         return cls._make(L, P, data)
@@ -168,7 +174,7 @@ class TensorSection:
         """The underlying algebra element of a single-disk section."""
         if len(self.L) != 1:
             raise ValueError("as_element requires a single-disk section")
-        return GradedElement({key[0]: c for key, c in self.data.items()}, self.P.wmax)
+        return GradedElement._make({key[0]: c for key, c in self.data.items()}, self.P.wmax)
 
     def as_scalar(self) -> Scalar:
         """The underlying scalar of a section on the empty set."""
@@ -601,9 +607,10 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
     n = len(radii)
     opens = [BasisElement([Disk(Scalar(0), r)]) for r in radii]
 
+    @cache
     def push(elem, i, j):
         """The corestriction of elem from disk i into disk j, computed
-        through the section machinery."""
+        through the section machinery; each (elem, i, j) is pushed once."""
         return corestrict(TensorSection.simple(opens[i], [elem], P), opens[j]).as_element()
 
     checks = []
@@ -612,34 +619,25 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
         d = len(basis)
         index = {m: k for k, m in enumerate(basis)}
         units = [GradedElement._make({m: Scalar(1)}, P.wmax) for m in basis]
-        rows = []
-        maps_ok = True
-        for i in range(n - 1):
-            for e in units:
-                # e in disk i and its route into the top disk serve every pair
-                # i < j, whose intersection is disk i; the pair (j, i) gives the
-                # negated row and the same two routes, so unordered pairs suffice.
-                own = push(e, i, i)
-                own_top = push(own, i, n - 1)
-                for j in range(i + 1, n):
-                    into_j = push(e, i, j)
-                    # pi kills (p - q): both routes into the top disk agree.
-                    if own_top != push(into_j, j, n - 1):
-                        maps_ok = False
-                    # The row of p - q; blocks i and j are disjoint column
-                    # ranges.  An image outside the weight-delta basis has none.
-                    if not own.data.keys() | into_j.data.keys() <= index.keys():
-                        maps_ok = False
-                        continue
-                    row = {i * d + index[m]: c for m, c in own.data.items()}
-                    row.update((j * d + index[m], -c) for m, c in into_j.data.items())
-                    rows.append(row)
-
         # pi is onto: composed with each inclusion it fixes every basis monomial.
-        for i in range(n):
+        maps_ok = all(push(e, i, n - 1) == e for i in range(n) for e in units)
+        # Disk i is the intersection of disks i < j, and the pair (j, i)
+        # gives the negated row of (i, j): unordered pairs suffice.
+        rows = []
+        for i, j in combinations(range(n), 2):
             for e in units:
-                if push(e, i, n - 1) != e:
+                p, q = push(e, i, i), push(e, i, j)
+                # pi kills (p - q): both routes into the top disk agree.
+                if push(p, i, n - 1) != push(q, j, n - 1):
                     maps_ok = False
+                # The row of p - q; blocks i and j are disjoint column
+                # ranges.  An image outside the weight-delta basis has none.
+                if not p.data.keys() | q.data.keys() <= index.keys():
+                    maps_ok = False
+                    continue
+                row = {i * d + index[m]: c for m, c in p.data.items()}
+                row.update((j * d + index[m], -c) for m, c in q.data.items())
+                rows.append(row)
 
         rank = _exact_rank(rows)
         expected = (n - 1) * d

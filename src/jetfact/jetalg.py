@@ -9,14 +9,15 @@ over its factors.
 Quotients are handled by saturating the differential ideal degree by
 degree up to the truncation bound: relation jets are multiplied by all
 monomials that keep the weight in range and the resulting span is put in
-row-echelon form under a fixed monomial order.  The rows are not reduced
-against each other, yet normal forms are canonical: the set of leading
-monomials and the remainder of an element after full reduction depend
-only on the span, not on the echelon basis chosen for it.  Relations
-whose jets are weight-homogeneous (relations of the degree-zero algebra
-always are) make the quotient genuinely graded; inhomogeneous relations
-are accepted but the grading then reflects leading structure only, which
-is a documented restriction of the truncated model.
+row-echelon form under a fixed monomial order, enumerating the free
+monomials of each weight once.  The rows are not reduced against each
+other, yet normal forms are canonical: the set of leading monomials and
+the remainder of an element after full reduction depend only on the
+span, not on the echelon basis chosen for it.  Relations whose jets are
+weight-homogeneous (relations of the degree-zero algebra always are)
+make the quotient genuinely graded; inhomogeneous relations are accepted
+but the grading then reflects leading structure only, which is a
+documented restriction of the truncated model.
 
 Presentations are immutable after construction.  The internal caches
 (normal forms of monomials, weight bases) are idempotent, so concurrent
@@ -118,12 +119,14 @@ class AlgebraPresentation:
         # Saturate the differential ideal: every jet of every relation
         # times every monomial that keeps the weight within the bound.
         self._echelon = Echelon(_order_key)
+        free = [self._free_monomials(delta) for delta in range(max_weight + 1)] if rels else []
         for rel in rels:
             jet = rel.data
             while jet:
                 low = min(mono_weight(m) for m in jet)
-                for mono in self._monomials_up_to(max_weight - low):
-                    self._echelon.add(lc_mul({mono: Scalar(1)}, jet, max_weight))
+                for delta in range(max_weight - low + 1):
+                    for mono in free[delta]:
+                        self._echelon.add(lc_mul({mono: Scalar(1)}, jet, max_weight))
                 jet = lc_derive(jet, max_weight)
 
     # -- normal forms ----------------------------------------------------------
@@ -196,12 +199,6 @@ class AlgebraPresentation:
         return GradedElement._make(data, self.wmax)
 
     # -- graded bases ---------------------------------------------------------
-
-    def _monomials_up_to(self, bound: int):
-        out = []
-        for delta in range(0, max(bound, 0) + 1):
-            out.extend(self._free_monomials(delta))
-        return out
 
     def _free_monomials(self, delta: int):
         """All free monomials of exact weight delta in canonical factor order."""

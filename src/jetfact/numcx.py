@@ -24,6 +24,7 @@ reports say "within the probed window".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd, pi
 
 import numpy as np
@@ -574,7 +575,7 @@ def residue_swap_check(
     order_w_inner = double_residue(C, weight, outer_radius, inner_radius, nodes)
     order_z_inner = double_residue(C, weight, inner_radius, outer_radius, nodes)
 
-    lhs, rhs = locality_sides(a, b, c, m, n, N, V, lambda x, y: vertex_op(x, y, V))
+    lhs, rhs = locality_sides(a, b, c, m, n, N, V, cache(lambda x, y: vertex_op(x, y, V)))
     lhs_vec = element_vector(lhs, P)
     rhs_vec = element_vector(rhs, P)
 

@@ -361,3 +361,46 @@ def test_section_equality_ignores_the_presentation(free_x, quot_x2):
     assert s != TensorSection.simple(small_disks(0, 2), [free_x.gen("x")] * 2, free_x)
     with pytest.raises(ValueError):
         s + t
+
+
+# -- canonical input at the TensorSection boundary ---------------------------
+
+
+def test_section_input_with_reordered_factors_is_one_key(free_x):
+    L = small_disks(0)
+    x0, x1 = ("x", 0), ("x", 1)
+    s = TensorSection(L, free_x, {((x0, x1),): 1})
+    assert s == TensorSection(L, free_x, {((x1, x0),): 1})
+    assert s.as_element() == free_x.multiply(free_x.gen("x"), free_x.gen("x", 1))
+    # Keys that become equal are summed, and a zero sum is dropped.
+    assert TensorSection(L, free_x, {((x0, x1),): 1, ((x1, x0),): 2}) == s.scale(3)
+    assert not TensorSection(L, free_x, {((x0, x1),): 1, ((x1, x0),): -1})
+
+
+def test_section_input_in_reversed_order_reduces_in_the_quotient(quot_xy):
+    # y0*x0 is x*y, zero in the quotient, whatever order the key gives.
+    s = TensorSection(small_disks(0), quot_xy, {((("y", 0), ("x", 0)),): 1})
+    assert not corestrict(s, BasisElement([D(0, 2)]))
+
+
+def test_section_input_with_a_factor_above_the_bound_is_zero():
+    P = AlgebraPresentation(["x"], [], 4)
+    assert not TensorSection(small_disks(0), P, {((("x", 5),),): 1})
+    # One factor above the bound makes the whole tensor zero.
+    two = TensorSection(small_disks(0, 1), P, {((("x", 0),), (("x", 5),)): 1})
+    assert not two
+    assert not corestrict(two, BasisElement([D(0, 4)]))
+    # A factor kept under a larger bound is refused, not carried.
+    with pytest.raises(ValueError):
+        TensorSection.simple(small_disks(0), [GradedElement({(("x", 5),): 1}, 6)], P)
+
+
+@pytest.mark.parametrize("gens, relations", [("xy", ["x*y"]), ("xyz", ["x*y", "y*z"])])
+def test_coequalizer_chain_on_quotients(gens, relations):
+    P = AlgebraPresentation(list(gens), relations, 5)
+    report = check_coequalizer_chain(P, [1, 2, 4])
+    assert all_pass(report["checks"])
+    assert len(report["checks"]) == 6
+    for check, dim in zip(report["checks"], P.dims()):
+        assert check["detail"]["dim"] == dim
+        assert check["detail"]["rank"] == 2 * dim

@@ -1,10 +1,14 @@
 """Mutation smoke tests: each named mutant is patched in at a module global
-of the section layer, and the harness that covers it must report a failure
-(not pass, and not crash)."""
+of the section or vertex layer, and the harness that covers it must report
+a failure (not pass, and not crash)."""
 
-from jetfact import factalg
+from math import factorial
+
+from jetfact import factalg, vertex
 from jetfact.factalg import check_coequalizer_chain, check_pfa_axioms
+from jetfact.reconstruct import eta_roundtrip_check
 from jetfact.scalars import Scalar
+from jetfact.vertex import check_vertex_axioms
 
 
 def failing(report) -> set:
@@ -41,3 +45,14 @@ def test_group_product_dropping_a_factor_fails(monkeypatch, free_x):
 def test_identity_rotation_fails_equivariance_compose(monkeypatch, free_x):
     monkeypatch.setattr(factalg, "completion_rotation", lambda q, elem, V: elem)
     assert "equivariance_compose" in failing(check_pfa_axioms(free_x, samples=5, seed=0))
+
+
+def test_doubled_factorial_fails_three_harnesses(monkeypatch, free_x, vx):
+    # vertex_op and completion_translation share the factorial: the modes,
+    # the reconstructed modes and the translation flow all go wrong.
+    monkeypatch.setattr(vertex, "factorial", lambda n: factorial(n) * (2 if n >= 2 else 1))
+    assert "translation" in failing(check_vertex_axioms(vx, samples=20, seed=0))
+    assert "modes" in failing(eta_roundtrip_check(vx))
+    assert {"equivariance_compose", "equivariance_multiplication"} <= failing(
+        check_pfa_axioms(free_x, samples=5, seed=0)
+    )
