@@ -29,7 +29,7 @@ from .factalg import (
 )
 from .grading import format_element, format_monomial
 from .jetalg import AlgebraPresentation, lift_hom
-from .numcx import mode_agreement_check, residue_swap_check
+from .numcx import AliasingError, mode_agreement_check, residue_swap_check
 from .reconstruct import eta_roundtrip_check
 from .reports import all_pass, check_entry, make_report
 from .sampling import Sampler
@@ -150,26 +150,41 @@ def cmd_reconstruct_roundtrip(args, P, preset) -> list:
     return eta_roundtrip_check(V, nmax=args.nmax, seed=args.seed)["checks"]
 
 
+def _run_samples(samples: int, check) -> list:
+    """The checks of check(i) for every sample i.  When samples alias, all
+    of them still run and the error raised names the most nodes any needs."""
+    checks, aliased = [], []
+    for i in range(samples):
+        try:
+            checks.extend(check(i))
+        except AliasingError as exc:
+            aliased.append(exc)
+    if aliased:
+        raise max(aliased, key=lambda exc: exc.need)
+    return checks
+
+
 def cmd_num_laurent(args, P, preset) -> list:
     V = VertexAlgebra(P)
     sampler = Sampler(args.seed)
-    checks = []
-    for i in range(args.samples):
-        a = sampler.homogeneous_element(P)
-        b = sampler.homogeneous_element(P)
+
+    def check(i):
+        # Two weights of a triple sum to at most W: the product survives.
+        da, db, _ = sampler.weight_triple(P.wmax)
+        a, b = (sampler.homogeneous_element(P, delta=d) for d in (da, db))
         result = mode_agreement_check(
             a, b, V, nmax=args.nmax, nodes=args.nodes, tolerance=args.tolerance
         )
-        for c in result["checks"]:
-            checks.append({**c, "name": f"sample_{i}_{c['name']}"})
-    return checks
+        return [{**c, "name": f"sample_{i}_{c['name']}"} for c in result["checks"]]
+
+    return _run_samples(args.samples, check)
 
 
 def cmd_num_swap(args, P, preset) -> list:
     V = VertexAlgebra(P)
     sampler = Sampler(args.seed)
-    checks = []
-    for i in range(args.samples):
+
+    def check(i):
         weights = sampler.weight_triple(P.wmax)
         a, b, c = (sampler.homogeneous_element(P, delta=d) for d in weights)
         m = -sampler.rng.randint(1, 2)
@@ -179,14 +194,10 @@ def cmd_num_swap(args, P, preset) -> list:
             a, b, c, m, n, N, V, nodes=args.nodes, tolerance=args.tolerance
         )
         ok = all_pass(result["checks"])
-        checks.append(
-            check_entry(
-                f"sample_{i}",
-                ok,
-                {"m": m, "n": n, "N": N, "subchecks": result["checks"]},
-            )
-        )
-    return checks
+        detail = {"m": m, "n": n, "N": N, "subchecks": result["checks"]}
+        return [check_entry(f"sample_{i}", ok, detail)]
+
+    return _run_samples(args.samples, check)
 
 
 def vars_of(args) -> dict:

@@ -20,8 +20,9 @@ but the grading then reflects leading structure only, which is a
 documented restriction of the truncated model.
 
 Presentations are immutable after construction.  The internal caches
-(normal forms of monomials, weight bases) are idempotent, so concurrent
-readers at worst recompute a value; no synchronization is required.
+(free monomials, weight bases, the coordinate index, normal forms of
+monomials) are idempotent, so concurrent readers at worst recompute a
+value; no synchronization is required.
 """
 
 from __future__ import annotations
@@ -114,18 +115,19 @@ class AlgebraPresentation:
             if r:
                 rels.append(r)
         self.relations = tuple(rels)
+        self._free = {0: [()]}
         self._basis_cache = {}
+        self._index = None
         self._mono_nf = {}
         # Saturate the differential ideal: every jet of every relation
         # times every monomial that keeps the weight within the bound.
         self._echelon = Echelon(_order_key)
-        free = [self._free_monomials(delta) for delta in range(max_weight + 1)] if rels else []
         for rel in rels:
             jet = rel.data
             while jet:
                 low = min(mono_weight(m) for m in jet)
                 for delta in range(max_weight - low + 1):
-                    for mono in free[delta]:
+                    for mono in self._free_monomials(delta):
                         self._echelon.add(lc_mul({mono: Scalar(1)}, jet, max_weight))
                 jet = lc_derive(jet, max_weight)
 
@@ -201,30 +203,21 @@ class AlgebraPresentation:
     # -- graded bases ---------------------------------------------------------
 
     def _free_monomials(self, delta: int):
-        """All free monomials of exact weight delta in canonical factor order."""
+        """All free monomials of exact weight delta in canonical factor order,
+        memoised; weight delta puts each factor (g, m), in that order, in front
+        of every monomial of weight delta - m - 1 not starting before it."""
         if delta < 0:
             return []
-        if delta == 0:
-            return [()]
-        factors = [
-            (g, m) for g in sorted(self.generators) for m in range(delta - 1, -1, -1)
-        ]
-        out = []
-        acc = []
-
-        def rec(start, remaining):
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            for idx in range(start, len(factors)):
-                cost = factors[idx][1] + 1
-                if cost > remaining:
-                    continue
-                acc.append(factors[idx])
-                rec(idx, remaining - cost)
-                acc.pop()
-
-        rec(0, delta)
+        out = self._free.get(delta)
+        if out is None:
+            out = [
+                ((g, m),) + rest
+                for g in sorted(self.generators)
+                for m in range(delta - 1, -1, -1)
+                for rest in self._free_monomials(delta - m - 1)
+                if not rest or (g, -m) <= (rest[0][0], -rest[0][1])
+            ]
+            self._free[delta] = out
         return out
 
     def weight_basis(self, delta: int):
@@ -243,17 +236,21 @@ class AlgebraPresentation:
         upto = self.wmax if upto is None else upto
         return [len(self.weight_basis(d)) for d in range(upto + 1)]
 
+    def _coordinate_index(self):
+        """{monomial: coordinate} over the concatenated weight bases."""
+        if self._index is None:
+            monos = [m for d in range(self.wmax + 1) for m in self.weight_basis(d)]
+            self._index = {m: i for i, m in enumerate(monos)}
+        return self._index
+
     def basis_monomials(self):
         """Concatenated weight bases for all weights up to the bound."""
-        out = []
-        for delta in range(self.wmax + 1):
-            out.extend(self.weight_basis(delta))
-        return out
+        return list(self._coordinate_index())
 
     def coordinates(self, elem: GradedElement):
         """Exact coordinates of normal_form(elem) over basis_monomials()."""
         nf = self.normal_form(elem)
-        index = {m: i for i, m in enumerate(self.basis_monomials())}
+        index = self._coordinate_index()
         vec = [Scalar(0)] * len(index)
         for mono, coeff in nf.data.items():
             vec[index[mono]] = coeff

@@ -2,23 +2,23 @@
 
 Values live in a fixed finite-dimensional coordinate space (the weight
 truncation of the graded algebra in a fixed monomial basis); the working
-seminorm is the max-norm over coordinates.  Circles are integrated with
-the uniform-angle trapezoid rule, which is spectrally exact for the
-trigonometric-polynomial integrands this system produces; line segments
-use the midpoint rule with dyadic refinement and one Richardson step, and
-raise QuadratureError when it does not settle.  Laurent coefficients come
-from the circle rule: laurent_coeffs samples a circle once and reads
-every coefficient from one FFT of the samples, the same trapezoid sums
-cauchy_coeff forms one at a time.  The two-variable residues of the
-locality check are the trapezoid double sum over the node grid,
+seminorm is the max-norm over coordinates.  One circle sampler checks a
+circle against the declared annulus and evaluates at the uniform-angle
+trapezoid nodes; circle integrals, cauchy_coeff and laurent_coeffs (every
+coefficient from one FFT of the samples) all read it.  The trapezoid rule
+is spectrally exact for the trigonometric-polynomial integrands this
+system produces.  One midpoint rule serves riemann_integral and the line
+segments, which refine it dyadically with one Richardson step and raise
+QuadratureError when it does not settle.  The two-variable residues of
+the locality check are the trapezoid double sum over the node grid,
 reassociated into small matrix products of the node Vandermonde matrices.
 On a finite node set exponents that differ by a multiple of the node
 count alias onto each other, so both numeric checks compute the smallest
 node count from which their series reads no other exponent and refuse
-fewer nodes with a ValueError.  Singularity classification is a
-bounded-window heuristic with an explicit threshold: with finitely many
-samples the tail of the expansion can only be probed, never decided, so
-reports say "within the probed window".
+fewer nodes with an AliasingError that carries it.  Singularity
+classification is a bounded-window heuristic with an explicit threshold:
+with finitely many samples the tail of the expansion can only be probed,
+never decided, so reports say "within the probed window".
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ __all__ = [
     "residue_swap_check",
     "max_norm",
     "QuadratureError",
+    "AliasingError",
 ]
 
 
@@ -65,6 +66,14 @@ class QuadratureError(ArithmeticError):
     An ArithmeticError, not a ValueError: the input was well formed, the
     integral just could not be trusted to the requested accuracy.
     """
+
+
+class AliasingError(ValueError):
+    """Too few trapezoid nodes; need is the least count that aliases nothing."""
+
+    def __init__(self, message: str, need: int):
+        super().__init__(message)
+        self.need = need
 
 
 def max_norm(v) -> float:
@@ -91,14 +100,6 @@ class Circle:
     @property
     def end(self) -> complex:
         return self.center + self.radius
-
-    def nodes(self, n: int):
-        theta = 2 * pi * np.arange(n) / n * self.orientation
-        points = self.center + self.radius * np.exp(1j * theta)
-        dgamma = (
-            1j * self.radius * np.exp(1j * theta) * self.orientation * (2 * pi / n)
-        )
-        return points, dgamma
 
 
 @dataclass(frozen=True)
@@ -198,12 +199,6 @@ class ContourFunction:
             return np.asarray(self._fn(zs), dtype=complex)
         return np.stack([np.atleast_1d(np.asarray(self._fn(z), dtype=complex)) for z in zs])
 
-    def __call__(self, z) -> np.ndarray:
-        self.check_nodes(np.asarray([z], dtype=complex))
-        if self.vectorized:
-            return np.asarray(self._fn(np.asarray([z], dtype=complex)), dtype=complex)[0]
-        return np.atleast_1d(np.asarray(self._fn(z), dtype=complex))
-
 
 def _as_contour_function(f) -> ContourFunction:
     return f if isinstance(f, ContourFunction) else ContourFunction(f)
@@ -256,7 +251,7 @@ def coefficient_tensor(series: InsertionSeries, P: AlgebraPresentation) -> np.nd
 
 
 def _refuse_aliasing(nodes: int, offsets, what: str):
-    """Raise ValueError unless the trapezoid rule on this many nodes per
+    """Raise AliasingError unless the trapezoid rule on this many nodes per
     circle reads the wanted coefficient alone.
 
     Each offset is the difference between an exponent vector the integrand
@@ -267,22 +262,31 @@ def _refuse_aliasing(nodes: int, offsets, what: str):
     """
     need = 1 + max((gcd(*p) for p in offsets), default=0)
     if nodes < need:
-        raise ValueError(f"{nodes} nodes alias {what}: need at least {need} nodes")
+        raise AliasingError(f"{nodes} nodes alias {what}: need at least {need} nodes", need)
 
 
 # -- quadrature ----------------------------------------------------------------
+
+
+def _sample_circle(f: ContourFunction, center: complex, radius: float, nodes: int):
+    """The trapezoid angles of the positively oriented circle and f at its
+    nodes, after checking the circle against f's declared annulus."""
+    f.check_circle(center, radius)
+    theta = 2 * pi * np.arange(nodes) / nodes
+    return theta, f.eval_many(center + radius * np.exp(1j * theta))
+
+
+def _midpoint(f: ContourFunction, z0, z1, n: int) -> np.ndarray:
+    """Midpoint rule on n equal cells for the integral of f dz from z0 to z1."""
+    step = (z1 - z0) / n
+    return f.eval_many(z0 + (np.arange(n) + 0.5) * step).sum(axis=0) * step
 
 
 def riemann_integral(f, interval, n: int) -> np.ndarray:
     """Midpoint-rule integral of a vector-valued function over [a, b]."""
     if n < 1:
         raise ValueError("need at least one subdivision")
-    f = _as_contour_function(f)
-    a, b = interval
-    h = (b - a) / n
-    ts = a + (np.arange(n) + 0.5) * h
-    values = f.eval_many(ts.astype(complex))
-    return values.sum(axis=0) * h
+    return _midpoint(_as_contour_function(f), *interval, n)
 
 
 def riemann_integral_tagged(f, interval, partition, tags) -> np.ndarray:
@@ -308,31 +312,23 @@ def riemann_integral_tagged(f, interval, partition, tags) -> np.ndarray:
 
 
 def _integrate_circle(f: ContourFunction, seg: Circle, nodes: int) -> np.ndarray:
-    f.check_circle(seg.center, seg.radius)
-    points, dgamma = seg.nodes(nodes)
-    values = f.eval_many(points)
+    # A reversed circle has the same nodes and negated arc elements.
+    theta, values = _sample_circle(f, seg.center, seg.radius, nodes)
+    dgamma = 1j * seg.radius * np.exp(1j * theta) * seg.orientation * (2 * pi / nodes)
     return (values * dgamma[:, None]).sum(axis=0)
 
 
 def _integrate_line(f: ContourFunction, seg: Line, nodes: int, tol: float) -> np.ndarray:
-    direction = seg.z1 - seg.z0
-
-    def estimate(n):
-        ts = (np.arange(n) + 0.5) / n
-        points = seg.z0 + direction * ts
-        values = f.eval_many(points)
-        return values.sum(axis=0) * (direction / n)
-
     # The midpoint error is an even series in the step, so one Richardson
     # step removes its step**2 term; successive extrapolated values then
     # differ by about 15 times the error of the later one.
     n = max(nodes, 8)
-    coarse, mid = estimate(n), estimate(2 * n)
+    coarse, mid = _midpoint(f, seg.z0, seg.z1, n), _midpoint(f, seg.z0, seg.z1, 2 * n)
     n *= 2
     prev = (4.0 * mid - coarse) / 3.0
     while True:
         n *= 2
-        fine = estimate(n)
+        fine = _midpoint(f, seg.z0, seg.z1, n)
         cur = (4.0 * fine - mid) / 3.0
         diff = max_norm(cur - prev) / 15.0
         if diff <= tol:
@@ -374,13 +370,8 @@ def cauchy_coeff(f, center, n: int, radius, nodes: int = 128) -> np.ndarray:
     the angle, the trapezoid rule is exact for polynomial sections with
     enough nodes.
     """
-    f = _as_contour_function(f)
-    center = complex(center)
     radius = float(radius)
-    f.check_circle(center, radius)
-    theta = 2 * pi * np.arange(nodes) / nodes
-    points = center + radius * np.exp(1j * theta)
-    values = f.eval_many(points)
+    theta, values = _sample_circle(_as_contour_function(f), complex(center), radius, nodes)
     weights = np.exp(-1j * n * theta) * radius ** (-n)
     return (values * weights[:, None]).sum(axis=0) / nodes
 
@@ -392,12 +383,8 @@ def laurent_coeffs(f, center, ns, radius, nodes: int = 128) -> np.ndarray:
     one discrete Fourier transform of the samples, read at n mod nodes and
     scaled by radius^-n.  Row i of the result belongs to ns[i].
     """
-    f = _as_contour_function(f)
-    center = complex(center)
     radius = float(radius)
-    f.check_circle(center, radius)
-    theta = 2 * pi * np.arange(nodes) / nodes
-    values = f.eval_many(center + radius * np.exp(1j * theta))
+    _, values = _sample_circle(_as_contour_function(f), complex(center), radius, nodes)
     ns = np.asarray(ns, dtype=int)
     spectrum = np.fft.fft(values, axis=0)[ns % nodes] / nodes
     return spectrum * (radius ** -ns.astype(float))[:, None]
@@ -492,8 +479,8 @@ def mode_agreement_check(
     exact modes, for |n| <= nmax, in the max-norm.
 
     The series is sampled once on the circle and every mode is read from
-    one FFT of the samples (laurent_coeffs).  Raises ValueError when the
-    node count is below the smallest one from which no exponent of the
+    one FFT of the samples (laurent_coeffs).  Raises AliasingError when
+    the node count is below the smallest one from which no exponent of the
     series aliases onto a mode that is read.
     """
     P = V.presentation
@@ -546,9 +533,9 @@ def residue_swap_check(
     agree within the tolerance in the max-norm.  Each contour order is
     the trapezoid double sum on the node grid, computed by double_residue
     from the stacked series coefficients as small matrix products.
-    Raises ValueError when N is negative, or when the node count is below
-    the smallest one from which no monomial of the integrand aliases onto
-    the residue.
+    Raises ValueError when N is negative, and AliasingError when the node
+    count is below the smallest one from which no monomial of the
+    integrand aliases onto the residue.
     """
     if not 0 < inner_radius < outer_radius:
         raise ValueError("need 0 < inner radius < outer radius")

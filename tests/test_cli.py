@@ -102,12 +102,13 @@ def test_num_swap(tmp_path):
 
 
 def test_num_laurent_too_few_nodes_exits_two(tmp_path, capsys):
-    # At 8 nodes the second sample's series aliases; the error names the
-    # least node count that series needs.  16 nodes serve every sample.
+    # Every sample runs before the error, which names the largest node
+    # count any sample needs, so that count serves them all.
     argv = ["num", "laurent", "--samples", "5"]
-    assert run(argv + ["--nodes", "8", "--out", str(tmp_path / "r.json")]) == 2
-    assert "need at least 9 nodes" in capsys.readouterr().err
-    code, report = run_json(argv + ["--nodes", "16"], tmp_path)
+    for nodes in ("8", "11"):
+        assert run(argv + ["--nodes", nodes, "--out", str(tmp_path / "r.json")]) == 2
+        assert "need at least 12 nodes" in capsys.readouterr().err
+    code, report = run_json(argv + ["--nodes", "12"], tmp_path)
     assert code == 0
     assert all(c["status"] == "pass" for c in report["checks"])
 

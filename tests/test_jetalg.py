@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from jetfact.grading import GradedElement
@@ -29,6 +31,46 @@ def test_free_dims_match_partition_oracle():
     expected = [brute_force_partitions(d) for d in range(13)]
     assert P.dims() == expected
     assert expected[10] == 42 and expected[12] == 77
+
+
+def independent_free_monomials(generators, delta):
+    """Oracle for the free-monomial order: multisets of canonically ordered
+    factors (generators ascending, orders descending) of weight delta, in
+    lexicographic order of their factor indices."""
+    factors = [(g, m) for g in sorted(generators) for m in range(delta - 1, -1, -1)]
+    found = []
+    for k in range(delta + 1):
+        # A monomial with k factors has none of order above delta - k.
+        usable = [i for i, (_, m) in enumerate(factors) if m <= delta - k]
+        for idx in combinations_with_replacement(usable, k):
+            if sum(factors[i][1] + 1 for i in idx) == delta:
+                found.append(idx)
+    return [tuple(factors[i] for i in idx) for idx in sorted(found)]
+
+
+@pytest.mark.parametrize("generators", [["x"], ["y", "x"], ["a", "u", "z"]])
+def test_free_weight_basis_order_matches_oracle(generators):
+    P = AlgebraPresentation(generators, [], 8)
+    for delta in range(9):
+        assert P.weight_basis(delta) == independent_free_monomials(generators, delta)
+
+
+def test_free_monomials_built_once_per_presentation(monkeypatch):
+    built = []
+    inner = AlgebraPresentation._free_monomials
+
+    def spy(self, delta):
+        out = inner(self, delta)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(AlgebraPresentation, "_free_monomials", spy)
+    AlgebraPresentation(["x", "y"], [], 10)
+    assert built == []  # a free presentation enumerates nothing up front
+    P = AlgebraPresentation(["x", "y"], ["x*y"], 10)
+    P.dims()
+    # Saturation and the weight bases read one list per weight 0..10.
+    assert len({id(lst) for lst in built}) == 11
 
 
 def test_weight_basis_examples(free_x):
@@ -144,6 +186,10 @@ def test_coordinates_roundtrip(quot_xy):
             {m: c for m, c in zip(basis, vec) if c}, quot_xy.wmax
         )
         assert rebuilt == quot_xy.normal_form(a)
+    basis.clear()  # a fresh list: the presentation's coordinate index is untouched
+    W = quot_xy.wmax
+    assert quot_xy.basis_monomials() == [m for d in range(W + 1) for m in quot_xy.weight_basis(d)]
+    assert len(quot_xy.coordinates(quot_xy.unit())) == sum(quot_xy.dims())
 
 
 # -- differential morphisms ----------------------------------------------------

@@ -172,6 +172,8 @@ def test_declared_annulus_enforced():
     with pytest.raises(ValueError):
         cauchy_coeff(f, 0, -1, 3.0, 128)  # outside the annulus
     with pytest.raises(ValueError):
+        laurent_coeffs(f, 0, [-1], 3.0, 128)
+    with pytest.raises(ValueError):
         contour_integral(f, Curve.circle(0, 2.5), nodes=64)
     with pytest.raises(ValueError):
         Annulus(0j, 2.0, 1.0)
@@ -254,8 +256,9 @@ def test_mode_agreement(v5):
     s = Sampler(29)
     P = v5.presentation
     for _ in range(5):
-        a = s.homogeneous_element(P)
-        b = s.homogeneous_element(P)
+        da, db, _ = s.weight_triple(P.wmax)
+        a, b = (s.homogeneous_element(P, delta=d) for d in (da, db))
+        assert insert(["z", Scalar(0)], [a, b], v5).coeffs
         report = mode_agreement_check(a, b, v5, nmax=6, nodes=128, tolerance=1e-9)
         assert all_pass(report["checks"])
 
