@@ -5,8 +5,10 @@ check suites.  Each handler takes the parsed flags, the presentation and
 the preset and returns its check list; run() builds the presentation,
 times the handler and emits one JSON report of the form
 {command, params, checks: [{name, status, detail}], timing_ms, elapsed_ms,
-version, backend, python} to stdout or --out.  Exit status is 0 when every check passes, 1 on check failures,
-and 2 on parse errors.  All randomness flows from the --seed flag.
+version, backend, python} to stdout or --out.  Exit status is 0 when every
+check passes, 1 on check failures, and 2 on bad input: a parse error, a zero
+denominator, a malformed preset or a negative count.  All randomness flows
+from the --seed flag.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .diskgeom import BasisElement
 from .exprs import ExprError, free_names
@@ -33,14 +34,19 @@ from .numcx import AliasingError, mode_agreement_check, residue_swap_check
 from .reconstruct import eta_roundtrip_check
 from .reports import all_pass, check_entry, make_report
 from .sampling import Sampler
+from .scalars import frac
 from .vertex import VertexAlgebra, check_vertex_axioms, vertex_op
 
 PARSE_ERROR = 2
 
 
 def load_preset(path):
+    """The JSON object in the file; anything but an object is bad input."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return doc
 
 
 def build_presentation(args):
@@ -49,7 +55,10 @@ def build_presentation(args):
     neither gives them."""
     preset = load_preset(args.preset) if args.preset else {}
     doc = preset.get("presentation", {})
-    doc = dict(load_preset(doc) if isinstance(doc, str) else doc)
+    doc = load_preset(doc) if isinstance(doc, str) else doc
+    if not isinstance(doc, dict):
+        raise ValueError("preset presentation must be a JSON object or a file path")
+    doc = dict(doc)
     if args.gens:
         doc["generators"] = [g.strip() for g in args.gens.split(",") if g.strip()]
     elif not doc.get("generators"):
@@ -88,10 +97,16 @@ def cmd_vertex_check(args, P, preset) -> list:
 
 def cmd_fact_check(args, P, preset) -> list:
     checks = []
+    geometry = preset.get("geometry", {})
+    entries = preset.get("checks", [{}])
+    if not isinstance(geometry, dict):
+        raise ValueError("preset geometry must be a JSON object")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("preset checks must be a list of JSON objects")
     # Named geometry in the scenario is validated up front: construction
     # enforces disjointness for basis elements and connectivity plus
     # region disjointness for supported opens ({"regions": [[...], ...]}).
-    for name, doc in preset.get("geometry", {}).items():
+    for name, doc in geometry.items():
         try:
             if isinstance(doc, dict) and "regions" in doc:
                 U = SupportedOpen.from_json(doc["regions"])
@@ -101,15 +116,17 @@ def cmd_fact_check(args, P, preset) -> list:
             checks.append(check_entry(f"geometry_{name}", True, detail))
         except (ValueError, KeyError) as exc:
             checks.append(check_entry(f"geometry_{name}", False, {"error": str(exc)}))
-    for entry in preset.get("checks", [{}]):
+    for entry in entries:
         samples = entry.get("samples", args.samples)
+        if not isinstance(samples, int) or samples < 0:
+            raise ValueError(f"preset samples must be a non-negative integer: {samples!r}")
         seed = entry.get("seed", args.seed)
         checks.extend(check_pfa_axioms(P, samples=samples, seed=seed)["checks"])
     return checks
 
 
 def cmd_fact_coeq(args, P, preset) -> list:
-    radii = [Fraction(r) for r in args.radii.split(",")]
+    radii = [frac(r) for r in args.radii.split(",")]
     return check_coequalizer_chain(P, radii)["checks"]
 
 
@@ -205,6 +222,14 @@ def vars_of(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of --samples and --nmax: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--preset", help="scenario JSON file")
     p.add_argument("--seed", type=int, default=0)
@@ -234,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_vertex_modes)
     c = vx.add_parser("check", help="vacuum, translation, locality axiom suite")
     _add_common(c)
-    c.add_argument("--samples", type=int, default=50)
+    c.add_argument("--samples", type=non_negative_int, default=50)
     c.set_defaults(func=cmd_vertex_check)
 
     fa = sub.add_parser("fact").add_subparsers(dest="cmd", required=True)
     c = fa.add_parser("check", help="structure-map and equivariance axiom suite")
     _add_common(c)
-    c.add_argument("--samples", type=int, default=30)
+    c.add_argument("--samples", type=non_negative_int, default=30)
     c.set_defaults(func=cmd_fact_check)
     c = fa.add_parser("coeq", help="gluing check on a nested disk chain")
     _add_common(c)
@@ -248,27 +273,27 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_fact_coeq)
     c = fa.add_parser("adjunction", help="round trips of the morphism correspondence")
     _add_common(c)
-    c.add_argument("--samples", type=int, default=20)
+    c.add_argument("--samples", type=non_negative_int, default=20)
     c.set_defaults(func=cmd_fact_adjunction)
 
     rc = sub.add_parser("reconstruct").add_subparsers(dest="cmd", required=True)
     c = rc.add_parser("roundtrip", help="reconstructed structure against the source")
     _add_common(c)
-    c.add_argument("--nmax", type=int, default=6)
+    c.add_argument("--nmax", type=non_negative_int, default=6)
     c.set_defaults(func=cmd_reconstruct_roundtrip)
 
     nm = sub.add_parser("num").add_subparsers(dest="cmd", required=True)
     c = nm.add_parser("laurent", help="numeric Laurent coefficients against exact modes")
     _add_common(c)
-    c.add_argument("--samples", type=int, default=3)
-    c.add_argument("--nmax", type=int, default=6)
+    c.add_argument("--samples", type=non_negative_int, default=3)
+    c.add_argument("--nmax", type=non_negative_int, default=6)
     c.add_argument("--nodes", type=int, default=128)
     c.add_argument("--tolerance", type=float, default=1e-9)
     c.set_defaults(func=cmd_num_laurent)
     c = nm.add_parser("swap", help="iterated contour orders of the weighted insertion")
     _add_common(c)
-    c.add_argument("--samples", type=int, default=5)
-    c.add_argument("--nmax", type=int, default=2)
+    c.add_argument("--samples", type=non_negative_int, default=5)
+    c.add_argument("--nmax", type=non_negative_int, default=2)
     c.add_argument("--nodes", type=int, default=128)
     c.add_argument("--tolerance", type=float, default=1e-8)
     c.set_defaults(func=cmd_num_swap)

@@ -232,9 +232,8 @@ class AlgebraPresentation:
             ]
         return list(self._basis_cache[delta])
 
-    def dims(self, upto=None):
-        upto = self.wmax if upto is None else upto
-        return [len(self.weight_basis(d)) for d in range(upto + 1)]
+    def dims(self):
+        return [len(self.weight_basis(d)) for d in range(self.wmax + 1)]
 
     def _coordinate_index(self):
         """{monomial: coordinate} over the concatenated weight bases."""

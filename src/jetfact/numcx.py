@@ -129,8 +129,8 @@ class Curve:
                 raise ValueError("consecutive segments do not share endpoints")
 
     @classmethod
-    def circle(cls, center, radius, orientation: int = 1) -> "Curve":
-        return cls([Circle(complex(center), float(radius), orientation)])
+    def circle(cls, center, radius) -> "Curve":
+        return cls([Circle(complex(center), float(radius))])
 
     @classmethod
     def polygon(cls, vertices) -> "Curve":
@@ -270,7 +270,9 @@ def _refuse_aliasing(nodes: int, offsets, what: str):
 
 def _sample_circle(f: ContourFunction, center: complex, radius: float, nodes: int):
     """The trapezoid angles of the positively oriented circle and f at its
-    nodes, after checking the circle against f's declared annulus."""
+    nodes, after checking the node count and f's declared annulus."""
+    if nodes < 1:
+        raise ValueError(f"need at least one trapezoid node, got {nodes}")
     f.check_circle(center, radius)
     theta = 2 * pi * np.arange(nodes) / nodes
     return theta, f.eval_many(center + radius * np.exp(1j * theta))
@@ -318,10 +320,11 @@ def _integrate_circle(f: ContourFunction, seg: Circle, nodes: int) -> np.ndarray
     return (values * dgamma[:, None]).sum(axis=0)
 
 
-def _integrate_line(f: ContourFunction, seg: Line, nodes: int, tol: float) -> np.ndarray:
+def _integrate_line(f: ContourFunction, seg: Line, nodes: int) -> np.ndarray:
     # The midpoint error is an even series in the step, so one Richardson
     # step removes its step**2 term; successive extrapolated values then
     # differ by about 15 times the error of the later one.
+    tol = 1e-12
     n = max(nodes, 8)
     coarse, mid = _midpoint(f, seg.z0, seg.z1, n), _midpoint(f, seg.z0, seg.z1, 2 * n)
     n *= 2
@@ -341,11 +344,11 @@ def _integrate_line(f: ContourFunction, seg: Line, nodes: int, tol: float) -> np
         mid, prev = fine, cur
 
 
-def contour_integral(f, curve: Curve, nodes: int = 128, line_tol: float = 1e-12) -> np.ndarray:
+def contour_integral(f, curve: Curve, nodes: int = 128) -> np.ndarray:
     """Integral over a piecewise curve: trapezoid on circles (exact for
     trigonometric polynomials up to the node count), refined and
     Richardson-extrapolated midpoint on line segments.  Raises
-    QuadratureError when a line segment has not converged to line_tol
+    QuadratureError when a line segment has not converged to 1e-12
     after 2**21 nodes."""
     f = _as_contour_function(f)
     total = None
@@ -353,7 +356,7 @@ def contour_integral(f, curve: Curve, nodes: int = 128, line_tol: float = 1e-12)
         if isinstance(seg, Circle):
             part = _integrate_circle(f, seg, nodes)
         elif isinstance(seg, Line):
-            part = _integrate_line(f, seg, nodes, line_tol)
+            part = _integrate_line(f, seg, nodes)
         else:
             raise TypeError(f"unknown segment type {type(seg).__name__}")
         total = part if total is None else total + part
@@ -403,6 +406,8 @@ def double_residue(coeffs: np.ndarray, weight, r_z: float, r_w: float, nodes: in
     exact for Laurent polynomials that alias nothing at this node count;
     which radius is larger decides the expansion region.
     """
+    if nodes < 1:
+        raise ValueError(f"need at least one trapezoid node, got {nodes}")
     theta = 2 * pi * np.arange(nodes) / nodes
     z = r_z * np.exp(1j * theta)
     w = r_w * np.exp(1j * theta)
@@ -428,30 +433,23 @@ class SingularityReport:
         return f"{self.kind} (within probed window {self.window})"
 
 
-def classify_singularity(
-    f,
-    center,
-    probe_radii=(0.5, 0.25),
-    window: int = 6,
-    threshold: float = 1e-8,
-    nodes: int = 128,
-) -> SingularityReport:
+def classify_singularity(f, center) -> SingularityReport:
     """Bounded-window classification of an isolated singularity.
 
-    Probes the negative Laurent coefficients a_{-1} .. a_{-window} at each
-    radius and takes the worst magnitude.  Removable: all below the
-    threshold.  Pole of order k: a_{-k} significant, deeper ones below.
-    Otherwise the deepest probed coefficient is still significant and the
-    report says essential within the window.
+    Probes the negative Laurent coefficients a_{-1} .. a_{-6} (window 6)
+    on the circles of radius 0.5 and 0.25 about the center, 128 nodes
+    each, and takes the worst magnitude.  Removable: all at most the
+    threshold 1e-8.  Pole of order k: a_{-k} significant, deeper ones
+    not.  Otherwise the deepest probed coefficient is still significant
+    and the report says essential within the window.
     """
-    if window < 1:
-        raise ValueError("window must probe at least a_{-1}")
+    window, threshold = 6, 1e-8
     f = _as_contour_function(f)
     ns = range(-1, -window - 1, -1)
     mags = dict.fromkeys(ns, 0.0)
     residue = None
-    for r in probe_radii:
-        coeffs = laurent_coeffs(f, center, ns, r, nodes)
+    for r in (0.5, 0.25):
+        coeffs = laurent_coeffs(f, center, ns, r)
         if residue is None:
             residue = coeffs[0]
         for n, coeff in zip(ns, coeffs):
@@ -471,17 +469,16 @@ def mode_agreement_check(
     b,
     V: VertexAlgebra,
     nmax: int = 6,
-    radius: float = 0.75,
     nodes: int = 128,
     tolerance: float = 1e-9,
 ) -> dict:
     """Laurent coefficients of the numeric two-point insertion against the
     exact modes, for |n| <= nmax, in the max-norm.
 
-    The series is sampled once on the circle and every mode is read from
-    one FFT of the samples (laurent_coeffs).  Raises AliasingError when
-    the node count is below the smallest one from which no exponent of the
-    series aliases onto a mode that is read.
+    The series is sampled once on the circle |z| = 0.75 and every mode is
+    read from one FFT of the samples (laurent_coeffs).  Raises
+    AliasingError when the node count is below the smallest one from which
+    no exponent of the series aliases onto a mode that is read.
     """
     P = V.presentation
     series = insert(["z", Scalar(0)], [a, b], V)
@@ -493,7 +490,7 @@ def mode_agreement_check(
         f"the modes |n| <= {nmax} of a series of degree {series.total_degree()}",
     )
     f = ContourFunction(series_function(series, P), vectorized=True)
-    numeric = laurent_coeffs(f, 0.0, powers, radius, nodes)
+    numeric = laurent_coeffs(f, 0.0, powers, 0.75, nodes)
     gaps = {}
     for n, k, coeff in zip(ns, powers, numeric):
         # The series has no pole, so modes n >= 0 read zero from it.

@@ -200,13 +200,13 @@ def _two_point(a: GradedElement, b: GradedElement, V: VertexAlgebra) -> Insertio
     return insert(["z", Scalar(0)], [a, b], V)
 
 
-def insert_via_disks(points, elements, V: VertexAlgebra, ambient_radius=None):
+def insert_via_disks(points, elements, V: VertexAlgebra):
     """Exact insertion through disk sections instead of the series formula.
 
     Builds one small disk per point, moves each state there with the
-    equivariant action, concatenates, and corestricts into an ambient
-    disk.  Agreement with evaluate_exact of the symbolic series is a
-    cross-check of the whole disk layer.
+    equivariant action, concatenates, and corestricts into a disk about
+    the origin that holds every small disk.  Agreement with evaluate_exact
+    of the symbolic series is a cross-check of the whole disk layer.
     """
     points = [Scalar.coerce(p) for p in points]
     elements = list(elements)
@@ -223,10 +223,8 @@ def insert_via_disks(points, elements, V: VertexAlgebra, ambient_radius=None):
             raise ValueError("coincident insertion points")
         while 4 * r * r > min_d2:
             r /= 2
-    if ambient_radius is None:
-        max_a2 = max(((p.abs2()) for p in points), default=Fraction(0))
-        ambient_radius = Fraction(isqrt(int(max_a2)) + 2) + r
-    ambient = BasisElement([Disk(Scalar(0), ambient_radius)])
+    max_a2 = max((p.abs2() for p in points), default=Fraction(0))
+    ambient = BasisElement([Disk(Scalar(0), isqrt(int(max_a2)) + 2 + r)])
 
     sections = []
     for p, state in zip(points, elements):
@@ -251,7 +249,8 @@ def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
     the native structure on the full monomial basis up to the bound.  Mode
     tables hold every nonzero mode, so equal tables agree on each mode
     with |n| <= nmax, the range the report names.  All comparisons are
-    exact.
+    exact.  seed is accepted but unused: nothing is sampled, and the
+    report echoes it.
     """
     P = V.presentation
     basis = [

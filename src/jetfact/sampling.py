@@ -38,23 +38,23 @@ class Sampler:
 
     # -- scalars ----------------------------------------------------------
 
-    def fraction(self, lo: int = -3, hi: int = 3, dens=(1, 1, 2, 3)) -> Fraction:
-        return Fraction(self.rng.randint(lo, hi), self.rng.choice(dens))
+    def fraction(self, lo: int = -3, hi: int = 3) -> Fraction:
+        return Fraction(self.rng.randint(lo, hi), self.rng.choice((1, 1, 2, 3)))
 
-    def nonzero_fraction(self, lo: int = -3, hi: int = 3) -> Fraction:
+    def nonzero_fraction(self) -> Fraction:
         while True:
-            f = self.fraction(lo, hi)
+            f = self.fraction()
             if f:
                 return f
 
-    def scalar(self, complex_prob: float = 0.25) -> Scalar:
+    def scalar(self) -> Scalar:
         re = self.fraction()
-        im = self.fraction() if self.rng.random() < complex_prob else 0
+        im = self.fraction() if self.rng.random() < 0.25 else 0
         return Scalar(re, im)
 
-    def nonzero_scalar(self, complex_prob: float = 0.25) -> Scalar:
+    def nonzero_scalar(self) -> Scalar:
         while True:
-            s = self.scalar(complex_prob)
+            s = self.scalar()
             if s:
                 return s
 
@@ -101,18 +101,16 @@ class Sampler:
     def group_element(self) -> GroupElement:
         return GroupElement(self.unit_scalar(), self.translation())
 
-    def lattice_points(self, count: int, span: int = 4):
+    def lattice_points(self, count: int):
         points = set()
         while len(points) < count:
-            points.add((self.rng.randint(-span, span), self.rng.randint(-span, span)))
+            points.add((self.rng.randint(-4, 4), self.rng.randint(-4, 4)))
         return sorted(points)
 
-    def disjoint_disks(self, count: int, scale=Fraction(1), radius=Fraction(1, 3)) -> BasisElement:
-        """count pairwise disjoint disks centered on a scaled unit lattice."""
+    def disjoint_disks(self, count: int) -> BasisElement:
+        """count pairwise disjoint disks of radius 1/3 centered on the unit lattice."""
         pts = self.lattice_points(count)
-        return BasisElement(
-            [Disk(Scalar(scale * x, scale * y), scale * radius) for x, y in pts]
-        )
+        return BasisElement([Disk(Scalar(x, y), Fraction(1, 3)) for x, y in pts])
 
     def nested_config(self, outer_count: int, inner_per_outer):
         """(L, M) with L a union of small disks inside the disks of M.

@@ -170,6 +170,60 @@ def test_unknown_generator_is_parse_error():
     assert run(["vertex", "modes", "--a", "q", "--b", "x", "--gens", "x"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fact", "coeq", "--radii", "1,1/0"],
+        ["jet", "build", "--gens", "x", "--relations", "x*1/0"],
+        ["vertex", "modes", "--a", "1/0*x", "--b", "x"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_zero_denominator_exits_two(argv, capsys):
+    assert run(argv) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"presentation": {"generators": ["x"]}}],
+        {"presentation": 5},
+        {"checks": [5]},
+        {"checks": [{"samples": -1}]},
+        {"geometry": [{"c": ["0", "0"], "r": "1"}]},
+    ],
+    ids=[
+        "top-level list",
+        "presentation number",
+        "checks of numbers",
+        "negative samples",
+        "geometry list",
+    ],
+)
+def test_malformed_preset_exits_two(doc, tmp_path, capsys):
+    preset = tmp_path / "scenario.json"
+    preset.write_text(json.dumps(doc))
+    assert run(["fact", "check", "--preset", str(preset), "--samples", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fact", "check", "--samples", "-1"],
+        ["vertex", "check", "--samples", "-2"],
+        ["fact", "adjunction", "--samples", "-2"],
+        ["num", "swap", "--samples", "-2"],
+        ["num", "laurent", "--nmax", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_negative_count_exits_two(argv, capsys):
+    assert run([*argv, *SMALL]) == 2
+    assert "must be non-negative" in capsys.readouterr().err
+
+
 def test_reports_deterministic(tmp_path):
     _, r1 = run_json(
         ["vertex", "check", "--gens", "x", "--max-weight", "4", "--samples", "5", "--seed", "3"],

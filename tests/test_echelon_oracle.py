@@ -147,6 +147,17 @@ def test_normal_forms_agree_with_groebner_ideal(gens, relations, sym_relations, 
         assert not P.normal_form(g)
 
 
+def test_oracle_sees_a_dropped_pivot():
+    # No check harness sees this mutant: the quotient stays consistent,
+    # only its weight-2 dimension grows by the freed monomial x0*y0.
+    gens, relations, sym_relations, W = PRESENTATIONS[0]
+    P = AlgebraPresentation(gens, relations, W)
+    del P._echelon.pivots[(("x", 0), ("y", 0))]
+    expected = [Oracle(gens, sym_relations, W).standard_count(d) for d in range(W + 1)]
+    assert expected == [1, 2, 4, 7, 12, 19]
+    assert P.dims() == [1, 2, 5, 7, 12, 19]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_rank_matches_domain_matrix(seed):
     rng = random.Random(seed)

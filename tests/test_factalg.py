@@ -301,6 +301,14 @@ def test_pfa_negative_control(vx):
     assert by_name["negative_control"]["status"] == "pass"
 
 
+def test_pfa_negative_control_quotient(vxy):
+    # The broken corestriction keeps one factor of x0 (x) x0; x0*x0 is not
+    # a relation of x,y | x*y, so the harness must still tell them apart.
+    report = check_pfa_axioms(vxy, samples=2, seed=0, corrupt=True)
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["negative_control"]["status"] == "pass"
+
+
 def test_coequalizer_chain(free_x):
     report = check_coequalizer_chain(free_x, [Fraction(1), Fraction(2)], wmax=4)
     assert all_pass(report["checks"])
@@ -345,7 +353,7 @@ def test_nested_chain_is_weiss_for_grid_points():
         for b in range(-5, 6)
         if Fraction(a, 2) ** 2 + Fraction(b, 2) ** 2 < 16
     ]
-    assert is_weiss_cover(chain, grid[:12], max_subset=3)
+    assert is_weiss_cover(chain, grid[:12])
     # Dropping the top disk breaks it: points near the rim pair badly.
     assert not is_weiss_cover(chain[:1], [Scalar(0), Scalar(Fraction(7, 2))])
 

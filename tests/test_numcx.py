@@ -179,6 +179,22 @@ def test_declared_annulus_enforced():
         Annulus(0j, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("nodes", [0, -4])
+def test_trapezoid_routines_refuse_fewer_than_one_node(nodes):
+    # Without the check, z^2 read a nan (0 nodes) or 0 (-4 nodes) for its
+    # coefficient 1, and a circle integral on 0 nodes divided by zero.
+    f = ContourFunction(lambda z: z[:, None] ** 2, vectorized=True)
+    with pytest.raises(ValueError, match="at least one trapezoid node"):
+        cauchy_coeff(f, 0, 2, 1.0, nodes)
+    with pytest.raises(ValueError, match="at least one trapezoid node"):
+        laurent_coeffs(f, 0, [2], 1.0, nodes)
+    with pytest.raises(ValueError, match="at least one trapezoid node"):
+        contour_integral(f, Curve.circle(0, 1.0), nodes=nodes)
+    C = np.ones((3, 3, 1), dtype=complex)
+    with pytest.raises(ValueError, match="at least one trapezoid node"):
+        double_residue(C, lambda z, w: z**-2 * w**-2, 1.5, 0.5, nodes)
+
+
 def test_cauchy_coeff_radius_independence():
     f = ContourFunction(lambda z: np.array([1 / (z * (z - 2)), z**2]), excluded=[0, 2])
     for n in (-1, 0, 1, 2):

@@ -39,3 +39,10 @@ def test_child_finds_the_jetfact_modules(perfbench):
     jf = perfbench.child.load_jetfact()
     for name, module in vars(jf).items():
         assert isinstance(module, types.ModuleType), name
+
+
+def test_negative_control_catches_the_broken_corestriction(perfbench):
+    # Every benchmark run fails unless this holds for its seed.
+    jf = perfbench.child.load_jetfact()
+    for seed in range(5):
+        assert perfbench.child.negative_control(jf, seed)
