@@ -116,11 +116,16 @@ def cmd_fact_check(args, P, preset) -> list:
             checks.append(check_entry(f"geometry_{name}", True, detail))
         except (ValueError, KeyError) as exc:
             checks.append(check_entry(f"geometry_{name}", False, {"error": str(exc)}))
+        except TypeError as exc:
+            # A value of the wrong JSON type is bad input, not a failed check.
+            raise ValueError(f"preset geometry {name!r} is malformed: {exc}") from None
     for entry in entries:
         samples = entry.get("samples", args.samples)
         if not isinstance(samples, int) or samples < 0:
             raise ValueError(f"preset samples must be a non-negative integer: {samples!r}")
         seed = entry.get("seed", args.seed)
+        if not isinstance(seed, int):
+            raise ValueError(f"preset seed must be an integer: {seed!r}")
         checks.extend(check_pfa_axioms(P, samples=samples, seed=seed)["checks"])
     return checks
 

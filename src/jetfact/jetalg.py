@@ -13,24 +13,38 @@ row-echelon form under a fixed monomial order, enumerating the free
 monomials of each weight once.  The rows are not reduced against each
 other, yet normal forms are canonical: the set of leading monomials and
 the remainder of an element after full reduction depend only on the
-span, not on the echelon basis chosen for it.  Relations whose jets are
-weight-homogeneous (relations of the degree-zero algebra always are)
-make the quotient genuinely graded; inhomogeneous relations are accepted
-but the grading then reflects leading structure only, which is a
-documented restriction of the truncated model.
+span, not on the echelon basis chosen for it.
+
+The truncated model of a presentation F / I is F / (I + F_{>W}), the
+jets of the germ at the origin truncated at weight W.  Its total
+dimension is exact for every relation.  When the relation jets are
+weight-homogeneous (relations of the degree-zero algebra always are) the
+quotient is graded and dims() is its weight split.  Otherwise the split
+of dims() by weight is not an invariant: it follows the leading
+monomials, and it can change with W while the total does not.
+
+The normal form is linear, so the product and the derivation are linear
+maps on monomials.  Each presentation holds them as two lazily filled
+tables on monomials (the reduced product of a pair, the reduced
+derivative of one), and multiply and derive are sums over table rows.
+The translation tower T^k a / k! of an element is summed in the same way
+from per-monomial towers built on the derivative table.
 
 Presentations are immutable after construction.  The internal caches
 (free monomials, weight bases, the coordinate index, normal forms of
-monomials) are idempotent, so concurrent readers at worst recompute a
-value; no synchronization is required.
+monomials, the product and derivative tables, the per-monomial towers)
+are idempotent, so concurrent readers at worst recompute a value; no
+synchronization is required.
 """
 
 from __future__ import annotations
 
+from math import factorial
+
 from .exprs import parse_element, unparse_element
 from .grading import GradedElement, format_element
-from .scalars import Scalar
-from ._kernels import lc_derive, lc_mul, mono_weight
+from .scalars import ONE, Scalar
+from ._kernels import lc_derive, lc_mul, lc_scale, mono_mul, mono_weight
 
 __all__ = [
     "Echelon",
@@ -44,6 +58,21 @@ __all__ = [
 
 def _order_key(mono):
     return (mono_weight(mono), mono)
+
+
+def _add_scaled(out: dict, c, row: dict) -> None:
+    """out += c * row in place, zero sums dropped."""
+    for m, v in row.items():
+        t = c * v
+        acc = out.get(m)
+        if acc is None:
+            out[m] = t
+        else:
+            t = acc + t
+            if t:
+                out[m] = t
+            else:
+                del out[m]
 
 
 class Echelon:
@@ -119,6 +148,9 @@ class AlgebraPresentation:
         self._basis_cache = {}
         self._index = None
         self._mono_nf = {}
+        self._products = {}  # m1 -> {m2: reduced row of m1 * m2}
+        self._derivatives = {}  # m -> reduced row of T m
+        self._towers = {}  # m -> [T^k m / k! for k = 1, 2, ...], nonzero
         # Saturate the differential ideal: every jet of every relation
         # times every monomial that keeps the weight within the bound.
         self._echelon = Echelon(_order_key)
@@ -184,8 +216,7 @@ class AlgebraPresentation:
     def multiply(self, a: GradedElement, b: GradedElement) -> GradedElement:
         self._check_element(a)
         self._check_element(b)
-        prod = lc_mul(a.data, b.data, self.wmax)
-        return GradedElement._make(self._echelon.reduce(prod), self.wmax)
+        return GradedElement._make(self._product(a.data, b.data), self.wmax)
 
     def product(self, elements) -> GradedElement:
         out = self.unit()
@@ -197,8 +228,70 @@ class AlgebraPresentation:
         self._check_element(a)
         data = a.data
         for _ in range(times):
-            data = self._echelon.reduce(lc_derive(data, self.wmax))
+            data = self._derivative(data)
         return GradedElement._make(data, self.wmax)
+
+    def translation_tower(self, a: GradedElement) -> list:
+        """[T^k a / k! for k = 0, 1, ...] up to the last nonzero term.
+
+        The k = 0 term is a itself, unreduced; the others are normal forms.
+        T^k a = 0 forces T^(k+1) a = 0, so the list stops at the first zero.
+        """
+        self._check_element(a)
+        if not a:
+            return []
+        towers = self._towers
+        out = [a]
+        while True:
+            k = len(out) - 1
+            data = {}
+            for m, c in a.data.items():
+                tower = towers.get(m)
+                if tower is None:
+                    tower = self._monomial_tower(m)
+                if k < len(tower):
+                    _add_scaled(data, c, tower[k])
+            if not data:
+                return out
+            out.append(GradedElement._make(data, self.wmax))
+
+    def _product(self, a: dict, b: dict) -> dict:
+        """Normal form of the product of two kernel dicts, by table rows."""
+        out = {}
+        table = self._products
+        for m1, c1 in a.items():
+            rows = table.get(m1)
+            if rows is None:
+                rows = table[m1] = {}
+            for m2, c2 in b.items():
+                row = rows.get(m2)
+                if row is None:
+                    row = rows[m2] = self.reduce_monomial(mono_mul(m1, m2)).data
+                if row:
+                    _add_scaled(out, c1 * c2, row)
+        return out
+
+    def _derivative(self, a: dict) -> dict:
+        """Normal form of the derivative of a kernel dict, by table rows."""
+        out = {}
+        table = self._derivatives
+        for m, c in a.items():
+            row = table.get(m)
+            if row is None:
+                row = table[m] = self._echelon.reduce(lc_derive({m: ONE}, self.wmax))
+            if row:
+                _add_scaled(out, c, row)
+        return out
+
+    def _monomial_tower(self, m) -> list:
+        """[T^k m / k! for k >= 1] while nonzero, memoised."""
+        tower = []
+        data = self._derivative({m: ONE})
+        while data:
+            tower.append(lc_scale(data, ONE / factorial(len(tower) + 1)))
+            data = self._derivative(data)
+        self._towers[m] = tower
+        return tower
 
     # -- graded bases ---------------------------------------------------------
 
@@ -266,11 +359,17 @@ class AlgebraPresentation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "AlgebraPresentation":
-        return cls(
-            doc["generators"],
-            doc.get("relations", ()),
-            int(doc.get("max_weight", 6)),
-        )
+        """Presentation of a JSON document; a value of the wrong type is a
+        ValueError."""
+        gens = doc["generators"]
+        rels = doc.get("relations", [])
+        wmax = doc.get("max_weight", 6)
+        for key, value in (("generators", gens), ("relations", rels)):
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise ValueError(f"presentation {key} must be a list of strings, got {value!r}")
+        if not isinstance(wmax, int) or isinstance(wmax, bool):
+            raise ValueError(f"presentation max_weight must be an integer, got {wmax!r}")
+        return cls(gens, rels, wmax)
 
     def __repr__(self):
         rels = ", ".join(format_element(r) for r in self.relations)

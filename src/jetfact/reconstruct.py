@@ -108,14 +108,39 @@ class InsertionSeries:
 
 
 def _expansion_terms(a: GradedElement, V: VertexAlgebra):
-    """The elements T^k a / k! until truncation kills them."""
+    """The elements T^k a / k! until truncation kills them.
+
+    The k = 0 term is a itself; the others are sums of per-monomial terms
+    that V memoises, so the translate loop runs once per monomial.
+    """
+    if not a:
+        return []
+    memo = V.insertion_terms
+    rows = []
+    for m, c in a.data.items():
+        terms = memo.get(m)
+        if terms is None:
+            terms = memo[m] = _monomial_terms(m, V)
+        rows.append((c, terms))
+    out = [a]
+    while True:
+        k = len(out) - 1
+        term = V.zero()
+        for c, terms in rows:
+            if k < len(terms):
+                term = term + terms[k].scale(c)
+        if not term:
+            return out
+        out.append(term)
+
+
+def _monomial_terms(m, V: VertexAlgebra):
+    """[T^k m / k! for k >= 1] of one monomial m, while nonzero."""
     out = []
-    cur = a
-    k = 0
+    cur = V.translate(GradedElement._make({m: Scalar(1)}, V.wmax))
     while cur:
-        out.append(cur.scale(Scalar(Fraction(1, factorial(k)))))
+        out.append(cur.scale(Scalar(Fraction(1, factorial(len(out) + 1)))))
         cur = V.translate(cur)
-        k += 1
     return out
 
 

@@ -15,9 +15,8 @@ the residue calculus reduces it to.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb
 
 from .grading import GradedElement, format_element
 from .jetalg import AlgebraPresentation
@@ -43,6 +42,10 @@ class VertexAlgebra:
     def __init__(self, presentation: AlgebraPresentation):
         self.presentation = presentation
         self.wmax = presentation.wmax
+        # reconstruct's per-monomial T^k m / k!, built by its own translate
+        # loop: the roundtrip check compares it with the presentation's
+        # translation tower, so the two must not share one memo.
+        self.insertion_terms = {}
 
     def vacuum(self) -> GradedElement:
         return self.presentation.unit()
@@ -91,14 +94,10 @@ class ModeTable:
 def vertex_op(a: GradedElement, b: GradedElement, V: VertexAlgebra) -> ModeTable:
     """All modes of Y(a, z) b up to the truncation bound."""
     modes = {}
-    cur = a
-    n = 0
-    while cur:
-        term = V.multiply(cur, b)
-        if term:
-            modes[-n - 1] = term.scale(Scalar(Fraction(1, factorial(n))))
-        cur = V.translate(cur)
-        n += 1
+    for n, term in enumerate(V.presentation.translation_tower(a)):
+        prod = V.multiply(term, b)
+        if prod:
+            modes[-n - 1] = prod
     return ModeTable(modes, V.wmax)
 
 
@@ -120,15 +119,11 @@ def completion_translation(z: Scalar, a: GradedElement, V: VertexAlgebra) -> Gra
     translation is a derivation.
     """
     z = Scalar.coerce(z)
+    tower = V.presentation.translation_tower(a)
     out = a
-    cur = a
-    n = 1
-    while True:
-        cur = V.translate(cur)
-        if not cur:
-            return out
-        out = out + cur.scale(z**n / Scalar(factorial(n)))
-        n += 1
+    for n in range(1, len(tower)):
+        out = out + tower[n].scale(z**n)
+    return out
 
 
 def translation_identity_failures(a, b, table: ModeTable, V: VertexAlgebra, tb: ModeTable):

@@ -192,6 +192,9 @@ def test_zero_denominator_exits_two(argv, capsys):
         {"checks": [5]},
         {"checks": [{"samples": -1}]},
         {"geometry": [{"c": ["0", "0"], "r": "1"}]},
+        {"presentation": {"generators": 5}},
+        {"checks": [{"seed": [1]}]},
+        {"geometry": {"g": 5}},
     ],
     ids=[
         "top-level list",
@@ -199,13 +202,17 @@ def test_zero_denominator_exits_two(argv, capsys):
         "checks of numbers",
         "negative samples",
         "geometry list",
+        "generators number",
+        "seed list",
+        "geometry entry number",
     ],
 )
 def test_malformed_preset_exits_two(doc, tmp_path, capsys):
     preset = tmp_path / "scenario.json"
     preset.write_text(json.dumps(doc))
     assert run(["fact", "check", "--preset", str(preset), "--samples", "0"]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

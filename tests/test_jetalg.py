@@ -1,6 +1,10 @@
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
+
+from jetfact._kernels import lc_derive, lc_mul, lc_scale
 
 from jetfact.grading import GradedElement
 from jetfact.jetalg import (
@@ -112,6 +116,86 @@ def test_inhomogeneous_relation_supported():
     assert P.multiply(x, x) == x
     # Deriving the square and the generator agree in the quotient.
     assert P.derive(P.multiply(x, x)) == P.derive(x)
+
+
+def test_inhomogeneous_germs_at_the_origin():
+    # F / (I + F_{>W}) sees the germ of the variety at the origin: x*x = -1
+    # misses it (the zero algebra), x*x = x meets it in the reduced point x = 0.
+    assert AlgebraPresentation(["x"], ["x*x + 1"], 6).dims() == [0] * 7
+    assert AlgebraPresentation(["x"], ["x*x - x"], 6).dims() == [1] + [0] * 6
+
+
+@pytest.mark.parametrize("W, total, weight_4", [(6, 30, 8), (8, 67, 11)])
+def test_inhomogeneous_total_is_exact_but_not_its_split(W, total, weight_4):
+    # y = x*x is a graph over the x-line: the jets have the total dimension
+    # of free x, while the count at weight 4 moves with the bound W.
+    P = AlgebraPresentation(["x", "y"], ["y - x*x"], W)
+    assert sum(P.dims()) == total == sum(AlgebraPresentation(["x"], [], W).dims())
+    assert P.dims()[4] == weight_4
+
+
+def euler_product(multiplicity, W):
+    """Independent oracle: coefficients of prod_n (1 - q^n)^(-multiplicity(n))
+    up to q^W, by repeated division by 1 - q^n."""
+    coeffs = [1] + [0] * W
+    for n in range(1, W + 1):
+        for _ in range(multiplicity(n)):
+            for i in range(n, W + 1):
+                coeffs[i] += coeffs[i - n]
+    return coeffs
+
+
+def test_free_dims_match_product_formula():
+    # Free on g generators: prod (1 - q^n)^(-g).
+    assert AlgebraPresentation(["x", "y"], [], 10).dims() == euler_product(lambda n: 2, 10)
+
+
+def test_double_point_dims_match_rogers_ramanujan():
+    # Jets of x*x = 0 count partitions with parts 1 or 4 mod 5 (Bruschek,
+    # Mourtada and Schepers, Arc spaces and Rogers-Ramanujan identities).
+    W = 14
+    expected = euler_product(lambda n: 1 if n % 5 in (1, 4) else 0, W)
+    assert AlgebraPresentation(["x"], ["x*x"], W).dims() == expected
+
+
+TABLE_PRESENTATIONS = [
+    (["x"], []),
+    (["x", "y"], []),
+    (["x"], ["x*x"]),
+    (["x", "y"], ["x*y"]),
+    (["x", "y"], ["x*x + y*y"]),
+]
+
+
+@pytest.mark.parametrize(
+    "gens, rels", TABLE_PRESENTATIONS, ids=lambda v: ",".join(v) or "free"
+)
+def test_tables_match_direct_reduction(gens, rels):
+    # The product and derivative tables against reducing the kernel result
+    # directly, on seeded sums of free monomials (not in normal form).
+    W = 6
+    P = AlgebraPresentation(gens, rels, W)
+    reduce = P._echelon.reduce
+    s = Sampler(17)
+
+    def free_element():
+        data = {}
+        for _ in range(s.rng.randint(1, 3)):
+            mono = s.rng.choice(P._free_monomials(s.rng.randint(0, W)))
+            data[mono] = s.nonzero_scalar()
+        return GradedElement._make(data, W)
+
+    for _ in range(30):
+        a, b = free_element(), free_element()
+        assert P.multiply(a, b).data == reduce(lc_mul(a.data, b.data, W))
+        once = reduce(lc_derive(a.data, W))
+        assert P.derive(a).data == once
+        assert P.derive(a, times=2).data == reduce(lc_derive(once, W))
+        expected = [a.data]
+        while once:
+            expected.append(lc_scale(once, Scalar(Fraction(1, factorial(len(expected))))))
+            once = reduce(lc_derive(once, W))
+        assert [t.data for t in P.translation_tower(a)] == expected
 
 
 def test_derive_examples(free_x):

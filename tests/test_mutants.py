@@ -1,14 +1,18 @@
 """Mutation smoke tests: each named mutant is patched in at a module global
-of the section or vertex layer, and the harness that covers it must report
-a failure (not pass, and not crash)."""
+of the section or jet layer, or written into a table of a fresh
+presentation, and the harness that covers it must report a failure (not
+pass, and not crash)."""
 
 from math import factorial
 
-from jetfact import factalg, vertex
+import pytest
+
+from jetfact import factalg, jetalg
+from jetfact.jetalg import AlgebraPresentation
 from jetfact.factalg import check_coequalizer_chain, check_pfa_axioms
 from jetfact.reconstruct import eta_roundtrip_check
 from jetfact.scalars import Scalar
-from jetfact.vertex import check_vertex_axioms
+from jetfact.vertex import VertexAlgebra, check_vertex_axioms
 
 
 def failing(report) -> set:
@@ -47,12 +51,37 @@ def test_identity_rotation_fails_equivariance_compose(monkeypatch, free_x):
     assert "equivariance_compose" in failing(check_pfa_axioms(free_x, samples=5, seed=0))
 
 
-def test_doubled_factorial_fails_three_harnesses(monkeypatch, free_x, vx):
-    # vertex_op and completion_translation share the factorial: the modes,
-    # the reconstructed modes and the translation flow all go wrong.
-    monkeypatch.setattr(vertex, "factorial", lambda n: factorial(n) * (2 if n >= 2 else 1))
+def test_doubled_factorial_fails_three_harnesses(monkeypatch):
+    # The translation tower of jetalg feeds vertex_op and
+    # completion_translation; reconstruct keeps its own factorial, so the
+    # modes, the reconstructed modes and the translation flow all go wrong.
+    # Towers are memoised per presentation: build fresh ones under the mutant.
+    monkeypatch.setattr(jetalg, "factorial", lambda n: factorial(n) * (2 if n >= 2 else 1))
+    vx = VertexAlgebra(AlgebraPresentation(["x"], [], 6))
     assert "translation" in failing(check_vertex_axioms(vx, samples=20, seed=0))
+    vx = VertexAlgebra(AlgebraPresentation(["x"], [], 6))
     assert "modes" in failing(eta_roundtrip_check(vx))
+    free_x = AlgebraPresentation(["x"], [], 6)
     assert {"equivariance_compose", "equivariance_multiplication"} <= failing(
         check_pfa_axioms(free_x, samples=5, seed=0)
     )
+
+
+X0 = (("x", 0),)
+
+
+@pytest.mark.parametrize(
+    "table, key, row",
+    [
+        ("_products", (X0, X0), {(("x", 0), ("x", 0)): Scalar(2)}),
+        ("_derivatives", X0, {(("x", 1),): Scalar(2)}),
+    ],
+    ids=["product x0*x0", "derivative x0"],
+)
+def test_corrupted_table_entry_fails_translation(table, key, row):
+    P = AlgebraPresentation(["x"], [], 6)
+    if table == "_products":
+        P._products.setdefault(key[0], {})[key[1]] = row
+    else:
+        P._derivatives[key] = row
+    assert "translation" in failing(check_vertex_axioms(VertexAlgebra(P), samples=20, seed=0))
