@@ -6,9 +6,10 @@ the preset and returns its check list; run() builds the presentation,
 times the handler and emits one JSON report of the form
 {command, params, checks: [{name, status, detail}], timing_ms, elapsed_ms,
 version, backend, python} to stdout or --out.  Exit status is 0 when every
-check passes, 1 on check failures, and 2 on bad input: a parse error, a zero
-denominator, a malformed preset or a negative count.  All randomness flows
-from the --seed flag.
+check passes, 1 on check failures, 2 on bad input: a parse error, a zero
+denominator, a malformed preset or a negative count, and 3 on an internal
+fault, reported as one line on stderr.  All randomness flows from the
+--seed flag.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import time
 
 from .diskgeom import BasisElement
-from .exprs import ExprError, free_names
+from .exprs import free_names
 from .factalg import (
     SupportedOpen,
     TensorSection,
@@ -38,6 +39,7 @@ from .scalars import frac
 from .vertex import VertexAlgebra, check_vertex_axioms, vertex_op
 
 PARSE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def load_preset(path):
@@ -323,9 +325,12 @@ def run(argv) -> int:
                 fh.write(text + "\n")
         else:
             print(text)
-    except (ExprError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     return 0 if all_pass(checks) else 1
 
 

@@ -241,15 +241,10 @@ def tensor_concat(s: TensorSection, t: TensorSection) -> TensorSection:
     if s.P != t.P:
         raise ValueError("sections over different presentations")
     U = s.L.union(t.L)
-    disk_src = {}
-    for i, d in enumerate(s.L):
-        disk_src[d] = ("s", i)
-    for i, d in enumerate(t.L):
-        disk_src[d] = ("t", i)
-    slots = [disk_src[d] for d in U]
+    # U.order[j] is the index of U's j-th disk in s.L.disks + t.L.disks.
     # Keys are injective in (k1, k2) and c1 * c2 is never zero: no merging.
     data = {
-        tuple(k1[i] if side == "s" else k2[i] for side, i in slots): c1 * c2
+        tuple(map((k1 + k2).__getitem__, U.order)): c1 * c2
         for k1, c1 in s.data.items()
         for k2, c2 in t.data.items()
     }

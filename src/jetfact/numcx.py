@@ -515,8 +515,6 @@ def residue_swap_check(
     n: int,
     N: int,
     V: VertexAlgebra,
-    inner_radius: float = 0.5,
-    outer_radius: float = 1.5,
     nodes: int = 64,
     tolerance: float = 1e-8,
 ) -> dict:
@@ -524,18 +522,17 @@ def residue_swap_check(
     insertion against the exact binomial mode sums.
 
     The integrand is z^m w^n (z - w)^N times the series of states placed
-    at (z, w, 0).  Taking the w-contour inside the z-contour matches the
-    mode sum with the first state outermost; swapping the radii matches
-    the other association.  Both numeric values and both exact sums must
-    agree within the tolerance in the max-norm.  Each contour order is
-    the trapezoid double sum on the node grid, computed by double_residue
-    from the stacked series coefficients as small matrix products.
+    at (z, w, 0), on circles of radius 0.5 and 1.5.  Taking the w-contour
+    inside the z-contour matches the mode sum with the first state
+    outermost; swapping the radii matches the other association.  Both
+    numeric values and both exact sums must agree within the tolerance in
+    the max-norm.  Each contour order is the trapezoid double sum on the
+    node grid, computed by double_residue from the stacked series
+    coefficients as small matrix products.
     Raises ValueError when N is negative, and AliasingError when the node
     count is below the smallest one from which no monomial of the
     integrand aliases onto the residue.
     """
-    if not 0 < inner_radius < outer_radius:
-        raise ValueError("need 0 < inner radius < outer radius")
     if N < 0:
         raise ValueError("locality order N must be non-negative")
     P = V.presentation
@@ -556,8 +553,8 @@ def residue_swap_check(
     def weight(z, w):
         return z**m * w**n * (z - w) ** N
 
-    order_w_inner = double_residue(C, weight, outer_radius, inner_radius, nodes)
-    order_z_inner = double_residue(C, weight, inner_radius, outer_radius, nodes)
+    order_w_inner = double_residue(C, weight, 1.5, 0.5, nodes)
+    order_z_inner = double_residue(C, weight, 0.5, 1.5, nodes)
 
     lhs, rhs = locality_sides(a, b, c, m, n, N, V, cache(lambda x, y: vertex_op(x, y, V)))
     lhs_vec = element_vector(lhs, P)

@@ -12,7 +12,8 @@ into the disk, translation is the z-derivative of a one-point insertion
 at z = 0, and the modes of a two-point insertion at (z, 0) are its
 Laurent coefficients.  Locally constant structures give series with no
 pole, so all non-negative modes vanish and requests for them answer
-zero.  A deliberately slow second route through disk sections and
+zero.  insert checks each state once; the series is then kept as kernel
+rows, multiplied through the presentation's product table.  A deliberately slow second route through disk sections and
 corestriction is kept for cross-checking the series expansion.
 """
 
@@ -151,14 +152,14 @@ def insert(points, elements, V: VertexAlgebra) -> InsertionSeries:
     points must be pairwise distinct, matching configurations of distinct
     insertion locations, and symbolic names must not repeat.
     """
-    points = list(points)
+    points = [p if isinstance(p, str) else Scalar.coerce(p) for p in points]
     elements = list(elements)
     if len(points) != len(elements):
         raise ValueError("need exactly one state per insertion point")
     symbolic = [p for p in points if isinstance(p, str)]
     if len(set(symbolic)) != len(symbolic):
         raise ValueError("symbolic insertion points must be distinct")
-    exact = [Scalar.coerce(p) for p in points if not isinstance(p, str)]
+    exact = [p for p in points if not isinstance(p, str)]
     for i in range(len(exact)):
         for j in range(i + 1, len(exact)):
             if exact[i] == exact[j]:
@@ -166,31 +167,33 @@ def insert(points, elements, V: VertexAlgebra) -> InsertionSeries:
                     f"coincident insertion points: {exact[i]} appears twice"
                 )
 
+    P = V.presentation
+    for state in elements:
+        P._check_element(state)
+
+    # Symbolic names are distinct, so the v-th variable's exponent is still
+    # 0 in every key when its point is reached: no two products share a key.
     variables = tuple(symbolic)
-    var_index = {v: i for i, v in enumerate(variables)}
-    series = {(0,) * len(variables): V.vacuum()}
+    series = {(0,) * len(variables): V.vacuum().data}
+    v = 0
     for point, state in zip(points, elements):
         if isinstance(point, str):
-            v = var_index[point]
             terms = _expansion_terms(state, V)
-            new = {}
-            for exps, coeff_elem in series.items():
-                for k, term in enumerate(terms):
-                    prod = V.multiply(coeff_elem, term)
-                    if not prod:
-                        continue
-                    key = exps[:v] + (exps[v] + k,) + exps[v + 1 :]
-                    acc = new.get(key)
-                    new[key] = prod if acc is None else acc + prod
-            series = new
-        else:
-            point = Scalar.coerce(point)
-            moved = completion_translation(point, state, V) if point else state
             series = {
-                exps: V.multiply(coeff_elem, moved)
-                for exps, coeff_elem in series.items()
+                exps[:v] + (k,) + exps[v + 1 :]: prod
+                for exps, row in series.items()
+                for k, term in enumerate(terms)
+                if (prod := P._product(row, term.data))
             }
-    return InsertionSeries(variables, series, V.wmax)
+            v += 1
+        else:
+            moved = completion_translation(point, state, V) if point else state
+            series = {exps: P._product(row, moved.data) for exps, row in series.items()}
+    return InsertionSeries(
+        variables,
+        {exps: GradedElement._make(row, V.wmax) for exps, row in series.items()},
+        V.wmax,
+    )
 
 
 def vacuum_of(V: VertexAlgebra) -> GradedElement:
@@ -211,18 +214,13 @@ def mode_of(a: GradedElement, b: GradedElement, n: int, V: VertexAlgebra) -> Gra
     """
     if n >= 0:
         return V.zero()
-    return _two_point(a, b, V).coefficient((-n - 1,))
+    return insert(["z", Scalar(0)], [a, b], V).coefficient((-n - 1,))
 
 
 def modes_of(a: GradedElement, b: GradedElement, V: VertexAlgebra) -> ModeTable:
     """All modes of the two-point insertion, as a mode table."""
-    series = _two_point(a, b, V)
+    series = insert(["z", Scalar(0)], [a, b], V)
     return ModeTable({-(e[0]) - 1: elem for e, elem in series.coeffs.items()}, V.wmax)
-
-
-def _two_point(a: GradedElement, b: GradedElement, V: VertexAlgebra) -> InsertionSeries:
-    """The insertion of a at z and b at 0; mode n is its z^(-n-1) coefficient."""
-    return insert(["z", Scalar(0)], [a, b], V)
 
 
 def insert_via_disks(points, elements, V: VertexAlgebra):

@@ -10,7 +10,8 @@ so the mode a_(n) b is the z^(-n-1) coefficient: modes with n >= 0 vanish
 and a_(-n-1) b = (T^n a) * b / n!.  The axiom checker verifies the vacuum,
 translation, and locality identities on seeded samples; locality is run as
 the finite binomial mode identity at orders N = 0, 1, 2, which is the form
-the residue calculus reduces it to.
+the residue calculus reduces it to.  It also checks, once, that translation
+sends each jet variable g^(k) to g^(k+1).
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 
-from .grading import GradedElement, format_element
+from .grading import GradedElement, format_element, format_monomial
 from .jetalg import AlgebraPresentation
-from .reports import SampledChecks
+from .reports import SampledChecks, check_entry
 from .sampling import Sampler
 from .scalars import Scalar
 
@@ -92,12 +93,19 @@ class ModeTable:
 
 
 def vertex_op(a: GradedElement, b: GradedElement, V: VertexAlgebra) -> ModeTable:
-    """All modes of Y(a, z) b up to the truncation bound."""
+    """All modes of Y(a, z) b up to the truncation bound.
+
+    a and b are checked once, b also when a is zero; each tower term is
+    then multiplied by b through the product table rows.
+    """
+    P = V.presentation
+    tower = P.translation_tower(a)
+    P._check_element(b)
     modes = {}
-    for n, term in enumerate(V.presentation.translation_tower(a)):
-        prod = V.multiply(term, b)
+    for n, term in enumerate(tower):
+        prod = P._product(term.data, b.data)
         if prod:
-            modes[-n - 1] = prod
+            modes[-n - 1] = GradedElement._make(prod, V.wmax)
     return ModeTable(modes, V.wmax)
 
 
@@ -169,9 +177,11 @@ def check_vertex_axioms(
     state; they default to vertex_op and V.vacuum().  Every axiom reads
     its modes through table_fn, with V.translate as the translation, so
     the reconstruction layer can pass its own to certify that an
-    independently derived structure satisfies the same axioms.  Returns a
-    JSON-ready report with per-axiom pass counts and the first
-    counterexample of each failing axiom.
+    independently derived structure satisfies the same axioms.  The last
+    entry, translation_is_jet, is deterministic: V.translate must send
+    every variable g^(k) with k < W to g^(k+1).  Returns a JSON-ready
+    report with per-axiom pass counts and the first counterexample of
+    each failing axiom.
     """
     sampler = Sampler(seed)
     if table_fn is None:
@@ -247,4 +257,21 @@ def check_vertex_axioms(
                 },
             )
 
-    return {"checks": tally.entries(samples), "samples": samples, "seed": seed}
+    P = V.presentation
+    variables = [(g, k) for g in P.generators for k in range(V.wmax)]
+    bad = next(
+        (
+            format_monomial(((g, k),))
+            for g, k in variables
+            if V.translate(P.gen(g, k)) != P.gen(g, k + 1)
+        ),
+        None,
+    )
+    checks = tally.entries(samples) + [
+        check_entry(
+            "translation_is_jet",
+            bad is None,
+            {"checked": len(variables), "first_counterexample": bad},
+        )
+    ]
+    return {"checks": checks, "samples": samples, "seed": seed}

@@ -4,6 +4,7 @@ import platform
 import pytest
 
 import jetfact
+from jetfact import cli
 from jetfact.cli import build_parser, run
 
 
@@ -229,6 +230,15 @@ def test_malformed_preset_exits_two(doc, tmp_path, capsys):
 def test_negative_count_exits_two(argv, capsys):
     assert run([*argv, *SMALL]) == 2
     assert "must be non-negative" in capsys.readouterr().err
+
+
+def test_internal_fault_exits_three(monkeypatch, capsys):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check_coequalizer_chain", boom)
+    assert run(["fact", "coeq"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def test_reports_deterministic(tmp_path):

@@ -10,6 +10,7 @@ from jetfact.grading import GradedElement
 from jetfact.jetalg import (
     AlgebraPresentation,
     DifferentialHom,
+    Echelon,
     LiftError,
     lift_hom,
 )
@@ -150,12 +151,37 @@ def test_free_dims_match_product_formula():
     assert AlgebraPresentation(["x", "y"], [], 10).dims() == euler_product(lambda n: 2, 10)
 
 
-def test_double_point_dims_match_rogers_ramanujan():
-    # Jets of x*x = 0 count partitions with parts 1 or 4 mod 5 (Bruschek,
-    # Mourtada and Schepers, Arc spaces and Rogers-Ramanujan identities).
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_double_point_dims_match_rogers_ramanujan(k):
+    # Jets of x^k = 0 count partitions with no part congruent to 0 or +-k
+    # mod 2k + 1: Rogers-Ramanujan for k = 2 and Andrews-Gordon beyond
+    # (Bruschek, Mourtada and Schepers, Arc spaces and Rogers-Ramanujan
+    # identities).
     W = 14
-    expected = euler_product(lambda n: 1 if n % 5 in (1, 4) else 0, W)
-    assert AlgebraPresentation(["x"], ["x*x"], W).dims() == expected
+    expected = euler_product(lambda n: 0 if n % (2 * k + 1) in (0, k, k + 1) else 1, W)
+    assert AlgebraPresentation(["x"], ["*".join("x" * k)], W).dims() == expected
+
+
+def test_change_of_coordinates_is_an_isomorphism():
+    # Over Q(i), x -> x + i y, y -> x - i y turns x*y into x*x + y*y.
+    cross = AlgebraPresentation(["x", "y"], ["x*y"], 12)
+    circle = AlgebraPresentation(["x", "y"], ["x*x + y*y"], 12)
+    assert cross.dims() == circle.dims()
+    assert cross.dims()[12] == 272
+
+    W = 8
+    cross = AlgebraPresentation(["x", "y"], ["x*y"], W)
+    circle = AlgebraPresentation(["x", "y"], ["x*x + y*y"], W)
+    hom = lift_hom({"x": circle.parse("x + i*y"), "y": circle.parse("x - i*y")}, cross, circle)
+    for delta in range(W + 1):
+        basis = cross.weight_basis(delta)
+        rows = Echelon()
+        for m in basis:
+            vec = circle.coordinates(hom.apply(GradedElement.monomial(m, W)))
+            rows.add({i: c for i, c in enumerate(vec) if c})
+        assert len(rows.pivots) == len(basis) == circle.dims()[delta]
+    with pytest.raises(LiftError):
+        lift_hom({"x": circle.gen("x"), "y": circle.gen("y")}, cross, circle)
 
 
 TABLE_PRESENTATIONS = [
@@ -244,6 +270,20 @@ def test_generator_mismatch(free_x, free_xy):
     y = free_xy.gen("y")
     with pytest.raises(ValueError):
         free_x.multiply(y, y)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda P, e: P.multiply(P.unit(), e),
+        lambda P, e: P.derive(e),
+        lambda P, e: P.translation_tower(e),
+    ],
+    ids=["multiply", "derive", "translation_tower"],
+)
+def test_operations_refuse_another_truncation_bound(free_x, op):
+    with pytest.raises(ValueError, match="truncation 5 does not match presentation 6"):
+        op(free_x, GradedElement.generator("x", 0, 5))
 
 
 def test_presentation_validation():

@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 
 from jetfact import factalg, jetalg
+from jetfact._kernels import lc_scale
 from jetfact.jetalg import AlgebraPresentation
 from jetfact.factalg import check_coequalizer_chain, check_pfa_axioms
 from jetfact.reconstruct import eta_roundtrip_check
@@ -65,6 +66,20 @@ def test_doubled_factorial_fails_three_harnesses(monkeypatch):
     assert {"equivariance_compose", "equivariance_multiplication"} <= failing(
         check_pfa_axioms(free_x, samples=5, seed=0)
     )
+
+
+@pytest.mark.parametrize(
+    "gens, rels", [(["x"], []), (["x", "y"], ["x*y"])], ids=["free x", "x,y | x*y"]
+)
+def test_doubled_translation_fails_only_translation_is_jet(monkeypatch, gens, rels):
+    # T -> 2T is a vertex algebra too, but not the jet algebra's.  The
+    # derivative table is memoised: build the presentation under the mutant.
+    lc_derive = jetalg.lc_derive
+    monkeypatch.setattr(
+        jetalg, "lc_derive", lambda data, wmax: lc_scale(lc_derive(data, wmax), Scalar(2))
+    )
+    V = VertexAlgebra(AlgebraPresentation(gens, rels, 6))
+    assert failing(check_vertex_axioms(V, samples=20, seed=0)) == {"translation_is_jet"}
 
 
 X0 = (("x", 0),)

@@ -396,13 +396,6 @@ def test_residue_swap_refuses_aliasing_node_counts(v5):
         residue_swap_check(x, x, x, -1, -1, -1, v5)
 
 
-def test_residue_swap_validation(v5):
-    P = v5.presentation
-    x = P.gen("x")
-    with pytest.raises(ValueError):
-        residue_swap_check(x, x, x, -1, -1, 0, v5, inner_radius=2.0, outer_radius=1.0)
-
-
 def test_unconverged_line_quadrature_raises():
     # The midpoint rule on z**-1/2 from 0 errs by O(n**-1/2), so no two
     # estimates up to 2**21 nodes agree to 1e-12.

@@ -73,6 +73,28 @@ def test_insert_validation(v4):
     insert(["z", Scalar(0), Scalar(1)], [x, x, x], v4)
 
 
+ZERO = GradedElement.zero(6)
+ZERO5 = GradedElement.zero(5)  # truncation bound 5 on a W=6 presentation
+Y = GradedElement.generator("y", 0, 6)  # undeclared on free x
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda V: insert(["z"], [ZERO5], V),
+        lambda V: insert(["z", Scalar(0)], [ZERO, Y], V),
+        lambda V: modes_of(ZERO, Y, V),
+        lambda V: mode_of(ZERO, Y, -1, V),
+        lambda V: insert(["z"], [Y], V),
+        lambda V: insert([Scalar(0)], [ZERO5], V),
+    ],
+    ids=["z: 0@5", "z, 0: 0, y", "modes_of 0, y", "mode_of 0, y", "z: y", "0: 0@5"],
+)
+def test_insert_checks_every_state(vx, call):
+    with pytest.raises(ValueError):
+        call(vx)
+
+
 def test_vacuum_of(v4):
     vac = vacuum_of(v4)
     assert vac == v4.vacuum()

@@ -187,6 +187,25 @@ def test_axiom_suite_reads_the_given_table_fn(vx):
     assert translation["detail"]["first_counterexample"]["bad_n"]
 
 
+X = GradedElement.generator("x", 0, 6)
+Y = GradedElement.generator("y", 0, 6)  # undeclared on free x
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (GradedElement.zero(6), Y),
+        (GradedElement.zero(6), GradedElement.generator("x", 0, 5)),
+        (X, Y),
+        (Y, X),
+    ],
+    ids=["0, y", "0, x@5", "x, y", "y, x"],
+)
+def test_vertex_op_checks_both_arguments(vx, a, b):
+    with pytest.raises(ValueError):
+        vertex_op(a, b, vx)
+
+
 def test_report_structure(vx):
     report = check_vertex_axioms(vx, samples=3, seed=1)
     names = {c["name"] for c in report["checks"]}
