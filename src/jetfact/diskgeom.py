@@ -1,10 +1,12 @@
 """Exact geometry of open disks in the complex plane.
 
 Disks have Gaussian-rational centers and rational radii (or the infinite
-radius standing for the whole plane).  Every predicate compares squared
-distances of exact rationals, so no square root is ever taken and all
-answers are exact.  Tangent open disks count as disjoint: open disks that
-touch share no points.
+radius standing for the whole plane).  Every predicate compares a squared
+distance with a squared radius after cross-multiplying out the
+denominators, in integers read from the centers' scalar triples and the
+radii's numerators and denominators: no square root is taken, no
+`Fraction` is built, and all answers are exact.  Tangent open disks count
+as disjoint: open disks that touch share no points.
 
 Rotations are restricted to exact unit scalars (roots of unity in Q(i) and
 Pythagorean points such as (3+4i)/5); together with arbitrary exact
@@ -22,6 +24,7 @@ __all__ = [
     "Disk",
     "BasisElement",
     "GroupElement",
+    "compare_distance",
     "contains",
     "disjoint",
     "decompose",
@@ -84,24 +87,43 @@ class Disk:
         return cls(Scalar(frac(re), frac(im)), None if r == "inf" else frac(r))
 
 
+def compare_distance(z: Scalar, w: Scalar, num: int, den: int) -> int:
+    """An integer with the sign of |z - w|**2 - (num / den)**2, for den > 0.
+
+    With z = (a + b*i) / d and w = (a' + b'*i) / d', the difference z - w
+    is (x + y*i) / (d*d') for x = a*d' - a'*d and y = b*d' - b'*d, so the
+    sign is that of (x**2 + y**2) * den**2 - num**2 * (d*d')**2.
+    """
+    a, b, d = z.triple()
+    a2, b2, d2 = w.triple()
+    x = a * d2 - a2 * d
+    y = b * d2 - b2 * d
+    dd = d * d2
+    return (x * x + y * y) * den * den - num * num * dd * dd
+
+
 def contains(inner: Disk, outer: Disk) -> bool:
     """Whether inner is a subset of outer, as open point sets."""
     if outer.is_plane:
         return True
     if inner.is_plane:
         return False
-    if outer.radius < inner.radius:
+    p, q = outer.radius, inner.radius
+    pd, qd = p.denominator, q.denominator
+    gap = p.numerator * qd - q.numerator * pd
+    if gap < 0:
         return False
-    gap = outer.radius - inner.radius
-    return (inner.center - outer.center).abs2() <= gap * gap
+    return compare_distance(inner.center, outer.center, gap, pd * qd) <= 0
 
 
 def disjoint(d1: Disk, d2: Disk) -> bool:
     """Whether two open disks have empty intersection."""
     if d1.is_plane or d2.is_plane:
         return False
-    s = d1.radius + d2.radius
-    return (d1.center - d2.center).abs2() >= s * s
+    p, q = d1.radius, d2.radius
+    pd, qd = p.denominator, q.denominator
+    total = p.numerator * qd + q.numerator * pd
+    return compare_distance(d1.center, d2.center, total, pd * qd) >= 0
 
 
 class BasisElement:

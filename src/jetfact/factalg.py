@@ -37,6 +37,7 @@ from .diskgeom import (
     Disk,
     GroupElement,
     act,
+    compare_distance,
     connected_components,
     contains,
     decompose,
@@ -652,7 +653,11 @@ def is_weiss_cover(cover, points) -> bool:
 
     def inside(p, be: BasisElement) -> bool:
         return any(
-            d.is_plane or (p - d.center).abs2() < d.radius * d.radius for d in be
+            d.is_plane
+            or compare_distance(
+                p, d.center, d.radius.numerator, d.radius.denominator
+            ) < 0
+            for d in be
         )
 
     for k in range(1, 4):

@@ -7,13 +7,14 @@ the Leibniz rule, and the weight of a monomial is the sum of (order + 1)
 over its factors.
 
 Quotients are handled by saturating the differential ideal degree by
-degree up to the truncation bound: relation jets are multiplied by all
-monomials that keep the weight in range and the resulting span is put in
-row-echelon form under a fixed monomial order, enumerating the free
-monomials of each weight once.  The rows are not reduced against each
-other, yet normal forms are canonical: the set of leading monomials and
-the remainder of an element after full reduction depend only on the
-span, not on the echelon basis chosen for it.
+degree up to the truncation bound: each relation jet is shifted by every
+monomial that keeps some of its terms in range (each row is the fitting
+terms with the monomial multiplied in, no coefficient arithmetic) and the
+resulting span is put in row-echelon form under a fixed monomial order,
+enumerating the free monomials of each weight once.  The rows are not
+reduced against each other, yet normal forms are canonical: the set of
+leading monomials and the remainder of an element after full reduction
+depend only on the span, not on the echelon basis chosen for it.
 
 The truncated model of a presentation F / I is F / (I + F_{>W}), the
 jets of the germ at the origin truncated at weight W.  Its total
@@ -44,7 +45,7 @@ from math import factorial
 from .exprs import parse_element, unparse_element
 from .grading import GradedElement, format_element
 from .scalars import ONE, Scalar
-from ._kernels import lc_derive, lc_mul, lc_scale, mono_mul, mono_weight
+from ._kernels import lc_derive, lc_scale, mono_mul, mono_weight
 
 __all__ = [
     "Echelon",
@@ -152,15 +153,19 @@ class AlgebraPresentation:
         self._derivatives = {}  # m -> reduced row of T m
         self._towers = {}  # m -> [T^k m / k! for k = 1, 2, ...], nonzero
         # Saturate the differential ideal: every jet of every relation
-        # times every monomial that keeps the weight within the bound.
+        # times every monomial that keeps the weight within the bound.  A
+        # row is the jet's terms that fit, shifted by the monomial; the
+        # shift is injective, so no two terms of a row share a key.
         self._echelon = Echelon(_order_key)
         for rel in rels:
             jet = rel.data
             while jet:
-                low = min(mono_weight(m) for m in jet)
+                terms = [(mono_weight(m), m, c) for m, c in jet.items()]
+                low = min(w for w, _, _ in terms)
                 for delta in range(max_weight - low + 1):
+                    fit = [(m, c) for w, m, c in terms if w + delta <= max_weight]
                     for mono in self._free_monomials(delta):
-                        self._echelon.add(lc_mul({mono: Scalar(1)}, jet, max_weight))
+                        self._echelon.add({mono_mul(mono, m): c for m, c in fit})
                 jet = lc_derive(jet, max_weight)
 
     # -- normal forms ----------------------------------------------------------

@@ -140,7 +140,7 @@ def _monomial_terms(m, V: VertexAlgebra):
     out = []
     cur = V.translate(GradedElement._make({m: Scalar(1)}, V.wmax))
     while cur:
-        out.append(cur.scale(Scalar(Fraction(1, factorial(len(out) + 1)))))
+        out.append(cur.scale(Scalar(1) / factorial(len(out) + 1)))
         cur = V.translate(cur)
     return out
 
@@ -210,9 +210,13 @@ def mode_of(a: GradedElement, b: GradedElement, n: int, V: VertexAlgebra) -> Gra
     """The coefficient of z^(-n-1) in the two-point insertion at (z, 0).
 
     The series has no pole here, so every mode with n >= 0 is zero; such
-    requests are answered with zero rather than rejected.
+    requests are answered with zero rather than rejected, once both
+    states are checked against the presentation.
     """
     if n >= 0:
+        P = V.presentation
+        P._check_element(a)
+        P._check_element(b)
         return V.zero()
     return insert(["z", Scalar(0)], [a, b], V).coefficient((-n - 1,))
 

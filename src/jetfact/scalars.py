@@ -12,8 +12,9 @@ imaginary part, and negation and conjugation need no gcd at all.
 The field is closed under the four arithmetic operations and has decidable,
 exact equality, which is what makes the axiom checkers meaningful.  The
 real and imaginary parts are read as `Fraction`s (`re`, `im`, `abs2`), so
-reports and parsers see exact rationals.  Floating-point coefficients never
-appear here; the numeric layer converts at its own boundary.
+reports and parsers see exact rationals; `triple` hands the integers
+themselves to exact comparisons elsewhere.  Floating-point coefficients
+never appear here; the numeric layer converts at its own boundary.
 """
 
 from __future__ import annotations
@@ -113,6 +114,10 @@ class Scalar:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
+
+    def triple(self) -> tuple:
+        """The canonical integers (a, b, d) of (a + b*i) / d."""
+        return self._a, self._b, self._d
 
     # -- ring operations ---------------------------------------------------
 

@@ -7,6 +7,7 @@ from jetfact.diskgeom import (
     Disk,
     GroupElement,
     act,
+    compare_distance,
     connected_components,
     contains,
     decompose,
@@ -147,3 +148,104 @@ def test_json_roundtrip():
     assert Disk.from_json(plane.to_json()) == plane
     L = BasisElement([D(0, 1), D(3, 1)])
     assert BasisElement.from_json(L.to_json()) == L
+
+
+# -- the integer predicates against the Fraction formulas ---------------------
+
+_UNITS = [
+    Scalar(1),
+    I,
+    Scalar(-1),
+    Scalar(Fraction(3, 5), Fraction(4, 5)),
+    Scalar(Fraction(-5, 13), Fraction(12, 13)),
+    Scalar(Fraction(8, 17), Fraction(-15, 17)),
+]
+
+
+def _dist2(z, w):
+    """|z - w|**2 from the Fraction parts."""
+    return (z.re - w.re) ** 2 + (z.im - w.im) ** 2
+
+
+def _fraction_contains(inner, outer):
+    if outer.is_plane:
+        return True
+    if inner.is_plane:
+        return False
+    if outer.radius < inner.radius:
+        return False
+    gap = outer.radius - inner.radius
+    return _dist2(inner.center, outer.center) <= gap * gap
+
+
+def _fraction_disjoint(d1, d2):
+    if d1.is_plane or d2.is_plane:
+        return False
+    s = d1.radius + d2.radius
+    return _dist2(d1.center, d2.center) >= s * s
+
+
+def _boundary_pairs(seed, count):
+    """Seeded disk pairs, many of them exactly tangent or internally tangent.
+
+    Centers and radii have mixed denominators; the second center is the
+    first moved by an exact distance t along a Pythagorean unit direction,
+    so |c1 - c2| = t exactly, and the radii are set from t (sum t, difference
+    t, or equal), then sometimes nudged off the boundary.
+    """
+    rng = Sampler(seed).rng
+
+    def fraction():
+        return Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 5, 6, 7, 12]))
+
+    def radius():
+        return Fraction(rng.randint(1, 30), rng.choice([1, 2, 3, 4, 7, 9]))
+
+    for _ in range(count):
+        c1 = Scalar(fraction(), fraction())
+        t = radius()
+        c2 = c1 + rng.choice(_UNITS) * t
+        kind = rng.randrange(5)
+        if kind == 0:  # externally tangent: r1 + r2 = t
+            r1 = t * Fraction(rng.randint(1, 6), 7)
+            r2 = t - r1
+        elif kind == 1:  # internally tangent: r2 - r1 = t
+            r1 = radius()
+            r2 = r1 + t
+        elif kind == 2:  # equal radii
+            r1 = r2 = radius()
+        elif kind == 3:  # same center
+            c2 = c1
+            r1, r2 = radius(), radius()
+        else:
+            r1, r2 = radius(), radius()
+        if rng.random() < 0.3:
+            r2 += Fraction(rng.choice([-1, 1]), rng.choice([97, 1000, 10**6]))
+        if r2 > 0:
+            yield Disk(c1, r1), Disk(c2, r2)
+
+
+def test_integer_predicates_match_fraction_formulas():
+    plane = Disk(Scalar(0), None)
+    boundary = 0
+    for d1, d2 in _boundary_pairs(11, 600):
+        for a, b in ((d1, d2), (d2, d1), (d1, plane), (plane, d1), (d1, d1)):
+            assert contains(a, b) == _fraction_contains(a, b), (a, b)
+            assert disjoint(a, b) == _fraction_disjoint(a, b), (a, b)
+        gap = abs(d1.radius - d2.radius)
+        dist2 = _dist2(d1.center, d2.center)
+        boundary += dist2 in (gap * gap, (d1.radius + d2.radius) ** 2)
+    # The equality on the boundary decides a good share of the cases.
+    assert boundary > 100
+
+
+def test_compare_distance_has_the_sign_of_the_fraction_difference():
+    s = Sampler(13)
+    for _ in range(300):
+        z, w = s.scalar(), s.scalar()
+        r = Fraction(s.rng.randint(0, 20), s.rng.choice([1, 3, 5, 13]))
+        if s.rng.random() < 0.3:  # w exactly on the circle of radius r about z
+            w = z + s.rng.choice(_UNITS) * r
+        diff = _dist2(z, w) - r * r
+        got = compare_distance(z, w, r.numerator, r.denominator)
+        assert (got > 0) - (got < 0) == (diff > 0) - (diff < 0)

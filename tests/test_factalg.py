@@ -343,6 +343,16 @@ def test_weiss_cover_check():
     assert not is_weiss_cover(small, pts)
 
 
+def test_weiss_cover_points_on_a_rim_are_outside():
+    # Open disks: a point at exact distance r from the center is not in the
+    # disk, one just inside is.  (3 + 4i)/5 * 5/2 lies on the circle |z| = 5/2.
+    disk = [BasisElement([D(Fraction(1, 3), Fraction(5, 2))])]
+    rim = Scalar(Fraction(1, 3)) + Scalar(Fraction(3, 2), 2)
+    assert not is_weiss_cover(disk, [rim])
+    assert is_weiss_cover(disk, [rim - Scalar(Fraction(1, 1000))])
+    assert is_weiss_cover([BasisElement([Disk(Scalar(0), None)])], [rim])
+
+
 def test_nested_chain_is_weiss_for_grid_points():
     # The chain family used by the gluing check, including its top disk,
     # passes the finite-point condition on a grid inside the top disk.

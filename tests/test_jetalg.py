@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from jetfact._kernels import lc_derive, lc_mul, lc_scale
+from jetfact._kernels import lc_derive, lc_mul, lc_scale, mono_weight
 
 from jetfact.grading import GradedElement
 from jetfact.jetalg import (
@@ -222,6 +222,41 @@ def test_tables_match_direct_reduction(gens, rels):
             expected.append(lc_scale(once, Scalar(Fraction(1, factorial(len(expected))))))
             once = reduce(lc_derive(once, W))
         assert [t.data for t in P.translation_tower(a)] == expected
+
+
+SATURATION_PRESENTATIONS = [
+    # The five elimination benchmark templates, with fixed names and signs.
+    (["x", "y"], ["-3/2*x*y"], 10),
+    (["u", "v", "z"], ["2/3*u*v", "-1/2*v*z"], 8),
+    (["a", "b"], ["3*a*a - 2/3*b*b"], 9),
+    (["x", "y"], ["-2*x*d(y) + 3/2*y*d(x)"], 10),
+    (["x", "y", "z"], ["1/2*x*z", "-3*y*y"], 8),
+    (["x"], ["x*x"], 10),
+    (["x", "y"], ["x*x + y*y"], 9),
+]
+
+
+@pytest.mark.parametrize(
+    "gens, rels, W",
+    SATURATION_PRESENTATIONS,
+    ids=["xy", "uv-vz", "aa-bb", "xdy-ydx", "xz-yy", "xx", "xx+yy"],
+)
+def test_saturation_matches_generic_products(gens, rels, W):
+    # The saturation rebuilt with generic products: every relation jet times
+    # every free monomial that keeps a term within the bound, through
+    # lc_mul.  Its echelon must be the construction's, pivot for pivot.
+    P = AlgebraPresentation(gens, rels, W)
+    rows = Echelon(lambda m: (mono_weight(m), m))
+    for rel in P.relations:
+        jet = rel.data
+        while jet:
+            low = min(mono_weight(m) for m in jet)
+            for delta in range(W - low + 1):
+                for mono in P._free_monomials(delta):
+                    rows.add(lc_mul({mono: Scalar(1)}, jet, W))
+            jet = lc_derive(jet, W)
+    assert rows.pivots == P._echelon.pivots
+    assert list(rows.pivots) == list(P._echelon.pivots)
 
 
 def test_derive_examples(free_x):

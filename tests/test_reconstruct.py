@@ -87,8 +87,21 @@ Y = GradedElement.generator("y", 0, 6)  # undeclared on free x
         lambda V: mode_of(ZERO, Y, -1, V),
         lambda V: insert(["z"], [Y], V),
         lambda V: insert([Scalar(0)], [ZERO5], V),
+        lambda V: mode_of(Y, Y, 0, V),
+        lambda V: mode_of(ZERO5, ZERO, 0, V),
+        lambda V: mode_of(ZERO, ZERO5, 3, V),
     ],
-    ids=["z: 0@5", "z, 0: 0, y", "modes_of 0, y", "mode_of 0, y", "z: y", "0: 0@5"],
+    ids=[
+        "z: 0@5",
+        "z, 0: 0, y",
+        "modes_of 0, y",
+        "mode_of 0, y",
+        "z: y",
+        "0: 0@5",
+        "mode_of y, y, 0",
+        "mode_of 0@5, 0, 0",
+        "mode_of 0, 0@5, 3",
+    ],
 )
 def test_insert_checks_every_state(vx, call):
     with pytest.raises(ValueError):
