@@ -1,13 +1,18 @@
-"""The sparse monomial kernels.
+"""The sparse monomial kernels, and the one definition of the monomial format.
 
-A monomial is a tuple of (generator, order) factors, sorted by generator
-name ascending and then order descending.  A linear combination is a dict
-mapping monomials to coefficients.  Coefficients are opaque ring elements:
-the kernels only use +, *, unary truthiness, and integer scaling, so the
-same code serves the exact scalar field.
+A monomial is a tuple of (generator, order) factors, sorted by factor_key:
+generator name ascending, then order descending.  A linear combination is
+a dict mapping monomials to coefficients.  Coefficients are opaque ring
+elements: the kernels only use +, *, unary truthiness, and integer
+scaling, so the same code serves the exact scalar field.
 """
 
+# The one implementation; every report envelope names it.
+BACKEND = "python"
+
 __all__ = [
+    "BACKEND",
+    "factor_key",
     "mono_weight",
     "mono_mul",
     "mono_derive",
@@ -16,6 +21,11 @@ __all__ = [
     "lc_mul",
     "lc_derive",
 ]
+
+
+def factor_key(f):
+    """Sort key of a (generator, order) factor in the canonical order."""
+    return (f[0], -f[1])
 
 
 def mono_weight(mono):
@@ -40,6 +50,7 @@ def mono_mul(m1, m2):
     while i < n1 and j < n2:
         f1 = m1[i]
         f2 = m2[j]
+        # factor_key(f1) <= factor_key(f2), inlined: this merge is hot.
         if (f1[0], -f1[1]) <= (f2[0], -f2[1]):
             out.append(f1)
             i += 1
@@ -65,14 +76,10 @@ def mono_derive(mono):
         g, m = mono[i]
         bumped = list(mono)
         bumped[i] = (g, m + 1)
-        bumped.sort(key=_factor_key)
+        bumped.sort(key=factor_key)
         key = tuple(bumped)
         seen[key] = seen.get(key, 0) + 1
     return list(seen.items())
-
-
-def _factor_key(f):
-    return (f[0], -f[1])
 
 
 def lc_add(a, b):

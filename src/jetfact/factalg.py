@@ -14,16 +14,19 @@ Corestriction, evaluation, the isometry action and algebra morphisms are
 one pushforward, _expand, from each monomial-tensor key to a list of
 factors.  TensorSection() puts outside keys in canonical form (factors
 sorted, keys with a factor above the bound dropped as zero, equal keys
-summed) and TensorSection.simple refuses factors of another bound, so
-internal results are wrapped by the trusted TensorSection._make.  The
-gluing check memoises each corestriction by (value, disk, disk).
+summed) and refuses factors naming a generator outside the presentation;
+TensorSection.simple refuses factors that are not elements of the
+presentation.  Internal results are wrapped by the trusted
+TensorSection._make.  The gluing check memoises each corestriction by
+(value, disk, disk).
 
-Evaluation on more general supported opens (finite unions of connected
-finite disk unions) collapses each connected region to a single tensor
-factor, which is what local constancy forces.  Membership of a section
-disk in a region is decided by containment in a single disk of the
-region, the decidable sufficient condition consistent with the rest of
-the exact geometry.
+evaluate(s, U) gives the value of a section on a more general supported
+open (finite unions of connected finite disk unions): each connected
+region collapses to a single tensor factor, which is what local constancy
+forces, and the factors landing in one region are multiplied in the
+section's own presentation.  Membership of a section disk in a region is
+decided by containment in a single disk of the region, the decidable
+sufficient condition consistent with the rest of the exact geometry.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from ._kernels import lc_add, lc_scale, mono_mul, mono_weight
 __all__ = [
     "TensorSection",
     "SupportedOpen",
-    "Evaluation",
     "FAMorphism",
     "corestrict",
     "multiply_sections",
@@ -87,11 +89,14 @@ class TensorSection:
     def __init__(self, L: BasisElement, P: AlgebraPresentation, data: dict):
         self.L = L
         self.P = P
+        gens = set(P.generators)
         clean = {}
         for key, coeff in data.items():
             if len(key) != len(L):
                 raise ValueError("tensor key length does not match disk count")
             key = tuple(normalize_monomial(m) for m in key)
+            if any(g not in gens for m in key for g, _ in m):
+                raise ValueError("tensor key uses undeclared generators")
             # A factor above the bound is zero, and so is its tensor.
             if any(mono_weight(m) > P.wmax for m in key):
                 continue
@@ -116,8 +121,8 @@ class TensorSection:
         factors = list(factors)
         if len(factors) != len(L):
             raise ValueError("factor count does not match disk count")
-        if any(f.wmax != P.wmax for f in factors):
-            raise ValueError("factor truncation bound does not match the presentation")
+        for f in factors:
+            P._check_element(f)
         data = {}
         _accumulate_expansion(data, factors, Scalar.coerce(coeff))
         return cls._make(L, P, data)
@@ -203,8 +208,6 @@ def _accumulate_expansion(data: dict, factors, coeff) -> None:
         c = coeff
         for _, fc in combo:
             c = c * fc
-        if not c:
-            continue
         acc = data.get(key)
         nc = c if acc is None else acc + c
         if nc:
@@ -293,32 +296,20 @@ class SupportedOpen:
         return cls([[Disk.from_json(d) for d in region] for region in docs])
 
 
-class Evaluation:
-    """The value on a supported open: one tensor factor per region."""
+def evaluate(s: TensorSection, U: SupportedOpen) -> dict:
+    """The value of a basis section on a supported open set, as
+    monomial-tensor data.
 
-    def __init__(self, P: AlgebraPresentation, U: SupportedOpen):
-        self.P = P
-        self.U = U
-        self.region_count = len(U)
-
-    def push(self, s: TensorSection) -> dict:
-        """Canonical image of a basis section, as monomial-tensor data.
-
-        Keys are tuples of monomials, one per region; factors landing in
-        the same region are multiplied.
-        """
-        index_lists = [[] for _ in range(self.region_count)]
-        for i, d in enumerate(s.L):
-            j = self.U.region_of(d)
-            if j is None:
-                raise ValueError(f"disk {d} is not inside any region")
-            index_lists[j].append(i)
-        return _expand(s, lambda key: _group_product(self.P, key, index_lists))
-
-
-def evaluate(P: AlgebraPresentation, U: SupportedOpen) -> Evaluation:
-    """The value of the disk-basis structure on a supported open set."""
-    return Evaluation(P, U)
+    Keys are tuples of monomials, one per region of U; the factors landing
+    in the same region are multiplied and reduced in s.P.
+    """
+    index_lists = [[] for _ in range(len(U))]
+    for i, d in enumerate(s.L):
+        j = U.region_of(d)
+        if j is None:
+            raise ValueError(f"disk {d} is not inside any region")
+        index_lists[j].append(i)
+    return _expand(s, lambda key: _group_product(s.P, key, index_lists))
 
 
 def mu_l(P: AlgebraPresentation, elements) -> GradedElement:
@@ -568,7 +559,7 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
             broken = _expand(pair, lambda key: _group_product(P, key, [[0]]))
             tally.record("negative_control", broken != corestrict(pair, wbe).data)
 
-    return {"checks": tally.entries(samples), "samples": samples, "seed": seed}
+    return {"checks": tally.entries(samples)}
 
 
 # -- coequalizer chains ------------------------------------------------------
@@ -643,7 +634,7 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
                 {"dim": d, "rank": rank, "expected_rank": expected, "cokernel": coker},
             )
         )
-    return {"checks": checks, "radii": [str(r) for r in radii], "weights": wmax + 1}
+    return {"checks": checks}
 
 
 def is_weiss_cover(cover, points) -> bool:

@@ -1,8 +1,10 @@
 """Weight-graded elements over jet monomials.
 
 A jet monomial is a finite multiset of (generator, order) factors, stored
-as a tuple sorted by generator ascending then order descending, so that
-equality is syntactic.  Its weight is the sum of (order + 1) over factors.
+as a tuple in canonical factor order, so that equality is syntactic.  Its
+weight is the sum of (order + 1) over factors.  The format (the order
+factor_key, the weight mono_weight) is defined in _kernels alone;
+normalize_monomial puts outside input into it.
 
 A GradedElement is a finite linear combination of jet monomials with exact
 scalar coefficients, together with a truncation bound: weights above the
@@ -14,18 +16,13 @@ a completed product of weight spaces.
 from __future__ import annotations
 
 from .scalars import ONE, Scalar
-from ._kernels import lc_add, lc_scale, mono_weight
+from ._kernels import factor_key, lc_add, lc_scale, mono_weight
 
 __all__ = [
     "GradedElement",
-    "monomial_weight",
     "format_monomial",
     "format_element",
 ]
-
-
-def monomial_weight(mono) -> int:
-    return mono_weight(mono)
 
 
 def normalize_monomial(factors) -> tuple:
@@ -37,7 +34,7 @@ def normalize_monomial(factors) -> tuple:
         if not isinstance(m, int) or m < 0:
             raise ValueError(f"jet order must be a non-negative integer, got {m!r}")
         out.append((g, m))
-    out.sort(key=lambda f: (f[0], -f[1]))
+    out.sort(key=factor_key)
     return tuple(out)
 
 

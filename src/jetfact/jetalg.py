@@ -45,7 +45,7 @@ from math import factorial
 from .exprs import parse_element, unparse_element
 from .grading import GradedElement, format_element
 from .scalars import ONE, Scalar
-from ._kernels import lc_derive, lc_scale, mono_mul, mono_weight
+from ._kernels import factor_key, lc_derive, lc_scale, mono_mul, mono_weight
 
 __all__ = [
     "Echelon",
@@ -301,20 +301,22 @@ class AlgebraPresentation:
     # -- graded bases ---------------------------------------------------------
 
     def _free_monomials(self, delta: int):
-        """All free monomials of exact weight delta in canonical factor order,
-        memoised; weight delta puts each factor (g, m), in that order, in front
-        of every monomial of weight delta - m - 1 not starting before it."""
-        if delta < 0:
-            return []
+        """All free monomials of exact weight delta >= 0 in canonical factor
+        order, memoised; weight delta puts each factor (g, m), in that order,
+        in front of every monomial of weight delta - m - 1 not starting
+        before it."""
         out = self._free.get(delta)
         if out is None:
-            out = [
-                ((g, m),) + rest
-                for g in sorted(self.generators)
-                for m in range(delta - 1, -1, -1)
-                for rest in self._free_monomials(delta - m - 1)
-                if not rest or (g, -m) <= (rest[0][0], -rest[0][1])
-            ]
+            out = []
+            for g in sorted(self.generators):
+                for m in range(delta - 1, -1, -1):
+                    head = (g, m)
+                    key = factor_key(head)
+                    out.extend(
+                        (head,) + rest
+                        for rest in self._free_monomials(delta - m - 1)
+                        if not rest or key <= factor_key(rest[0])
+                    )
             self._free[delta] = out
         return out
 

@@ -114,8 +114,6 @@ def _expansion_terms(a: GradedElement, V: VertexAlgebra):
     The k = 0 term is a itself; the others are sums of per-monomial terms
     that V memoises, so the translate loop runs once per monomial.
     """
-    if not a:
-        return []
     memo = V.insertion_terms
     rows = []
     for m, c in a.data.items():
@@ -276,8 +274,7 @@ def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
     the native structure on the full monomial basis up to the bound.  Mode
     tables hold every nonzero mode, so equal tables agree on each mode
     with |n| <= nmax, the range the report names.  All comparisons are
-    exact.  seed is accepted but unused: nothing is sampled, and the
-    report echoes it.
+    exact.  seed is accepted but unused: nothing is sampled.
     """
     P = V.presentation
     basis = [
@@ -314,4 +311,4 @@ def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
             {"pairs": pairs, "nmax": nmax, "first_counterexample": mode_fail},
         )
     )
-    return {"checks": checks, "wmax": P.wmax, "nmax": nmax, "seed": seed}
+    return {"checks": checks}

@@ -274,4 +274,4 @@ def check_vertex_axioms(
             {"checked": len(variables), "first_counterexample": bad},
         )
     ]
-    return {"checks": checks, "samples": samples, "seed": seed}
+    return {"checks": checks}

@@ -125,41 +125,43 @@ def test_tensor_compatibility_over_disjoint_targets(free_x):
 
 def test_evaluate_single_disk(free_x):
     U = SupportedOpen([[D(0, 2)]])
-    ev = evaluate(free_x, U)
-    assert ev.region_count == 1
+    assert len(U) == 1
     a = free_x.gen("x")
     s = TensorSection.simple(small_disks(0), [a], free_x)
-    assert ev.push(s) == {((("x", 0),),): Scalar(1)}
+    assert evaluate(s, U) == {((("x", 0),),): Scalar(1)}
 
 
 def test_evaluate_overlapping_region(free_x):
     U = SupportedOpen([[D(0, 2), D(1, 2)]])
-    ev = evaluate(free_x, U)
-    assert ev.region_count == 1
+    assert len(U) == 1
     a = free_x.gen("x")
-    left = ev.push(TensorSection.simple(small_disks(0), [a], free_x))
-    right = ev.push(TensorSection.simple(small_disks(1), [a], free_x))
+    left = evaluate(TensorSection.simple(small_disks(0), [a], free_x), U)
+    right = evaluate(TensorSection.simple(small_disks(1), [a], free_x), U)
     assert left == right  # both land in the same factor
     # Two disks of the section multiply into the single region factor.
-    both = ev.push(TensorSection.simple(small_disks(0, 1), [a, a], free_x))
+    both = evaluate(TensorSection.simple(small_disks(0, 1), [a, a], free_x), U)
     assert both == {((("x", 0), ("x", 0)),): Scalar(1)}
+
+
+def test_evaluate_reduces_in_the_section_presentation(quot_x2):
+    # x0 on two disks of one region multiply to x0*x0, zero in x | x*x.
+    U = SupportedOpen([[D(0, 2), D(1, 2)]])
+    a = quot_x2.gen("x")
+    assert evaluate(TensorSection.simple(small_disks(0, 1), [a, a], quot_x2), U) == {}
 
 
 def test_evaluate_plane_region(free_x):
     U = SupportedOpen([[Disk(Scalar(0), None)]])
-    ev = evaluate(free_x, U)
-    assert ev.region_count == 1
+    assert len(U) == 1
     s = TensorSection.simple(small_disks(0, 100), [free_x.gen("x")] * 2, free_x)
-    pushed = ev.push(s)
-    assert pushed == {((("x", 0), ("x", 0)),): Scalar(1)}
+    assert evaluate(s, U) == {((("x", 0), ("x", 0)),): Scalar(1)}
 
 
 def test_evaluate_errors(free_x):
     U = SupportedOpen([[D(0, 1)]])
-    ev = evaluate(free_x, U)
     outside = TensorSection.simple(small_disks(10), [free_x.gen("x")], free_x)
     with pytest.raises(ValueError):
-        ev.push(outside)
+        evaluate(outside, U)
     with pytest.raises(ValueError):
         SupportedOpen([[D(0, 1), D(5, 1)]])  # disconnected region
     with pytest.raises(ValueError):
@@ -411,6 +413,18 @@ def test_section_input_with_a_factor_above_the_bound_is_zero():
     # A factor kept under a larger bound is refused, not carried.
     with pytest.raises(ValueError):
         TensorSection.simple(small_disks(0), [GradedElement({(("x", 5),): 1}, 6)], P)
+
+
+def test_section_input_with_an_undeclared_generator_is_refused(free_x):
+    L = small_disks(0)
+    y0 = GradedElement.generator("y", 0, free_x.wmax)
+    with pytest.raises(ValueError):
+        TensorSection.simple(L, [y0], free_x)
+    with pytest.raises(ValueError):
+        TensorSection(L, free_x, {((("y", 0),),): 1})
+    # A key with one declared and one undeclared factor is refused too.
+    with pytest.raises(ValueError):
+        TensorSection(L, free_x, {((("x", 0), ("y", 0)),): 1})
 
 
 @pytest.mark.parametrize("gens, relations", [("xy", ["x*y"]), ("xyz", ["x*y", "y*z"])])

@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from jetfact._kernels import BACKEND, kernel_py as k
+from jetfact import _kernels as k
 from jetfact.scalars import Scalar
 
 
@@ -16,6 +16,8 @@ def test_mono_ops():
     # Leibniz on x0*x0 gives the bumped monomial with multiplicity two.
     assert k.mono_derive((("x", 0), ("x", 0))) == [((("x", 1), ("x", 0)), 2)]
     assert k.mono_derive(()) == []
+    # Canonical factor order: generator name ascending, then order descending.
+    assert k.factor_key(("x", 2)) < k.factor_key(("x", 0)) < k.factor_key(("y", 5))
 
 
 def test_lc_ops():
@@ -28,7 +30,7 @@ def test_lc_ops():
 
 
 def test_selected_backend_reported():
-    assert BACKEND == "python"
+    assert k.BACKEND == "python"
 
 
 factors = st.tuples(st.sampled_from("xyz"), st.integers(min_value=0, max_value=5))
@@ -38,7 +40,7 @@ monomials = st.lists(factors, max_size=5).map(
 
 
 @given(monomials, monomials)
-def test_monomial_weight_is_additive(m1, m2):
+def test_mono_weight_is_additive(m1, m2):
     prod = k.mono_mul(m1, m2)
     assert k.mono_weight(prod) == k.mono_weight(m1) + k.mono_weight(m2)
     # The product is again canonically sorted.
