@@ -135,12 +135,13 @@ class AlgebraPresentation:
         if max_weight < 0:
             raise ValueError("max_weight must be non-negative")
         self.generators = generators
+        self._generator_set = frozenset(generators)
         self.wmax = max_weight
         rels = []
         for r in relations:
             if isinstance(r, str):
                 r = parse_element(r, generators, max_weight)
-            if not r.generators() <= set(generators):
+            if not r.generators() <= self._generator_set:
                 raise ValueError("relation uses undeclared generators")
             if r:
                 rels.append(r)
@@ -212,9 +213,12 @@ class AlgebraPresentation:
             raise ValueError(
                 f"element truncation {elem.wmax} does not match presentation {self.wmax}"
             )
-        extra = elem.generators() - set(self.generators)
-        if extra:
-            raise ValueError(f"element uses undeclared generators {sorted(extra)}")
+        gens = self._generator_set
+        for mono in elem.data:
+            for g, _ in mono:
+                if g not in gens:
+                    extra = sorted(elem.generators() - gens)
+                    raise ValueError(f"element uses undeclared generators {extra}")
 
     # -- ring operations ---------------------------------------------------------
 

@@ -307,6 +307,16 @@ def test_generator_mismatch(free_x, free_xy):
         free_x.multiply(y, y)
 
 
+def test_undeclared_generators_are_named_sorted(free_x):
+    # The check stops at the first undeclared factor, but the message
+    # still names every undeclared generator, sorted.
+    elem = GradedElement(
+        {(("z", 1),): Scalar(1), (("x", 0), ("y", 0)): Scalar(2), (("x", 1),): Scalar(3)}, 6
+    )
+    with pytest.raises(ValueError, match=r"undeclared generators \['y', 'z'\]$"):
+        free_x.multiply(free_x.unit(), elem)
+
+
 @pytest.mark.parametrize(
     "op",
     [

@@ -1,5 +1,5 @@
 """Mutation smoke tests: each named mutant is patched in at a module global
-of the section or jet layer, or written into a table of a fresh
+of the section, jet or insertion layer, or written into a table of a fresh
 presentation, and the harness that covers it must report a failure (not
 pass, and not crash)."""
 
@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from jetfact import factalg, jetalg
+from jetfact import factalg, jetalg, reconstruct
 from jetfact._kernels import lc_scale
 from jetfact.jetalg import AlgebraPresentation
 from jetfact.factalg import check_coequalizer_chain, check_pfa_axioms
@@ -66,6 +66,32 @@ def test_doubled_factorial_fails_three_harnesses(monkeypatch):
     assert {"equivariance_compose", "equivariance_multiplication"} <= failing(
         check_pfa_axioms(free_x, samples=5, seed=0)
     )
+
+
+@pytest.mark.parametrize(
+    "lowest, expected",
+    [(2, {"modes"}), (1, {"translation", "modes"})],
+    ids=["n >= 2", "n >= 1"],
+)
+def test_doubled_insertion_factorial_fails_the_roundtrip(monkeypatch, lowest, expected):
+    # reconstruct's own T^k m / k! is memoised per VertexAlgebra: build a
+    # fresh one under the mutant.  Only k = 1 feeds the translation check.
+    monkeypatch.setattr(
+        reconstruct, "factorial", lambda n: factorial(n) * (2 if n >= lowest else 1)
+    )
+    V = VertexAlgebra(AlgebraPresentation(["x"], [], 6))
+    assert failing(eta_roundtrip_check(V)) == expected
+
+
+def test_doubled_placed_state_fails_the_roundtrip_modes(monkeypatch):
+    place = reconstruct._place
+    monkeypatch.setattr(
+        reconstruct,
+        "_place",
+        lambda series, point, state, V: place(series, point, state.scale(Scalar(2)), V),
+    )
+    V = VertexAlgebra(AlgebraPresentation(["x"], [], 6))
+    assert failing(eta_roundtrip_check(V)) == {"modes"}
 
 
 @pytest.mark.parametrize(

@@ -243,6 +243,30 @@ def test_eta_roundtrip_quotient():
     assert all_pass(report["checks"])
 
 
+@pytest.mark.parametrize(
+    "gens, rels", [(["x"], []), (["x", "y"], ["x*y"])], ids=["free x", "x,y | x*y"]
+)
+def test_two_point_series_is_one_point_series_times_b(gens, rels):
+    # The roundtrip harness builds each two-point series at (z, 0) as the
+    # one-point series of a times b; this is that identity, read through
+    # the public API on every basis pair and every power of z.  The exact
+    # point 0 adds no variable, so z^k is the key (k,) in both series.
+    V = VertexAlgebra(AlgebraPresentation(gens, rels, 4))
+    P = V.presentation
+    basis = [
+        GradedElement.monomial(m, P.wmax)
+        for delta in range(P.wmax + 1)
+        for m in P.weight_basis(delta)
+    ]
+    for a in basis:
+        one = insert(["z"], [a], V)
+        for b in basis:
+            two = insert(["z", 0], [a, b], V)
+            assert two.variables == ("z",)
+            for k in range(P.wmax + 1):
+                assert two.coefficient((k,)) == P.multiply(one.coefficient((k,)), b)
+
+
 def test_eta_roundtrip_catches_a_wrong_mode(v4, monkeypatch):
     import jetfact.reconstruct as reconstruct
 
