@@ -8,6 +8,7 @@ recovers its coefficients by contour integration.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND
+from .errors import InputError
 from .scalars import Scalar
 from .grading import GradedElement
 from .jetalg import AlgebraPresentation, DifferentialHom, lift_hom
@@ -20,6 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KERNEL_BACKEND",
+    "InputError",
     "Scalar",
     "GradedElement",
     "AlgebraPresentation",

@@ -6,10 +6,10 @@ the preset and returns its check list; run() builds the presentation,
 times the handler and emits one JSON report of the form
 {command, params, checks: [{name, status, detail}], timing_ms, elapsed_ms,
 version, backend, python} to stdout or --out.  Exit status is 0 when every
-check passes, 1 on check failures, 2 on bad input: a parse error, a zero
-denominator, a malformed preset or a negative count, and 3 on an internal
-fault, reported as one line on stderr.  All randomness flows from the
---seed flag.
+check passes, 1 on check failures, 2 on bad input (an InputError such as
+a parse error or a malformed preset or flag, an OSError, or a negative
+count) and 3 on any other error, reported as one line on stderr.  All
+randomness flows from the --seed flag.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import sys
 import time
 
 from .diskgeom import BasisElement
+from .errors import InputError
 from .exprs import free_names
 from .factalg import (
     SupportedOpen,
@@ -45,9 +46,12 @@ INTERNAL_ERROR = 3
 def load_preset(path):
     """The JSON object in the file; anything but an object is bad input."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{path}: not JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+        raise InputError(f"{path}: expected a JSON object")
     return doc
 
 
@@ -59,7 +63,7 @@ def build_presentation(args):
     doc = preset.get("presentation", {})
     doc = load_preset(doc) if isinstance(doc, str) else doc
     if not isinstance(doc, dict):
-        raise ValueError("preset presentation must be a JSON object or a file path")
+        raise InputError("preset presentation must be a JSON object or a file path")
     doc = dict(doc)
     if args.gens:
         doc["generators"] = [g.strip() for g in args.gens.split(",") if g.strip()]
@@ -102,9 +106,9 @@ def cmd_fact_check(args, P, preset) -> list:
     geometry = preset.get("geometry", {})
     entries = preset.get("checks", [{}])
     if not isinstance(geometry, dict):
-        raise ValueError("preset geometry must be a JSON object")
+        raise InputError("preset geometry must be a JSON object")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError("preset checks must be a list of JSON objects")
+        raise InputError("preset checks must be a list of JSON objects")
     # Named geometry in the scenario is validated up front: construction
     # enforces disjointness for basis elements and connectivity plus
     # region disjointness for supported opens ({"regions": [[...], ...]}).
@@ -120,20 +124,22 @@ def cmd_fact_check(args, P, preset) -> list:
             checks.append(check_entry(f"geometry_{name}", False, {"error": str(exc)}))
         except TypeError as exc:
             # A value of the wrong JSON type is bad input, not a failed check.
-            raise ValueError(f"preset geometry {name!r} is malformed: {exc}") from None
+            raise InputError(f"preset geometry {name!r} is malformed: {exc}") from None
     for entry in entries:
         samples = entry.get("samples", args.samples)
         if not isinstance(samples, int) or samples < 0:
-            raise ValueError(f"preset samples must be a non-negative integer: {samples!r}")
+            raise InputError(f"preset samples must be a non-negative integer: {samples!r}")
         seed = entry.get("seed", args.seed)
         if not isinstance(seed, int):
-            raise ValueError(f"preset seed must be an integer: {seed!r}")
+            raise InputError(f"preset seed must be an integer: {seed!r}")
         checks.extend(check_pfa_axioms(P, samples=samples, seed=seed)["checks"])
     return checks
 
 
 def cmd_fact_coeq(args, P, preset) -> list:
     radii = [frac(r) for r in args.radii.split(",")]
+    if any(r <= 0 for r in radii) or radii != sorted(set(radii)):
+        raise InputError(f"radii must be positive and strictly increasing, got {args.radii}")
     return check_coequalizer_chain(P, radii)["checks"]
 
 
@@ -325,7 +331,7 @@ def run(argv) -> int:
                 fh.write(text + "\n")
         else:
             print(text)
-    except (ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except Exception as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 
+from .errors import InputError
 from .grading import GradedElement
 from .scalars import I, ONE, Scalar
 from ._kernels import lc_mul
@@ -16,7 +17,7 @@ from ._kernels import lc_mul
 __all__ = ["parse_element", "unparse_element", "free_names", "ExprError"]
 
 
-class ExprError(ValueError):
+class ExprError(InputError):
     pass
 
 

@@ -2,21 +2,22 @@
 
 A basis open set is a finite disjoint union of disks; the space attached
 to it is the tensor power of the coefficient algebra, one factor per disk,
-with the empty union carrying the scalars.  Sections are stored fully
-expanded over monomial tensors in a canonical disk order, so equality is
-decidable.  Corestriction along an inclusion of basis sets multiplies the
-factors that land in a common target disk; multiplication for a disjoint
-pair is concatenation followed by corestriction.  The isometry group acts
-on a section by moving the disks and applying the translation-rotation
-flow to every factor.
+with the empty union carrying the scalars.  A section is a sum of simple
+tensors: each term is a coefficient and one normal-form factor per disk,
+in the canonical disk order, and every structure map works on the terms.
+Corestriction along an inclusion of basis sets multiplies the factors
+that land in a common target disk through the product table (a lone
+factor passes through, an empty group gives the unit); multiplication for
+a disjoint pair concatenates the terms, then corestricts.  The isometry
+group moves the disks and applies the translation-rotation flow to each
+distinct factor once.  Equality is decided on the expansion over monomial
+tensors (data), computed once per section when first read.
 
-Corestriction, evaluation, the isometry action and algebra morphisms are
-one pushforward, _expand, from each monomial-tensor key to a list of
-factors.  TensorSection() puts outside keys in canonical form (factors
-sorted, keys with a factor above the bound dropped as zero, equal keys
-summed) and refuses factors naming a generator outside the presentation;
-TensorSection.simple refuses factors that are not elements of the
-presentation.  Internal results are wrapped by the trusted
+TensorSection() puts outside keys in canonical form (factors sorted and
+read in normal form, keys with a factor above the bound dropped as zero,
+equal keys summed) and refuses factors naming a generator outside the
+presentation; TensorSection.simple refuses factors that are not elements
+of the presentation.  Internal results are wrapped by the trusted
 TensorSection._make.  The gluing check memoises each corestriction by
 (value, disk, disk).
 
@@ -52,7 +53,7 @@ from .reports import SampledChecks, check_entry
 from .sampling import Sampler
 from .scalars import Scalar
 from .vertex import VertexAlgebra, completion_rotation, completion_translation
-from ._kernels import lc_add, lc_scale, mono_mul, mono_weight
+from ._kernels import mono_weight
 
 __all__ = [
     "TensorSection",
@@ -76,15 +77,18 @@ __all__ = [
 class TensorSection:
     """Element of the tensor power attached to a disjoint union of disks.
 
-    data maps tuples of monomials (one per disk of L, in canonical disk
-    order) to nonzero scalars; for the empty union the single key is ().
-    Equality and hashing read L and data, not the presentation P: like
-    GradedElement's, they compare the section's terms, and every check
+    terms is a list of (coeff, factors): a Scalar and a tuple of normal-form
+    GradedElements, one per disk of L in canonical disk order; for the
+    empty union factors is ().  Outside keys enter with each monomial read
+    through P.reduce_monomial, so y0*x0 on x,y | x*y is zero.  data is the
+    expansion of the terms, a map from tuples of monomials to nonzero
+    scalars.  Equality and hashing read L and data, not the presentation P:
+    like GradedElement's, they compare the section's terms, and every check
     compares sections of one presentation.  Arithmetic across presentations
     is still refused (see __add__).
     """
 
-    __slots__ = ("L", "P", "data")
+    __slots__ = ("L", "P", "terms", "_data")
 
     def __init__(self, L: BasisElement, P: AlgebraPresentation, data: dict):
         self.L = L
@@ -101,31 +105,37 @@ class TensorSection:
             if any(mono_weight(m) > P.wmax for m in key):
                 continue
             clean[key] = clean.get(key, Scalar(0)) + Scalar.coerce(coeff)
-        self.data = {key: c for key, c in clean.items() if c}
+        self.terms = [(c, tuple(map(P.reduce_monomial, key))) for key, c in clean.items() if c]
+        self._data = None
 
     @classmethod
-    def _make(cls, L: BasisElement, P: AlgebraPresentation, data: dict) -> "TensorSection":
-        """Wrap data that is already clean (tuple keys of length len(L),
-        nonzero Scalars) without re-validating; for internal results."""
+    def _make(cls, L: BasisElement, P: AlgebraPresentation, terms: list) -> "TensorSection":
+        """Wrap terms that are already clean (factor tuples of length
+        len(L), each factor a normal form of P) without re-validating."""
         self = object.__new__(cls)
         self.L = L
         self.P = P
-        self.data = data
+        self.terms = terms
+        self._data = None
         return self
+
+    @property
+    def data(self) -> dict:
+        """The canonical expansion over monomial tensors, computed once."""
+        if self._data is None:
+            self._data = _expansion(self.terms)
+        return self._data
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def simple(cls, L: BasisElement, factors, P, coeff=Scalar(1)) -> "TensorSection":
-        """Simple tensor with factors aligned to the canonical disks of L."""
-        factors = list(factors)
+        """Simple tensor of the normal forms of factors, aligned to the
+        canonical disks of L."""
+        factors = tuple(map(P.normal_form, factors))
         if len(factors) != len(L):
             raise ValueError("factor count does not match disk count")
-        for f in factors:
-            P._check_element(f)
-        data = {}
-        _accumulate_expansion(data, factors, Scalar.coerce(coeff))
-        return cls._make(L, P, data)
+        return cls._make(L, P, [(Scalar.coerce(coeff), factors)])
 
     @classmethod
     def on_disks(cls, disks, factors, P) -> "TensorSection":
@@ -150,10 +160,11 @@ class TensorSection:
     def __add__(self, other: "TensorSection") -> "TensorSection":
         if self.L != other.L or self.P != other.P:
             raise ValueError("sections live on different basis opens")
-        return TensorSection._make(self.L, self.P, lc_add(self.data, other.data))
+        return TensorSection._make(self.L, self.P, self.terms + other.terms)
 
     def scale(self, coeff) -> "TensorSection":
-        return TensorSection._make(self.L, self.P, lc_scale(self.data, Scalar.coerce(coeff)))
+        coeff = Scalar.coerce(coeff)
+        return TensorSection._make(self.L, self.P, [(coeff * c, f) for c, f in self.terms])
 
     def __sub__(self, other):
         return self + other.scale(Scalar(-1))
@@ -189,40 +200,44 @@ class TensorSection:
         return self.data.get((), Scalar(0))
 
 
-def _group_product(P, key, index_lists):
-    """Per target slot, the reduced product of the monomials at the given
-    indices; grouped monomials merge first, so reductions are cached."""
+def _expansion(terms) -> dict:
+    """The sum over terms of the coefficient times the monomial expansion
+    of the simple tensor of the factors, zero sums dropped."""
+    data = {}
+    for coeff, factors in terms:
+        for combo in iproduct(*[f.data.items() for f in factors]):
+            key = tuple(m for m, _ in combo)
+            c = coeff
+            for _, fc in combo:
+                c = c * fc
+            acc = data.get(key)
+            nc = c if acc is None else acc + c
+            if nc:
+                data[key] = nc
+            elif acc is not None:
+                del data[key]
+    return data
+
+
+def _group_product(P, factors, index_lists) -> tuple:
+    """Per target slot, the product in P of the factors at the given
+    indices, by the product table: a lone factor passes through and an
+    empty group gives the unit."""
     out = []
     for idxs in index_lists:
-        merged = ()
-        for i in idxs:
-            merged = mono_mul(merged, key[i])
-        out.append(P.reduce_monomial(merged))
-    return out
+        if not idxs:
+            out.append(P.reduce_monomial(()))
+            continue
+        f = factors[idxs[0]]
+        for i in idxs[1:]:
+            f = GradedElement._make(P._product(f.data, factors[i].data), P.wmax)
+        out.append(f)
+    return tuple(out)
 
 
-def _accumulate_expansion(data: dict, factors, coeff) -> None:
-    """Add coeff times the monomial expansion of a simple tensor to data."""
-    for combo in iproduct(*[f.data.items() for f in factors]):
-        key = tuple(m for m, _ in combo)
-        c = coeff
-        for _, fc in combo:
-            c = c * fc
-        acc = data.get(key)
-        nc = c if acc is None else acc + c
-        if nc:
-            data[key] = nc
-        elif acc is not None:
-            del data[key]
-
-
-def _expand(s: TensorSection, factors_of) -> dict:
-    """Pushforward of a section's data: the sum over its keys of the
-    coefficient times the expansion of the simple tensor factors_of(key)."""
-    data = {}
-    for key, coeff in s.data.items():
-        _accumulate_expansion(data, factors_of(key), coeff)
-    return data
+def _grouped_terms(s: TensorSection, index_lists) -> list:
+    """The terms of s with the factors of each index group multiplied."""
+    return [(c, _group_product(s.P, factors, index_lists)) for c, factors in s.terms]
 
 
 def corestrict(s: TensorSection, M: BasisElement) -> TensorSection:
@@ -231,9 +246,7 @@ def corestrict(s: TensorSection, M: BasisElement) -> TensorSection:
     Factors whose disks land in a common disk of M are multiplied; target
     disks containing nothing receive the unit.
     """
-    index_lists = decompose(s.L, M)
-    data = _expand(s, lambda key: _group_product(s.P, key, index_lists))
-    return TensorSection._make(M, s.P, data)
+    return TensorSection._make(M, s.P, _grouped_terms(s, decompose(s.L, M)))
 
 
 def tensor_concat(s: TensorSection, t: TensorSection) -> TensorSection:
@@ -246,13 +259,12 @@ def tensor_concat(s: TensorSection, t: TensorSection) -> TensorSection:
         raise ValueError("sections over different presentations")
     U = s.L.union(t.L)
     # U.order[j] is the index of U's j-th disk in s.L.disks + t.L.disks.
-    # Keys are injective in (k1, k2) and c1 * c2 is never zero: no merging.
-    data = {
-        tuple(map((k1 + k2).__getitem__, U.order)): c1 * c2
-        for k1, c1 in s.data.items()
-        for k2, c2 in t.data.items()
-    }
-    return TensorSection._make(U, s.P, data)
+    terms = [
+        (c1 * c2, tuple(map((f1 + f2).__getitem__, U.order)))
+        for c1, f1 in s.terms
+        for c2, f2 in t.terms
+    ]
+    return TensorSection._make(U, s.P, terms)
 
 
 def multiply_sections(s: TensorSection, t: TensorSection, N: BasisElement) -> TensorSection:
@@ -309,7 +321,7 @@ def evaluate(s: TensorSection, U: SupportedOpen) -> dict:
         if j is None:
             raise ValueError(f"disk {d} is not inside any region")
         index_lists[j].append(i)
-    return _expand(s, lambda key: _group_product(s.P, key, index_lists))
+    return _expansion(_grouped_terms(s, index_lists))
 
 
 def mu_l(P: AlgebraPresentation, elements) -> GradedElement:
@@ -340,12 +352,11 @@ def equivariant_act(g: GroupElement, s: TensorSection, V: VertexAlgebra) -> Tens
     newL = BasisElement([act(g, d) for d in s.L])
 
     @cache
-    def transform(mono):
-        elem = GradedElement._make({mono: Scalar(1)}, s.P.wmax)
-        return completion_translation(g.t, completion_rotation(g.q, elem, V), V)
+    def move(f):
+        return completion_translation(g.t, completion_rotation(g.q, f, V), V)
 
-    data = _expand(s, lambda key: [transform(key[i]) for i in newL.order])
-    return TensorSection._make(newL, s.P, data)
+    terms = [(c, tuple(move(factors[i]) for i in newL.order)) for c, factors in s.terms]
+    return TensorSection._make(newL, s.P, terms)
 
 
 class FAMorphism:
@@ -365,13 +376,9 @@ class FAMorphism:
     def apply(self, s: TensorSection) -> TensorSection:
         if s.P != self.source:
             raise ValueError("section is not over the morphism source")
-
-        @cache
-        def image(mono):
-            return self.hom.apply(GradedElement._make({mono: Scalar(1)}, s.P.wmax))
-
-        data = _expand(s, lambda key: [image(m) for m in key])
-        return TensorSection._make(s.L, self.target, data)
+        image = cache(self.hom.apply)
+        terms = [(c, tuple(map(image, factors))) for c, factors in s.terms]
+        return TensorSection._make(s.L, self.target, terms)
 
 
 def adjunction_theta(phi: FAMorphism) -> AlgebraHom:
@@ -556,8 +563,8 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
                 for d in u_disks[:2]
             ]
             pair = tensor_concat(fixed[0], fixed[1])
-            broken = _expand(pair, lambda key: _group_product(P, key, [[0]]))
-            tally.record("negative_control", broken != corestrict(pair, wbe).data)
+            broken = TensorSection._make(wbe, P, _grouped_terms(pair, [[0]]))
+            tally.record("negative_control", broken != corestrict(pair, wbe))
 
     return {"checks": tally.entries(samples)}
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from math import factorial
 
+from .errors import InputError
 from .exprs import parse_element, unparse_element
 from .grading import GradedElement, format_element
 from .scalars import ONE, Scalar
@@ -81,14 +82,15 @@ class Echelon:
 
     pivots maps the leading key of each row, its largest key under the
     sort key given (natural order by default), to that row scaled to a
-    leading coefficient of one.  The rows are not reduced against later
-    pivots.
+    leading coefficient of one, and order maps it to its sort key.  The
+    rows are not reduced against later pivots.
     """
 
-    __slots__ = ("pivots", "key")
+    __slots__ = ("pivots", "order", "key")
 
     def __init__(self, key=None):
         self.pivots = {}
+        self.order = {}
         self.key = key
 
     def reduce(self, row: dict) -> dict:
@@ -102,7 +104,7 @@ class Echelon:
             hits = [m for m in row if m in pivots]
             if not hits:
                 return row
-            m = max(hits, key=self.key)
+            m = max(hits, key=self.order.__getitem__)
             c = row.pop(m)
             for pm, pv in pivots[m].items():
                 if pm == m:
@@ -122,6 +124,7 @@ class Echelon:
         lead = max(row, key=self.key)
         inv = Scalar(1) / row[lead]
         self.pivots[lead] = {m: c * inv for m, c in row.items()}
+        self.order[lead] = lead if self.key is None else self.key(lead)
         return True
 
 
@@ -131,9 +134,9 @@ class AlgebraPresentation:
     def __init__(self, generators, relations=(), max_weight: int = 6):
         generators = tuple(generators)
         if len(set(generators)) != len(generators):
-            raise ValueError("generator names must be distinct")
+            raise InputError("generator names must be distinct")
         if max_weight < 0:
-            raise ValueError("max_weight must be non-negative")
+            raise InputError("max_weight must be non-negative")
         self.generators = generators
         self._generator_set = frozenset(generators)
         self.wmax = max_weight
@@ -142,7 +145,7 @@ class AlgebraPresentation:
             if isinstance(r, str):
                 r = parse_element(r, generators, max_weight)
             if not r.generators() <= self._generator_set:
-                raise ValueError("relation uses undeclared generators")
+                raise InputError("relation uses undeclared generators")
             if r:
                 rels.append(r)
         self.relations = tuple(rels)
@@ -370,16 +373,16 @@ class AlgebraPresentation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "AlgebraPresentation":
-        """Presentation of a JSON document; a value of the wrong type is a
-        ValueError."""
+        """Presentation of a JSON document; a value of the wrong type is an
+        InputError."""
         gens = doc["generators"]
         rels = doc.get("relations", [])
         wmax = doc.get("max_weight", 6)
         for key, value in (("generators", gens), ("relations", rels)):
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise ValueError(f"presentation {key} must be a list of strings, got {value!r}")
+                raise InputError(f"presentation {key} must be a list of strings, got {value!r}")
         if not isinstance(wmax, int) or isinstance(wmax, bool):
-            raise ValueError(f"presentation max_weight must be an integer, got {wmax!r}")
+            raise InputError(f"presentation max_weight must be an integer, got {wmax!r}")
         return cls(gens, rels, wmax)
 
     def __repr__(self):

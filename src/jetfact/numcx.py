@@ -29,6 +29,7 @@ from math import gcd, pi
 
 import numpy as np
 
+from .errors import InputError
 from .jetalg import AlgebraPresentation
 from .reports import check_entry
 from .scalars import Scalar
@@ -68,7 +69,7 @@ class QuadratureError(ArithmeticError):
     """
 
 
-class AliasingError(ValueError):
+class AliasingError(InputError):
     """Too few trapezoid nodes; need is the least count that aliases nothing."""
 
     def __init__(self, message: str, need: int):

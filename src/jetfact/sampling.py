@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from .diskgeom import BasisElement, Disk, GroupElement
+from .errors import InputError
 from .grading import GradedElement
 from .scalars import Scalar
 
@@ -81,7 +82,7 @@ class Sampler:
                 picks = self.rng.sample(basis, min(len(basis), self.rng.randint(1, max_terms)))
                 data = {m: self.nonzero_scalar() for m in picks}
                 return GradedElement._make(data, P.wmax)
-        raise ValueError("presentation has no nonzero weight components")
+        raise InputError("presentation has no nonzero weight components")
 
     def weight_triple(self, wmax: int) -> tuple:
         """Three weights that sum to at most wmax, uniform over all such

@@ -22,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import InputError
+
 __all__ = ["Scalar", "ZERO", "ONE", "I", "frac"]
 
 
@@ -35,7 +37,9 @@ def frac(value) -> Fraction:
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+            raise InputError(f"zero denominator in {value!r}") from None
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

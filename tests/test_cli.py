@@ -4,7 +4,7 @@ import platform
 import pytest
 
 import jetfact
-from jetfact import cli
+from jetfact import cli, factalg
 from jetfact.cli import build_parser, run
 
 
@@ -239,6 +239,43 @@ def test_internal_fault_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "check_coequalizer_chain", boom)
     assert run(["fact", "coeq"]) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def test_value_error_inside_a_structure_map_exits_three(monkeypatch, capsys):
+    # Only an InputError is bad input; any other ValueError is a fault.
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(factalg, "corestrict", boom)
+    assert run(["fact", "check", "--samples", "1"]) == 3
+    assert capsys.readouterr().err == "internal error: ValueError: boom\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fact", "coeq", "--radii", "2,1"],
+        ["fact", "coeq", "--radii", "0,1"],
+        ["fact", "coeq", "--radii", "a"],
+        ["jet", "build", "--gens", "x,x"],
+        ["jet", "build", "--max-weight", "-1"],
+        ["fact", "check", "--relations", "1", "--samples", "1"],
+        ["fact", "check", "--preset", __file__],
+    ],
+    ids=[
+        "decreasing radii",
+        "zero radius",
+        "radius not a number",
+        "repeated generator",
+        "negative max weight",
+        "zero algebra",
+        "preset not JSON",
+    ],
+)
+def test_bad_input_is_an_input_error(argv, capsys):
+    assert issubclass(jetfact.InputError, ValueError)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_reports_deterministic(tmp_path):

@@ -1,12 +1,15 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from jetfact.diskgeom import BasisElement, Disk, GroupElement, act
+from jetfact._kernels import mono_mul
+from jetfact.diskgeom import BasisElement, Disk, GroupElement, act, contains, decompose
 from jetfact.factalg import (
     FAMorphism,
     SupportedOpen,
     TensorSection,
+    _sample_section,
     adjunction_theta,
     adjunction_theta_prime,
     check_coequalizer_chain,
@@ -403,6 +406,20 @@ def test_section_input_in_reversed_order_reduces_in_the_quotient(quot_xy):
     assert not corestrict(s, BasisElement([D(0, 2)]))
 
 
+def test_section_input_is_read_in_normal_form(quot_xy):
+    # The key y0*x0 is zero in the quotient, so the section is 2*x1 alone,
+    # and scaling by one and the identity action leave it equal.
+    L = small_disks(0)
+    s = TensorSection(L, quot_xy, {((("y", 0), ("x", 0)),): 1, ((("x", 1),),): 2})
+    assert s == TensorSection(L, quot_xy, {((("x", 1),),): 2})
+    assert s == s.scale(1)
+    assert equivariant_act(GroupElement.identity(), s, VertexAlgebra(quot_xy)) == s
+    # A factor given outside normal form is reduced too, so a lone factor
+    # that corestriction passes through unmultiplied is still reduced.
+    xy = TensorSection.simple(L, [GradedElement({(("x", 0), ("y", 0)): 1}, 6)], quot_xy)
+    assert not xy and not corestrict(xy, BasisElement([D(0, 2)]))
+
+
 def test_section_input_with_a_factor_above_the_bound_is_zero():
     P = AlgebraPresentation(["x"], [], 4)
     assert not TensorSection(small_disks(0), P, {((("x", 5),),): 1})
@@ -436,3 +453,138 @@ def test_coequalizer_chain_on_quotients(gens, relations):
     for check, dim in zip(report["checks"], P.dims()):
         assert check["detail"]["dim"] == dim
         assert check["detail"]["rank"] == 2 * dim
+
+
+# -- the factored structure maps against a key-by-key expansion ---------------
+#
+# The reference keeps a section as its expanded monomial-tensor data and
+# pushes each key forward on its own: the monomials of a group merge by
+# mono_mul and reduce by reduce_monomial, and a flow or a morphism moves
+# one monomial at a time.
+
+
+def _ref_expand(data, factors_of) -> dict:
+    out = {}
+    for key, coeff in data.items():
+        for combo in product(*[f.data.items() for f in factors_of(key)]):
+            c = coeff
+            for _, fc in combo:
+                c = c * fc
+            k = tuple(m for m, _ in combo)
+            out[k] = out.get(k, Scalar(0)) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_group(P, index_lists):
+    def factors_of(key):
+        out = []
+        for idxs in index_lists:
+            merged = ()
+            for i in idxs:
+                merged = mono_mul(merged, key[i])
+            out.append(P.reduce_monomial(merged))
+        return out
+
+    return factors_of
+
+
+def _ref_corestrict(s, M) -> dict:
+    return _ref_expand(s.data, _ref_group(s.P, decompose(s.L, M)))
+
+
+def _ref_concat(s, t) -> dict:
+    order = s.L.union(t.L).order
+    return {
+        tuple(map((k1 + k2).__getitem__, order)): c1 * c2
+        for k1, c1 in s.data.items()
+        for k2, c2 in t.data.items()
+    }
+
+
+def _ref_act(g, s, V) -> dict:
+    order = BasisElement([act(g, d) for d in s.L]).order
+
+    def move(m):
+        elem = GradedElement._make({m: Scalar(1)}, s.P.wmax)
+        return completion_translation(g.t, completion_rotation(g.q, elem, V), V)
+
+    return _ref_expand(s.data, lambda key: [move(key[i]) for i in order])
+
+
+def _ref_apply(hom, s) -> dict:
+    def image(m):
+        return hom.apply(GradedElement._make({m: Scalar(1)}, s.P.wmax))
+
+    return _ref_expand(s.data, lambda key: [image(m) for m in key])
+
+
+@pytest.mark.parametrize(
+    "gens, rels, wmax, target, images",
+    [
+        (["x"], [], 6, (["u"], []), {"x": "u*u + d(u)"}),
+        # x*y maps to 6*x*y, zero in the quotient.
+        (["x", "y"], ["x*y"], 5, (["x", "y"], ["x*y"]), {"x": "2*x", "y": "3*y"}),
+    ],
+    ids=["free x W=6", "x,y | x*y W=5"],
+)
+def test_factored_maps_match_the_key_by_key_expansion(gens, rels, wmax, target, images):
+    P = AlgebraPresentation(gens, rels, wmax)
+    V = VertexAlgebra(P)
+    tgt = AlgebraPresentation(*target, wmax)
+    hom = lift_hom({g: tgt.parse(e) for g, e in images.items()}, P, tgt)
+    phi = FAMorphism(hom)
+    N = BasisElement([D(0, 64)])
+    far = D(1000, 1)
+    shift = GroupElement(Scalar(1), Scalar(1000))
+    big = N.union(act(shift, N))
+    for seed in range(40):
+        # The shapes of check_pfa_axioms: one or two outer disks with one or
+        # two sample disks each, and two disks for the flow, whose factors
+        # come out dense.
+        sampler = Sampler(seed)
+        counts = [sampler.rng.randint(1, 2) for _ in range(sampler.rng.randint(1, 2))]
+        L, M = sampler.nested_config(len(counts), counts)
+        s = _sample_section(sampler, L, P)
+        t = _sample_section(sampler, act(shift, L), P)
+        # Targets with a disk that receives nothing get the unit there.
+        for target in (M, N, M.union(BasisElement([far])), BasisElement([far]).union(N)):
+            assert corestrict(s, target).data == _ref_corestrict(s, target)
+        assert tensor_concat(s, t).data == _ref_concat(s, t)
+        assert tensor_concat(t, s).data == _ref_concat(t, s)
+        joint = TensorSection(L.union(t.L), P, _ref_concat(s, t))
+        assert multiply_sections(s, t, big).data == _ref_corestrict(joint, big)
+        assert phi.apply(s).data == _ref_apply(hom, s)
+        regions = SupportedOpen([[d] for d in M] + [[far]])
+        index_lists = [[i for i, d in enumerate(L) if contains(d, m)] for m in M] + [[]]
+        assert evaluate(s, regions) == _ref_expand(s.data, _ref_group(P, index_lists))
+
+        g = sampler.group_element()
+        se = _sample_section(sampler, sampler.disjoint_disks(2), P)
+        moved = equivariant_act(g, se, V)
+        moved_data = _ref_act(g, se, V)
+        assert moved.data == moved_data
+        moved_ref = TensorSection(moved.L, P, moved_data)
+        gN = act(g, N)
+        assert corestrict(moved, gN).data == _ref_corestrict(moved_ref, gN)
+        assert phi.apply(moved).data == _ref_apply(hom, moved_ref)
+
+
+# -- cancellation in factored form ---------------------------------------------
+
+
+def test_cancelling_terms_give_the_zero_section(quot_xy):
+    s = _sample_section(Sampler(5), small_disks(0, 1, 2), quot_xy)
+    assert s.terms
+    assert not s - s
+    assert s - s == TensorSection(s.L, quot_xy, {})
+    assert s + s == s.scale(2) and hash(s + s) == hash(s.scale(2))
+
+
+def test_term_lists_with_equal_expansions_are_equal(free_x):
+    L = small_disks(0, 1)
+    a, b, c = free_x.gen("x"), free_x.gen("x", 1), free_x.gen("x", 2)
+    one = TensorSection.simple(L, [a + b, c], free_x)
+    two = TensorSection.simple(L, [a, c], free_x) + TensorSection.simple(L, [b, c], free_x)
+    assert len(one.terms) == 1 and len(two.terms) == 2
+    assert one == two and hash(one) == hash(two)
+    assert one.scale(Scalar(3)) == two + two.scale(Scalar(2))

@@ -126,3 +126,18 @@ def test_corrupted_table_entry_fails_translation(table, key, row):
     else:
         P._derivatives[key] = row
     assert "translation" in failing(check_vertex_axioms(VertexAlgebra(P), samples=20, seed=0))
+
+
+@pytest.mark.parametrize(
+    "gens, rels", [(["x"], []), (["x", "y"], ["x*y"])], ids=["free x", "x,y | x*y"]
+)
+def test_concat_without_the_disk_reorder_fails_symmetry(monkeypatch, gens, rels):
+    # Factors stay in s-then-t order while the disks of the union are
+    # sorted, so s (x) t and t (x) s put their factors on different disks.
+    def unordered_concat(s, t):
+        terms = [(c1 * c2, f1 + f2) for c1, f1 in s.terms for c2, f2 in t.terms]
+        return factalg.TensorSection._make(s.L.union(t.L), s.P, terms)
+
+    monkeypatch.setattr(factalg, "tensor_concat", unordered_concat)
+    P = AlgebraPresentation(gens, rels, 6)
+    assert "symmetry" in failing(check_pfa_axioms(P, samples=5, seed=0))
