@@ -210,16 +210,18 @@ def element_vector(elem, P: AlgebraPresentation) -> np.ndarray:
     return np.array([complex(c) for c in P.coordinates(elem)], dtype=complex)
 
 
-def series_function(series: InsertionSeries, P: AlgebraPresentation):
+def series_function(series: InsertionSeries, P: AlgebraPresentation, tensor=None):
     """Numeric evaluator of an insertion series at complex variable values.
 
     Returns fn(*points) -> coordinate array, broadcasting over numpy
-    inputs.  Coefficients are converted to coordinates once.
+    inputs.  Coefficients are converted to coordinates once, here or by
+    the caller: tensor, when given, is the series' coefficient_tensor and
+    its entries are used as they are.
     """
-    coeff_vectors = {
-        exps: element_vector(elem, P) for exps, elem in series.coeffs.items()
-    }
-    dim = len(P.basis_monomials())
+    if tensor is None:
+        tensor = coefficient_tensor(series, P)
+    coeff_vectors = {exps: tensor[exps] for exps in series.coeffs}
+    dim = tensor.shape[-1]
 
     def fn(*points):
         points = [np.asarray(p, dtype=complex) for p in points]
@@ -478,9 +480,10 @@ def mode_agreement_check(
 
     The series is sampled once on the circle |z| = 0.75 and every mode is
     read from one FFT of the samples (laurent_coeffs); the exact modes are
-    read from one coefficient_tensor of the series.  Raises AliasingError
-    when the node count is below the smallest one from which no exponent
-    of the series aliases onto a mode that is read.
+    read from one coefficient_tensor of the series, which the numeric
+    evaluator shares, so each coefficient is converted once.  Raises
+    AliasingError when the node count is below the smallest one from
+    which no exponent of the series aliases onto a mode that is read.
     """
     P = V.presentation
     series = insert(["z", Scalar(0)], [a, b], V)
@@ -491,9 +494,9 @@ def mode_agreement_check(
         ((e - k,) for (e,) in series.coeffs for k in powers),
         f"the modes |n| <= {nmax} of a series of degree {series.total_degree()}",
     )
-    f = ContourFunction(series_function(series, P), vectorized=True)
-    numeric = laurent_coeffs(f, 0.0, powers, 0.75, nodes)
     C = coefficient_tensor(series, P)
+    f = ContourFunction(series_function(series, P, C), vectorized=True)
+    numeric = laurent_coeffs(f, 0.0, powers, 0.75, nodes)
     gaps = {}
     for n, k, coeff in zip(ns, powers, numeric):
         # The series has no pole, so modes n >= 0 (k < 0) read zero from

@@ -14,12 +14,13 @@ Laurent coefficients.  Locally constant structures give series with no
 pole, so all non-negative modes vanish and requests for them answer
 zero.  insert checks each state once; the series is then kept as kernel
 rows, multiplied through the presentation's product table.  The
-roundtrip check builds each basis state's one-point series once and
-shares it between the translation and mode checks: the modes of (a, b)
-are that series' rows times b placed at 0, by the same step insert takes
-at an exact point.  A deliberately slow second route through disk
-sections and corestriction is kept for cross-checking the series
-expansion.
+roundtrip check works per basis state a: it builds a's one-point series
+and a's native field vertex_ops(a, V) once each, and shares the series
+between the translation and mode checks.  For every b, the modes of
+(a, b) are that series' rows times b placed at 0, by the same step
+insert takes at an exact point, compared in full with the field's table
+for b.  A deliberately slow second route through disk sections and
+corestriction is kept for cross-checking the series expansion.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .factalg import TensorSection, corestrict, equivariant_act, tensor_concat
 from .grading import GradedElement
 from .reports import check_entry
 from .scalars import ZERO, Scalar
-from .vertex import ModeTable, VertexAlgebra, completion_translation, vertex_op
+from .vertex import ModeTable, VertexAlgebra, completion_translation, vertex_ops
 
 __all__ = [
     "InsertionSeries",
@@ -294,8 +295,10 @@ def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
 
     Each state a is inserted once, at z: the series' z-coefficient is the
     reconstructed translation of a, and for every b its rows times b at 0
-    are the reconstructed modes of (a, b).  vertex_op still runs once per
-    pair.
+    are the reconstructed modes of (a, b).  The native side is built per
+    state too: y_a = vertex_ops(a, V) holds a's translation tower, and
+    y_a(b) is the native mode table of (a, b).  Every pair is still
+    compared in full.
     """
     P = V.presentation
     basis = [
@@ -317,6 +320,7 @@ def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
         if s.coefficient((1,)) != V.translate(a):
             bad_t.append(str(a))
         rows = {e: c.data for e, c in s.coeffs.items()}
+        y_a = vertex_ops(a, V)
         for b in basis:
             pairs += 1
             modes = ModeTable(
@@ -326,7 +330,7 @@ def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
                 },
                 V.wmax,
             )
-            if vertex_op(a, b, V) != modes:
+            if y_a(b) != modes:
                 mode_fail = mode_fail or {"a": str(a), "b": str(b)}
     checks.append(
         check_entry(

@@ -7,10 +7,12 @@ attached to a state acts by
     Y(a, z) b = sum over n >= 0 of z^n / n! times (T^n a) * b,
 
 so the mode a_(n) b is the z^(-n-1) coefficient: modes with n >= 0 vanish
-and a_(-n-1) b = (T^n a) * b / n!.  The axiom checker verifies the vacuum,
-translation, and locality identities on seeded samples; locality is run as
-the finite binomial mode identity at orders N = 0, 1, 2, which is the form
-the residue calculus reduces it to.  It also checks, once, that translation
+and a_(-n-1) b = (T^n a) * b / n!.  The tower T^n a / n! depends on a
+alone, so vertex_ops builds it once per state and vertex_op is its form
+for one pair.  The axiom checker verifies the vacuum, translation, and
+locality identities on seeded samples; locality is run as the finite
+binomial mode identity at orders N = 0, 1, 2, which is the form the
+residue calculus reduces it to.  It also checks, once, that translation
 sends each jet variable g^(k) to g^(k+1).
 """
 
@@ -28,6 +30,7 @@ from .scalars import Scalar
 __all__ = [
     "VertexAlgebra",
     "ModeTable",
+    "vertex_ops",
     "vertex_op",
     "completion_rotation",
     "completion_translation",
@@ -92,21 +95,32 @@ class ModeTable:
         return f"ModeTable({{{body}}})"
 
 
-def vertex_op(a: GradedElement, b: GradedElement, V: VertexAlgebra) -> ModeTable:
-    """All modes of Y(a, z) b up to the truncation bound.
+def vertex_ops(a: GradedElement, V: VertexAlgebra):
+    """The field of a: the function b -> all modes of Y(a, z) b.
 
-    a and b are checked once, b also when a is zero; each tower term is
-    then multiplied by b through the product table rows.
+    a is checked and its translation tower T^n a / n! built here, once;
+    the returned function checks its b on every call, also when a is
+    zero, and multiplies each tower term by b through the product table
+    rows.
     """
     P = V.presentation
-    tower = P.translation_tower(a)
-    P._check_element(b)
-    modes = {}
-    for n, term in enumerate(tower):
-        prod = P._product(term.data, b.data)
-        if prod:
-            modes[-n - 1] = GradedElement._make(prod, V.wmax)
-    return ModeTable(modes, V.wmax)
+    tower = [term.data for term in P.translation_tower(a)]
+
+    def table(b: GradedElement) -> ModeTable:
+        P._check_element(b)
+        modes = {}
+        for n, term in enumerate(tower):
+            prod = P._product(term, b.data)
+            if prod:
+                modes[-n - 1] = GradedElement._make(prod, V.wmax)
+        return ModeTable(modes, V.wmax)
+
+    return table
+
+
+def vertex_op(a: GradedElement, b: GradedElement, V: VertexAlgebra) -> ModeTable:
+    """All modes of Y(a, z) b up to the truncation bound."""
+    return vertex_ops(a, V)(b)
 
 
 def completion_rotation(q: Scalar, a: GradedElement, V: VertexAlgebra) -> GradedElement:

@@ -279,6 +279,30 @@ def test_mode_agreement(v5):
         assert all_pass(report["checks"])
 
 
+def test_mode_agreement_converts_each_coefficient_once(vx, monkeypatch):
+    import jetfact.numcx as numcx
+
+    s = Sampler(37)
+    P = vx.presentation
+    pairs = [
+        (s.homogeneous_element(P, delta=2), s.homogeneous_element(P, delta=2))
+        for _ in range(20)
+    ]
+    coefficients = sum(len(insert(["z", Scalar(0)], ab, vx).coeffs) for ab in pairs)
+    assert coefficients
+    calls = []
+    convert = numcx.element_vector
+
+    def counted(elem, P):
+        calls.append(elem)
+        return convert(elem, P)
+
+    monkeypatch.setattr(numcx, "element_vector", counted)
+    for a, b in pairs:
+        assert all_pass(mode_agreement_check(a, b, vx)["checks"])
+    assert len(calls) == coefficients
+
+
 def test_residue_swap_orders_and_mode_sums(v5):
     s = Sampler(31)
     P = v5.presentation

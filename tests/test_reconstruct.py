@@ -23,6 +23,7 @@ from jetfact.vertex import (
     completion_rotation,
     completion_translation,
     vertex_op,
+    vertex_ops,
 )
 
 
@@ -272,20 +273,43 @@ def test_eta_roundtrip_catches_a_wrong_mode(v4, monkeypatch):
 
     x = v4.presentation.gen("x")
 
-    def perturbed(a, b, V):
-        table = vertex_op(a, b, V)
-        if a == x and b == x:
-            modes = dict(table.modes)
-            modes[-1] = modes[-1].scale(Scalar(2))
-            return ModeTable(modes, table.wmax)
-        return table
+    def perturbed(a, V):
+        y_a = vertex_ops(a, V)
 
-    monkeypatch.setattr(reconstruct, "vertex_op", perturbed)
+        def table_of(b):
+            table = y_a(b)
+            if a == x and b == x:
+                modes = dict(table.modes)
+                modes[-1] = modes[-1].scale(Scalar(2))
+                return ModeTable(modes, table.wmax)
+            return table
+
+        return table_of
+
+    monkeypatch.setattr(reconstruct, "vertex_ops", perturbed)
     report = eta_roundtrip_check(v4, nmax=6)
     status = {c["name"]: c["status"] for c in report["checks"]}
     assert status == {"vacuum": "pass", "translation": "pass", "modes": "fail"}
     modes = report["checks"][-1]
     assert modes["detail"]["first_counterexample"] == {"a": str(x), "b": str(x)}
+
+
+def test_eta_roundtrip_builds_each_tower_once(vx, monkeypatch):
+    P = vx.presentation
+    calls = []
+    tower = AlgebraPresentation.translation_tower
+
+    def counted(self, a):
+        calls.append(a)
+        return tower(self, a)
+
+    monkeypatch.setattr(AlgebraPresentation, "translation_tower", counted)
+    report = eta_roundtrip_check(vx, nmax=6)
+    assert all_pass(report["checks"])
+    size = sum(len(P.weight_basis(d)) for d in range(P.wmax + 1))
+    assert size == 30
+    assert report["checks"][-1]["detail"]["pairs"] == size * size
+    assert len(calls) == size
 
 
 def test_reconstructed_structure_satisfies_axioms(v4):

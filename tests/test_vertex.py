@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from jetfact.grading import GradedElement
+from jetfact.jetalg import AlgebraPresentation
 from jetfact.reports import all_pass
 from jetfact.sampling import Sampler
 from jetfact.scalars import I, Scalar
@@ -16,6 +17,7 @@ from jetfact.vertex import (
     locality_sides,
     translation_identity_failures,
     vertex_op,
+    vertex_ops,
 )
 
 
@@ -198,12 +200,58 @@ Y = GradedElement.generator("y", 0, 6)  # undeclared on free x
         (GradedElement.zero(6), GradedElement.generator("x", 0, 5)),
         (X, Y),
         (Y, X),
+        (GradedElement.generator("x", 0, 5), X),
     ],
-    ids=["0, y", "0, x@5", "x, y", "y, x"],
+    ids=["0, y", "0, x@5", "x, y", "y, x", "x@5, x"],
 )
 def test_vertex_op_checks_both_arguments(vx, a, b):
     with pytest.raises(ValueError):
         vertex_op(a, b, vx)
+    # The per-state form checks a once, when the field is built, and b on
+    # every call, also when a is zero.
+    if a.wmax == vx.wmax and a.generators() <= {"x"}:
+        y_a = vertex_ops(a, vx)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                y_a(b)
+    else:
+        with pytest.raises(ValueError):
+            vertex_ops(a, vx)
+
+
+# The presentations of the roundtrip benchmark: (generators, relations, W).
+ROUNDTRIP_FAMILY = [
+    (["x"], [], 6),
+    (["x"], [], 5),
+    (["x"], ["x*x"], 6),
+    (["x", "y"], ["x*y"], 4),
+]
+
+
+@pytest.mark.parametrize(
+    "gens, relations, wmax", ROUNDTRIP_FAMILY, ids=["x-6", "x-5", "x|xx-6", "xy|xy-4"]
+)
+def test_vertex_ops_against_derivatives_over_factorials(gens, relations, wmax):
+    # The oracle builds T^n a / n! by repeated derive and an exact 1/n!,
+    # not through the presentation's translation tower.
+    P = AlgebraPresentation(gens, relations, wmax)
+    V = VertexAlgebra(P)
+    basis = [
+        GradedElement.monomial(m, wmax)
+        for delta in range(wmax + 1)
+        for m in P.weight_basis(delta)
+    ]
+    for a in basis:
+        terms = [
+            P.derive(a, times=n).scale(Scalar(Fraction(1, factorial(n))))
+            for n in range(wmax + 1)
+        ]
+        y_a = vertex_ops(a, V)
+        for b in basis:
+            expected = ModeTable(
+                {-n - 1: P.multiply(t, b) for n, t in enumerate(terms)}, wmax
+            )
+            assert y_a(b) == expected, (str(a), str(b))
 
 
 def test_report_structure(vx):
