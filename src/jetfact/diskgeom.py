@@ -209,10 +209,6 @@ class GroupElement:
         """self after other: (q, t)(q', t') = (q q', q t' + t)."""
         return GroupElement(self.q * other.q, self.q * other.t + self.t)
 
-    def inverse(self) -> "GroupElement":
-        qinv = self.q.conjugate()
-        return GroupElement(qinv, -(qinv * self.t))
-
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented

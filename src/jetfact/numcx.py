@@ -2,30 +2,27 @@
 
 Values live in a fixed finite-dimensional coordinate space (the weight
 truncation of the graded algebra in a fixed monomial basis); the working
-seminorm is the max-norm over coordinates.  One circle sampler checks a
-circle against the declared annulus and evaluates at the uniform-angle
-trapezoid nodes; circle integrals, cauchy_coeff and laurent_coeffs (every
+seminorm is the max-norm over coordinates.  One circle sampler checks the
+radius and the node count and evaluates at the uniform-angle trapezoid
+nodes; circle integrals, cauchy_coeff and laurent_coeffs (every
 coefficient from one FFT of the samples) all read it.  The trapezoid rule
 is spectrally exact for the trigonometric-polynomial integrands this
-system produces.  One midpoint rule serves riemann_integral and the line
-segments, which refine it dyadically with one Richardson step and raise
-QuadratureError when it does not settle.  The two-variable residues of
-the locality check are the trapezoid double sum over the node grid,
-reassociated into small matrix products of the node Vandermonde matrices.
-On a finite node set exponents that differ by a multiple of the node
-count alias onto each other, so both numeric checks compute the smallest
-node count from which their series reads no other exponent and refuse
-fewer nodes with an AliasingError that carries it.  Singularity
-classification is a bounded-window heuristic with an explicit threshold:
-with finitely many samples the tail of the expansion can only be probed,
-never decided, so reports say "within the probed window".
+system produces.  Line segments refine a midpoint rule dyadically with
+one Richardson step and raise QuadratureError when it does not settle.
+The two-variable residues of the locality check are the trapezoid double
+sum over the node grid, reassociated into small matrix products of the
+node Vandermonde matrices.  On a finite node set exponents that differ by
+a multiple of the node count alias onto each other, so both numeric
+checks compute the smallest node count from which their series reads no
+other exponent and refuse fewer nodes with an AliasingError that carries
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import gcd, pi
+from math import gcd, inf, pi
 
 import numpy as np
 
@@ -37,22 +34,17 @@ from .vertex import VertexAlgebra, locality_sides, vertex_op
 from .reconstruct import InsertionSeries, insert
 
 __all__ = [
-    "Annulus",
     "Circle",
     "Line",
     "Curve",
     "ContourFunction",
     "element_vector",
     "series_function",
-    "riemann_integral",
-    "riemann_integral_tagged",
     "contour_integral",
     "cauchy_coeff",
     "laurent_coeffs",
     "coefficient_tensor",
     "double_residue",
-    "classify_singularity",
-    "SingularityReport",
     "mode_agreement_check",
     "residue_swap_check",
     "max_norm",
@@ -77,6 +69,12 @@ class AliasingError(InputError):
         self.need = need
 
 
+def _check_radius(radius: float):
+    # Chained comparisons are False for nan, so nan is refused too.
+    if not 0 < radius < inf:
+        raise ValueError(f"circle radius must be a positive finite number, got {radius}")
+
+
 def max_norm(v) -> float:
     v = np.asarray(v)
     return float(np.max(np.abs(v))) if v.size else 0.0
@@ -86,13 +84,9 @@ def max_norm(v) -> float:
 class Circle:
     center: complex
     radius: float
-    orientation: int = 1
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("circle radius must be positive")
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
+        _check_radius(self.radius)
 
     @property
     def start(self) -> complex:
@@ -143,50 +137,19 @@ class Curve:
         return cls(segs)
 
 
-@dataclass(frozen=True)
-class Annulus:
-    """Declared domain inner < |z - center| < outer; inner may be 0 (a
-    punctured or full disk) and outer may be inf."""
-
-    center: complex = 0j
-    inner: float = 0.0
-    outer: float = float("inf")
-
-    def __post_init__(self):
-        if not 0 <= self.inner < self.outer:
-            raise ValueError("need 0 <= inner < outer")
-
-    def contains_radius(self, r: float) -> bool:
-        return self.inner < r < self.outer
-
-
 class ContourFunction:
     """Evaluation procedure from the plane to the coordinate space.
 
     fn maps one complex point to an array; with vectorized=True it maps an
     array of points to a (npoints, dim) array instead.  excluded lists
     points where evaluation is undefined; quadrature nodes are checked
-    against it.  domain optionally declares the annulus on which the
-    function is defined; circle quadrature validates its radius against
-    it.
+    against it.
     """
 
-    def __init__(self, fn, excluded=(), vectorized: bool = False, domain: Annulus = None):
+    def __init__(self, fn, excluded=(), vectorized: bool = False):
         self._fn = fn
         self.excluded = tuple(complex(e) for e in excluded)
         self.vectorized = vectorized
-        self.domain = domain
-
-    def check_circle(self, center: complex, radius: float):
-        if self.domain is None:
-            return
-        if abs(center - self.domain.center) > 1e-12:
-            raise ValueError("circle is not centered in the declared annulus")
-        if not self.domain.contains_radius(radius):
-            raise ValueError(
-                f"radius {radius} outside the declared annulus "
-                f"({self.domain.inner}, {self.domain.outer})"
-            )
 
     def check_nodes(self, zs):
         for e in self.excluded:
@@ -273,10 +236,10 @@ def _refuse_aliasing(nodes: int, offsets, what: str):
 
 def _sample_circle(f: ContourFunction, center: complex, radius: float, nodes: int):
     """The trapezoid angles of the positively oriented circle and f at its
-    nodes, after checking the node count and f's declared annulus."""
+    nodes, after checking the node count and the radius."""
     if nodes < 1:
         raise ValueError(f"need at least one trapezoid node, got {nodes}")
-    f.check_circle(center, radius)
+    _check_radius(radius)
     theta = 2 * pi * np.arange(nodes) / nodes
     return theta, f.eval_many(center + radius * np.exp(1j * theta))
 
@@ -287,39 +250,9 @@ def _midpoint(f: ContourFunction, z0, z1, n: int) -> np.ndarray:
     return f.eval_many(z0 + (np.arange(n) + 0.5) * step).sum(axis=0) * step
 
 
-def riemann_integral(f, interval, n: int) -> np.ndarray:
-    """Midpoint-rule integral of a vector-valued function over [a, b]."""
-    if n < 1:
-        raise ValueError("need at least one subdivision")
-    return _midpoint(_as_contour_function(f), *interval, n)
-
-
-def riemann_integral_tagged(f, interval, partition, tags) -> np.ndarray:
-    """Riemann sum over an explicit tagged partition (validation mode).
-
-    partition is an increasing sequence from a to b; tags picks one point
-    per cell.  Used to compare arbitrary tagged partitions against the
-    uniform rule; the production integrator is riemann_integral.
-    """
-    f = _as_contour_function(f)
-    a, b = interval
-    xs = list(partition)
-    if xs[0] != a or xs[-1] != b or any(x >= y for x, y in zip(xs, xs[1:])):
-        raise ValueError("partition must increase from a to b")
-    if len(tags) != len(xs) - 1:
-        raise ValueError("need one tag per cell")
-    for t, lo, hi in zip(tags, xs, xs[1:]):
-        if not lo <= t <= hi:
-            raise ValueError("tag outside its cell")
-    values = f.eval_many(np.asarray(tags, dtype=complex))
-    widths = np.diff(np.asarray(xs, dtype=float))
-    return (values * widths[:, None]).sum(axis=0)
-
-
 def _integrate_circle(f: ContourFunction, seg: Circle, nodes: int) -> np.ndarray:
-    # A reversed circle has the same nodes and negated arc elements.
     theta, values = _sample_circle(f, seg.center, seg.radius, nodes)
-    dgamma = 1j * seg.radius * np.exp(1j * theta) * seg.orientation * (2 * pi / nodes)
+    dgamma = 1j * seg.radius * np.exp(1j * theta) * (2 * pi / nodes)
     return (values * dgamma[:, None]).sum(axis=0)
 
 
@@ -411,6 +344,8 @@ def double_residue(coeffs: np.ndarray, weight, r_z: float, r_w: float, nodes: in
     """
     if nodes < 1:
         raise ValueError(f"need at least one trapezoid node, got {nodes}")
+    for r in (r_z, r_w):
+        _check_radius(r)
     theta = 2 * pi * np.arange(nodes) / nodes
     z = r_z * np.exp(1j * theta)
     w = r_w * np.exp(1j * theta)
@@ -419,52 +354,6 @@ def double_residue(coeffs: np.ndarray, weight, r_z: float, r_w: float, nodes: in
     Z, W = z[:, None], w[None, :]
     g = weight(Z, W) * Z * W
     return np.tensordot(Vz.T @ g @ Vw, coeffs, axes=2) / (nodes * nodes)
-
-
-@dataclass
-class SingularityReport:
-    kind: str
-    order: int
-    residue: np.ndarray
-    window: int
-    threshold: float
-    magnitudes: dict
-
-    def __str__(self):
-        if self.kind == "pole":
-            return f"pole of order {self.order} (within probed window {self.window})"
-        return f"{self.kind} (within probed window {self.window})"
-
-
-def classify_singularity(f, center) -> SingularityReport:
-    """Bounded-window classification of an isolated singularity.
-
-    Probes the negative Laurent coefficients a_{-1} .. a_{-6} (window 6)
-    on the circles of radius 0.5 and 0.25 about the center, 128 nodes
-    each, and takes the worst magnitude.  Removable: all at most the
-    threshold 1e-8.  Pole of order k: a_{-k} significant, deeper ones
-    not.  Otherwise the deepest probed coefficient is still significant
-    and the report says essential within the window.
-    """
-    window, threshold = 6, 1e-8
-    f = _as_contour_function(f)
-    ns = range(-1, -window - 1, -1)
-    mags = dict.fromkeys(ns, 0.0)
-    residue = None
-    for r in (0.5, 0.25):
-        coeffs = laurent_coeffs(f, center, ns, r)
-        if residue is None:
-            residue = coeffs[0]
-        for n, coeff in zip(ns, coeffs):
-            mags[n] = max(mags[n], max_norm(coeff))
-    significant = [k for k in range(1, window + 1) if mags[-k] > threshold]
-    if not significant:
-        kind, order = "removable", 0
-    elif max(significant) == window:
-        kind, order = "essential", window
-    else:
-        kind, order = "pole", max(significant)
-    return SingularityReport(kind, order, residue, window, threshold, mags)
 
 
 def mode_agreement_check(

@@ -69,28 +69,6 @@ class InsertionSeries:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
 
-    def weight_component(self, delta: int) -> dict:
-        out = {}
-        for exps, elem in self.coeffs.items():
-            part = elem.project(delta)
-            if part:
-                out[exps] = part
-        return out
-
-    def map_coefficients(self, fn) -> "InsertionSeries":
-        return InsertionSeries(
-            self.variables, {e: fn(c) for e, c in self.coeffs.items()}, self.wmax
-        )
-
-    def scale_variables(self, q: Scalar) -> "InsertionSeries":
-        """Substitute z_i -> q * z_i for every variable."""
-        q = Scalar.coerce(q)
-        return InsertionSeries(
-            self.variables,
-            {e: c.scale(q ** sum(e)) for e, c in self.coeffs.items()},
-            self.wmax,
-        )
-
     def evaluate_exact(self, values: dict) -> GradedElement:
         """Collapse the polynomial at exact scalar values of the variables."""
         out = GradedElement.zero(self.wmax)

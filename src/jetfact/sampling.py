@@ -42,12 +42,6 @@ class Sampler:
     def fraction(self, lo: int = -3, hi: int = 3) -> Fraction:
         return Fraction(self.rng.randint(lo, hi), self.rng.choice((1, 1, 2, 3)))
 
-    def nonzero_fraction(self) -> Fraction:
-        while True:
-            f = self.fraction()
-            if f:
-                return f
-
     def scalar(self) -> Scalar:
         re = self.fraction()
         im = self.fraction() if self.rng.random() < 0.25 else 0

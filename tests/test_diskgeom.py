@@ -78,7 +78,6 @@ def test_group_element_laws():
         g, h = s.group_element(), s.group_element()
         z = s.scalar()
         assert g.apply(h.apply(z)) == g.compose(h).apply(z)
-        assert g.compose(g.inverse()) == GroupElement.identity()
     with pytest.raises(ValueError):
         GroupElement(Scalar(2), 0)
 
@@ -87,8 +86,8 @@ def test_predicates_are_isometry_invariant():
     s = Sampler(5)
     for _ in range(25):
         g = s.group_element()
-        d1 = D(s.scalar(), abs(s.nonzero_fraction()) + 1)
-        d2 = D(s.scalar(), abs(s.nonzero_fraction()) + 1)
+        d1 = D(s.scalar(), abs(s.fraction()) + 1)
+        d2 = D(s.scalar(), abs(s.fraction()) + 1)
         assert disjoint(d1, d2) == disjoint(act(g, d1), act(g, d2))
         assert contains(d1, d2) == contains(act(g, d1), act(g, d2))
 

@@ -18,8 +18,11 @@ def perfbench():
         import catalog
         import child
         import tracer
+        import workloads
 
-        yield types.SimpleNamespace(catalog=catalog, child=child, tracer=tracer)
+        yield types.SimpleNamespace(
+            catalog=catalog, child=child, tracer=tracer, workloads=workloads
+        )
     finally:
         sys.path.remove(str(PERFBENCH))
 
@@ -46,3 +49,15 @@ def test_negative_control_catches_the_broken_corestriction(perfbench):
     jf = perfbench.child.load_jetfact()
     for seed in range(5):
         assert perfbench.child.negative_control(jf, seed)
+
+
+def test_one_op_of_every_workload_passes(perfbench):
+    # Each op calls jetfact with the arguments the benchmark passes, so a
+    # changed signature fails here and not only in a benchmark run.
+    jf = perfbench.child.load_jetfact()
+    assert perfbench.workloads.WORKLOAD_CLASSES
+    for name, cls in perfbench.workloads.WORKLOAD_CLASSES.items():
+        wl = cls(jf, 7)
+        wl.setup()
+        ok, _, _ = wl.run_op(wl.make_round()[0])
+        assert ok, name

@@ -168,8 +168,9 @@ def test_two_point_factorization(v4):
         a = s.homogeneous_element(P)
         b = s.homogeneous_element(P)
         two = insert(["z", Scalar(0)], [a, b], v4)
-        one_scaled = insert(["z"], [a], v4).map_coefficients(
-            lambda c: P.multiply(c, b)
+        one = insert(["z"], [a], v4)
+        one_scaled = InsertionSeries(
+            one.variables, {e: P.multiply(c, b) for e, c in one.coeffs.items()}, one.wmax
         )
         assert two == one_scaled
 
@@ -184,10 +185,11 @@ def test_rotation_covariance(v4):
         b = s.homogeneous_element(P)
         q = s.unit_scalar()
         series = insert(["z", "w"], [a, b], v4)
-        rotated = series.map_coefficients(lambda c: completion_rotation(q, c, v4))
-        substituted = series.scale_variables(q).map_coefficients(
-            lambda c: c.scale(q ** (a.weight() + b.weight()))
-        )
+        rotated = {e: completion_rotation(q, c, v4) for e, c in series.coeffs.items()}
+        substituted = {
+            e: c.scale(q ** (sum(e) + a.weight() + b.weight()))
+            for e, c in series.coeffs.items()
+        }
         assert rotated == substituted
 
 
@@ -201,10 +203,12 @@ def test_weight_degree_bound(v4):
         b = s.homogeneous_element(P)
         series = insert(["z", "w"], [a, b], v4)
         base = a.weight() + b.weight()
-        for delta in range(P.wmax + 1):
-            for exps, part in series.weight_component(delta).items():
-                assert sum(exps) <= delta - base
-                assert part.weight() == delta
+        for exps, elem in series.coeffs.items():
+            for delta in range(P.wmax + 1):
+                part = elem.project(delta)
+                if part:
+                    assert sum(exps) <= delta - base
+                    assert part.weight() == delta
 
 
 def test_all_exact_points_collapse_to_element(v4):
