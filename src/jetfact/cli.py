@@ -177,7 +177,7 @@ def cmd_fact_adjunction(args, P, preset) -> list:
 
 def cmd_reconstruct_roundtrip(args, P, preset) -> list:
     V = VertexAlgebra(P)
-    return eta_roundtrip_check(V, nmax=args.nmax, seed=args.seed)["checks"]
+    return eta_roundtrip_check(V)["checks"]
 
 
 def _run_samples(samples: int, check) -> list:
@@ -245,11 +245,15 @@ def non_negative_int(text: str) -> int:
 
 def _add_common(p):
     p.add_argument("--preset", help="scenario JSON file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument("--gens", help="comma-separated generator names")
     p.add_argument("--relations", help="semicolon-separated relation expressions")
     p.add_argument("--max-weight", dest="max_weight", type=int)
+
+
+def _add_sampling(p, samples: int):
+    p.add_argument("--samples", type=non_negative_int, default=samples)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,13 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_vertex_modes)
     c = vx.add_parser("check", help="vacuum, translation, locality axiom suite")
     _add_common(c)
-    c.add_argument("--samples", type=non_negative_int, default=50)
+    _add_sampling(c, 50)
     c.set_defaults(func=cmd_vertex_check)
 
     fa = sub.add_parser("fact").add_subparsers(dest="cmd", required=True)
     c = fa.add_parser("check", help="structure-map and equivariance axiom suite")
     _add_common(c)
-    c.add_argument("--samples", type=non_negative_int, default=30)
+    _add_sampling(c, 30)
     c.set_defaults(func=cmd_fact_check)
     c = fa.add_parser("coeq", help="gluing check on a nested disk chain")
     _add_common(c)
@@ -286,26 +290,25 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_fact_coeq)
     c = fa.add_parser("adjunction", help="round trips of the morphism correspondence")
     _add_common(c)
-    c.add_argument("--samples", type=non_negative_int, default=20)
+    _add_sampling(c, 20)
     c.set_defaults(func=cmd_fact_adjunction)
 
     rc = sub.add_parser("reconstruct").add_subparsers(dest="cmd", required=True)
     c = rc.add_parser("roundtrip", help="reconstructed structure against the source")
     _add_common(c)
-    c.add_argument("--nmax", type=non_negative_int, default=6)
     c.set_defaults(func=cmd_reconstruct_roundtrip)
 
     nm = sub.add_parser("num").add_subparsers(dest="cmd", required=True)
     c = nm.add_parser("laurent", help="numeric Laurent coefficients against exact modes")
     _add_common(c)
-    c.add_argument("--samples", type=non_negative_int, default=3)
+    _add_sampling(c, 3)
     c.add_argument("--nmax", type=non_negative_int, default=6)
     c.add_argument("--nodes", type=int, default=128)
     c.add_argument("--tolerance", type=float, default=1e-9)
     c.set_defaults(func=cmd_num_laurent)
     c = nm.add_parser("swap", help="iterated contour orders of the weighted insertion")
     _add_common(c)
-    c.add_argument("--samples", type=non_negative_int, default=5)
+    _add_sampling(c, 5)
     c.add_argument("--nmax", type=non_negative_int, default=2)
     c.add_argument("--nodes", type=int, default=128)
     c.add_argument("--tolerance", type=float, default=1e-8)

@@ -74,12 +74,6 @@ class Disk:
         r = "inf" if self.is_plane else str(self.radius)
         return f"D({self.center}; {r})"
 
-    def to_json(self) -> dict:
-        return {
-            "c": [str(self.center.re), str(self.center.im)],
-            "r": "inf" if self.is_plane else str(self.radius),
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "Disk":
         re, im = doc["c"]
@@ -177,9 +171,6 @@ class BasisElement:
         return all(
             any(contains(d, m) for m in other.disks) for d in self.disks
         )
-
-    def to_json(self):
-        return [d.to_json() for d in self.disks]
 
     @classmethod
     def from_json(cls, docs) -> "BasisElement":

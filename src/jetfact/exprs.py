@@ -11,10 +11,10 @@ import re
 
 from .errors import InputError
 from .grading import GradedElement
-from .scalars import I, ONE, Scalar
+from .scalars import I, Scalar
 from ._kernels import lc_mul
 
-__all__ = ["parse_element", "unparse_element", "free_names", "ExprError"]
+__all__ = ["parse_element", "free_names", "ExprError"]
 
 
 class ExprError(InputError):
@@ -131,41 +131,6 @@ class _Parser:
 def parse_element(text: str, gens, wmax: int) -> GradedElement:
     """Parse an element literal over the given generators, truncated at wmax."""
     return _Parser(_tokenize(text), gens, wmax).parse()
-
-
-def _unparse_scalar(c: Scalar) -> str:
-    if c.is_real():
-        return str(c.re)
-    if not c.re:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{c.im}*i"
-    sign = "+" if c.im >= 0 else "-"
-    return f"({c.re}{sign}{abs(c.im)}*i)"
-
-
-def unparse_element(elem: GradedElement) -> str:
-    """Render an element in the grammar this module parses.
-
-    parse_element(unparse_element(e), gens, e.wmax) == e for elements over
-    declared generators; used when writing presentation files.
-    """
-    if not elem.data:
-        return "0"
-    parts = []
-    for mono, coeff in elem.terms():
-        body = "*".join(g if m == 0 else f"d^{m}({g})" for g, m in mono)
-        if not mono:
-            parts.append(_unparse_scalar(coeff))
-        elif coeff == ONE:
-            parts.append(body)
-        elif coeff == Scalar(-1):
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{_unparse_scalar(coeff)}*{body}")
-    return " + ".join(parts)
 
 
 def free_names(text: str) -> list:

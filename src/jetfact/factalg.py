@@ -41,7 +41,6 @@ from .diskgeom import (
     Disk,
     GroupElement,
     act,
-    compare_distance,
     connected_components,
     contains,
     decompose,
@@ -63,14 +62,12 @@ __all__ = [
     "multiply_sections",
     "tensor_concat",
     "evaluate",
-    "mu_l",
     "mu_l_via_placement",
     "equivariant_act",
     "adjunction_theta",
     "adjunction_theta_prime",
     "check_pfa_axioms",
     "check_coequalizer_chain",
-    "is_weiss_cover",
 ]
 
 
@@ -324,17 +321,13 @@ def evaluate(s: TensorSection, U: SupportedOpen) -> dict:
     return _expansion(_grouped_terms(s, index_lists))
 
 
-def mu_l(P: AlgebraPresentation, elements) -> GradedElement:
-    """The multi-fold product on the global sections, placement free."""
-    return P.product(elements)
-
-
 def mu_l_via_placement(P, elements, placement: BasisElement, ambient: Disk) -> GradedElement:
-    """The same product computed through a concrete disjoint placement.
+    """The multi-fold product computed through a concrete disjoint placement.
 
     Places the factors on the disks of the placement, corestricts into the
     ambient disk, and reads off the resulting element.  Placement
-    independence says this agrees with mu_l for every admissible choice.
+    independence says this agrees with the placement-free P.product for
+    every admissible choice.
     """
     elements = list(elements)
     if len(elements) != len(placement):
@@ -643,23 +636,3 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
         )
     return {"checks": checks}
 
-
-def is_weiss_cover(cover, points) -> bool:
-    """Whether every subset of at most three of the points lies in a single
-    cover element.  cover is a list of BasisElements; points are exact
-    Scalars assumed to lie in the covered set."""
-
-    def inside(p, be: BasisElement) -> bool:
-        return any(
-            d.is_plane
-            or compare_distance(
-                p, d.center, d.radius.numerator, d.radius.denominator
-            ) < 0
-            for d in be
-        )
-
-    for k in range(1, 4):
-        for subset in combinations(points, k):
-            if not any(all(inside(p, be) for p in subset) for be in cover):
-                return False
-    return True

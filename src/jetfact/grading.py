@@ -90,10 +90,6 @@ class GradedElement:
         return cls._make({(): ONE}, wmax)
 
     @classmethod
-    def monomial(cls, factors, wmax: int, coeff=ONE) -> "GradedElement":
-        return cls({tuple(factors): coeff}, wmax)
-
-    @classmethod
     def generator(cls, name: str, order: int, wmax: int) -> "GradedElement":
         return cls({((name, order),): ONE}, wmax)
 
@@ -125,9 +121,6 @@ class GradedElement:
         return GradedElement._make(part, self.wmax)
 
     # -- structure queries -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.data
 
     def weights(self) -> list:
         return sorted({mono_weight(m) for m in self.data})

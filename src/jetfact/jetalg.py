@@ -43,7 +43,7 @@ from __future__ import annotations
 from math import factorial
 
 from .errors import InputError
-from .exprs import parse_element, unparse_element
+from .exprs import parse_element
 from .grading import GradedElement, format_element
 from .scalars import ONE, Scalar
 from ._kernels import factor_key, lc_derive, lc_scale, mono_mul, mono_weight
@@ -364,13 +364,6 @@ class AlgebraPresentation:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {
-            "generators": list(self.generators),
-            "relations": [unparse_element(r) for r in self.relations],
-            "max_weight": self.wmax,
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "AlgebraPresentation":
         """Presentation of a JSON document; a value of the wrong type is an
@@ -440,15 +433,6 @@ class AlgebraHom:
         for mono, coeff in elem.data.items():
             out = out + self._image_of_monomial(mono).scale(coeff)
         return self.target.normal_form(out)
-
-    def map_images(self, fn) -> "AlgebraHom":
-        """Post-compose with an algebra endomorphism of the target.
-
-        fn must be a unital algebra map on target elements; the composite
-        is again an algebra morphism defined variable-wise.
-        """
-        images = {var: fn(img) for var, img in self.variable_items()}
-        return AlgebraHom(self.source, self.target, images)
 
     def variable_items(self):
         return self._images.items()

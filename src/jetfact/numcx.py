@@ -2,20 +2,20 @@
 
 Values live in a fixed finite-dimensional coordinate space (the weight
 truncation of the graded algebra in a fixed monomial basis); the working
-seminorm is the max-norm over coordinates.  One circle sampler checks the
-radius and the node count and evaluates at the uniform-angle trapezoid
-nodes; circle integrals, cauchy_coeff and laurent_coeffs (every
-coefficient from one FFT of the samples) all read it.  The trapezoid rule
-is spectrally exact for the trigonometric-polynomial integrands this
-system produces.  Line segments refine a midpoint rule dyadically with
-one Richardson step and raise QuadratureError when it does not settle.
-The two-variable residues of the locality check are the trapezoid double
-sum over the node grid, reassociated into small matrix products of the
-node Vandermonde matrices.  On a finite node set exponents that differ by
-a multiple of the node count alias onto each other, so both numeric
-checks compute the smallest node count from which their series reads no
-other exponent and refuse fewer nodes with an AliasingError that carries
-it.
+seminorm is the max-norm over coordinates.  One helper checks the radius
+and the node count and builds the uniform-angle trapezoid nodes of a
+circle; circle integrals, cauchy_coeff, laurent_coeffs (every coefficient
+from one FFT of the samples) and the double residues all read it.  The
+trapezoid rule is spectrally exact for the trigonometric-polynomial
+integrands this system produces.  Line segments refine a midpoint rule
+dyadically with one Richardson step and raise QuadratureError when it
+does not settle.  The two-variable residues of the locality check are the
+trapezoid double sum over the node grid, reassociated into small matrix
+products of the node Vandermonde matrices.  On a finite node set
+exponents that differ by a multiple of the node count alias onto each
+other, so both numeric checks compute the smallest node count from which
+their series reads no other exponent and refuse fewer nodes with an
+AliasingError that carries it.
 """
 
 from __future__ import annotations
@@ -234,14 +234,20 @@ def _refuse_aliasing(nodes: int, offsets, what: str):
 # -- quadrature ----------------------------------------------------------------
 
 
-def _sample_circle(f: ContourFunction, center: complex, radius: float, nodes: int):
-    """The trapezoid angles of the positively oriented circle and f at its
-    nodes, after checking the node count and the radius."""
+def _circle_nodes(radius: float, nodes: int):
+    """The trapezoid angles of the positively oriented circle |z| = radius
+    and its nodes, after checking the node count and the radius."""
     if nodes < 1:
         raise ValueError(f"need at least one trapezoid node, got {nodes}")
     _check_radius(radius)
     theta = 2 * pi * np.arange(nodes) / nodes
-    return theta, f.eval_many(center + radius * np.exp(1j * theta))
+    return theta, radius * np.exp(1j * theta)
+
+
+def _sample_circle(f: ContourFunction, center: complex, radius: float, nodes: int):
+    """The trapezoid angles of the circle about center and f at its nodes."""
+    theta, z = _circle_nodes(radius, nodes)
+    return theta, f.eval_many(center + z)
 
 
 def _midpoint(f: ContourFunction, z0, z1, n: int) -> np.ndarray:
@@ -342,13 +348,8 @@ def double_residue(coeffs: np.ndarray, weight, r_z: float, r_w: float, nodes: in
     exact for Laurent polynomials that alias nothing at this node count;
     which radius is larger decides the expansion region.
     """
-    if nodes < 1:
-        raise ValueError(f"need at least one trapezoid node, got {nodes}")
-    for r in (r_z, r_w):
-        _check_radius(r)
-    theta = 2 * pi * np.arange(nodes) / nodes
-    z = r_z * np.exp(1j * theta)
-    w = r_w * np.exp(1j * theta)
+    _, z = _circle_nodes(r_z, nodes)
+    _, w = _circle_nodes(r_w, nodes)
     Vz = np.vander(z, coeffs.shape[0], increasing=True)
     Vw = np.vander(w, coeffs.shape[1], increasing=True)
     Z, W = z[:, None], w[None, :]

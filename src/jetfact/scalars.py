@@ -7,7 +7,7 @@ gcd(a, b, d) == 1, so equal values have equal triples, and equality and
 hashing compare the triple directly.  Each operation builds its triple with
 integer arithmetic and normalises it with one three-argument gcd; sums over
 a common denominator skip the cross-multiplication, real products build no
-imaginary part, and negation and conjugation need no gcd at all.
+imaginary part, and negation needs no gcd at all.
 
 The field is closed under the four arithmetic operations and has decidable,
 exact equality, which is what makes the axiom checkers meaningful.  The
@@ -195,9 +195,6 @@ class Scalar:
 
     # -- field structure ---------------------------------------------------
 
-    def conjugate(self) -> "Scalar":
-        return _raw(self._a, -self._b, self._d)
-
     def abs2(self) -> Fraction:
         """Exact squared modulus re**2 + im**2."""
         return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
@@ -205,9 +202,6 @@ class Scalar:
     def is_unit(self) -> bool:
         """True when the scalar lies exactly on the unit circle."""
         return self._a * self._a + self._b * self._b == self._d * self._d
-
-    def is_real(self) -> bool:
-        return not self._b
 
     # -- comparisons and hashing -------------------------------------------
 

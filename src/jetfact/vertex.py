@@ -41,7 +41,8 @@ __all__ = [
 
 
 class VertexAlgebra:
-    """Vacuum, translation, and products of a commutative graded state space."""
+    """Vacuum and translation of a commutative graded state space; products
+    are the presentation's."""
 
     def __init__(self, presentation: AlgebraPresentation):
         self.presentation = presentation
@@ -56,9 +57,6 @@ class VertexAlgebra:
 
     def translate(self, a: GradedElement, times: int = 1) -> GradedElement:
         return self.presentation.derive(a, times=times)
-
-    def multiply(self, a: GradedElement, b: GradedElement) -> GradedElement:
-        return self.presentation.multiply(a, b)
 
     def zero(self) -> GradedElement:
         return self.presentation.zero()

@@ -16,11 +16,10 @@ from jetfact.factalg import (
     adjunction_theta_prime,
     check_coequalizer_chain,
     check_pfa_axioms,
-    mu_l,
     mu_l_via_placement,
 )
 from jetfact.grading import GradedElement
-from jetfact.jetalg import AlgebraPresentation, lift_hom
+from jetfact.jetalg import AlgebraHom, AlgebraPresentation, lift_hom
 from jetfact.numcx import (
     ContourFunction,
     Curve,
@@ -88,7 +87,7 @@ def test_acceptance_04_placement_independence():
     for _ in range(50):
         l = sampler.rng.randint(1, 4)
         elems = [sampler.element(P, max_terms=2) for _ in range(l)]
-        direct = mu_l(P, elems)
+        direct = P.product(elems)
         for _ in range(2):
             placement = sampler.disjoint_disks(l)
             via = mu_l_via_placement(P, elems, placement, Disk(Scalar(0), 64))
@@ -125,7 +124,14 @@ def test_acceptance_06_adjunction_round_trips():
         hom = lift_hom({"x": sampler.element(tgt, max_terms=2)}, src, tgt)
         if i % 2:
             q = sampler.unit_scalar()
-            hom = hom.map_images(lambda e: completion_rotation(q, e, V_tgt))
+            hom = AlgebraHom(
+                src,
+                tgt,
+                {
+                    var: completion_rotation(q, img, V_tgt)
+                    for var, img in hom.variable_items()
+                },
+            )
         phi = adjunction_theta_prime(hom)
         extracted = adjunction_theta(phi)
         ok = all(
@@ -173,7 +179,7 @@ def test_acceptance_08_jet_lifting():
                 for _ in range(order):
                     img = translation_of(img, V_tgt)
                 factors.append(img)
-            out = out + mu_l(tgt, factors).scale(coeff)
+            out = out + tgt.product(factors).scale(coeff)
         return out
 
     ok = True

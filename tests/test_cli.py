@@ -79,7 +79,7 @@ def test_fact_adjunction(tmp_path):
 
 def test_reconstruct_roundtrip(tmp_path):
     code, report = run_json(
-        ["reconstruct", "roundtrip", "--gens", "x", "--max-weight", "4", "--nmax", "4"],
+        ["reconstruct", "roundtrip", "--gens", "x", "--max-weight", "4"],
         tmp_path,
     )
     assert code == 0
@@ -136,7 +136,7 @@ SMALL =["--gens", "x", "--max-weight", "3"]
         ["fact", "check", *SMALL, "--samples", "1"],
         ["fact", "coeq", *SMALL, "--radii", "1,2"],
         ["fact", "adjunction", *SMALL, "--samples", "1"],
-        ["reconstruct", "roundtrip", *SMALL, "--nmax", "2"],
+        ["reconstruct", "roundtrip", *SMALL],
         ["num", "laurent", *SMALL, "--samples", "1", "--nodes", "32"],
         ["num", "swap", *SMALL, "--samples", "1", "--nodes", "32"],
     ],
@@ -230,6 +230,24 @@ def test_malformed_preset_exits_two(doc, tmp_path, capsys):
 def test_negative_count_exits_two(argv, capsys):
     assert run([*argv, *SMALL]) == 2
     assert "must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jet", "build", "--seed", "1"],
+        ["vertex", "modes", "--a", "x", "--b", "x", "--seed", "1"],
+        ["fact", "coeq", "--seed", "1"],
+        ["reconstruct", "roundtrip", "--seed", "1"],
+        ["reconstruct", "roundtrip", "--nmax", "4"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_flag_without_effect_is_refused(argv, capsys):
+    # Only the sampling commands take --seed, and nmax changes nothing in
+    # the roundtrip check, so these commands do not know these flags.
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_internal_fault_exits_three(monkeypatch, capsys):

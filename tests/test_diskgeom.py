@@ -142,11 +142,12 @@ def test_connected_components_examples():
 
 def test_json_roundtrip():
     d = Disk(Scalar(Fraction(1, 2), Fraction(-3, 4)), Fraction(2, 7))
-    assert Disk.from_json(d.to_json()) == d
+    assert Disk.from_json({"c": ["1/2", "-3/4"], "r": "2/7"}) == d
     plane = Disk(Scalar(0), None)
-    assert Disk.from_json(plane.to_json()) == plane
+    assert Disk.from_json({"c": ["0", "0"], "r": "inf"}) == plane
     L = BasisElement([D(0, 1), D(3, 1)])
-    assert BasisElement.from_json(L.to_json()) == L
+    doc = [{"c": ["0", "0"], "r": "1"}, {"c": ["3", "0"], "r": "1"}]
+    assert BasisElement.from_json(doc) == L
 
 
 # -- the integer predicates against the Fraction formulas ---------------------

@@ -97,7 +97,7 @@ class Oracle:
 
     def from_exponents(self, exps, coeff, wmax):
         mono = [self.vars[k] for k, e in enumerate(exps) for _ in range(e)]
-        return GradedElement.monomial(mono, wmax, coeff)
+        return GradedElement({tuple(mono): coeff}, wmax)
 
 
 def _gaussian(rng):

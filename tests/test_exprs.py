@@ -37,7 +37,7 @@ def test_imaginary_unit():
 
 def test_truncation_in_products():
     e = parse_element("d^3(x)*d^3(x)", ["x"], 6)
-    assert e.is_zero()  # weight 8 > 6
+    assert not e  # weight 8 > 6
 
 
 def test_errors():
@@ -58,18 +58,3 @@ def test_free_names():
     assert free_names("i*x") == ["x"]
     assert free_names("2 + 3") == []
 
-
-def test_unparse_roundtrip():
-    from jetfact.exprs import unparse_element
-    from jetfact.jetalg import AlgebraPresentation
-    from jetfact.sampling import Sampler
-
-    P = AlgebraPresentation(["x", "y"], [], 6)
-    s = Sampler(19)
-    for _ in range(30):
-        e = s.element(P)
-        again = parse_element(unparse_element(e), P.generators, 6)
-        assert again == e
-    # Complex and negative coefficients survive the round trip.
-    e = parse_element("(1/2 + 3*i)*x - i*y + d^2(x) - 5", ["x", "y"], 6)
-    assert parse_element(unparse_element(e), ["x", "y"], 6) == e

