@@ -16,7 +16,7 @@ checkers.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .scalars import Scalar, frac
 
@@ -53,14 +53,6 @@ class Disk:
     @property
     def is_plane(self) -> bool:
         return self.radius is None
-
-    def sort_key(self):
-        return (
-            self.center.re,
-            self.center.im,
-            self.radius is None,
-            self.radius if self.radius is not None else Fraction(0),
-        )
 
     def __eq__(self, other):
         if not isinstance(other, Disk):
@@ -120,28 +112,62 @@ def disjoint(d1: Disk, d2: Disk) -> bool:
     return compare_distance(d1.center, d2.center, total, pd * qd) >= 0
 
 
+def _canonical_order(disks) -> list:
+    """The indices of disks sorted by (re, im, is_plane, radius) of each disk.
+
+    The centers are read as integers over one common denominator and the
+    finite radii over another, so the keys are integers in the order of
+    the rational ones and no Fraction is built.  The sort is stable.
+    """
+    if len(disks) < 2:
+        return list(range(len(disks)))
+    triples = [d.center.triple() for d in disks]
+    cd = lcm(*(t[2] for t in triples))
+    rd = lcm(*(d.radius.denominator for d in disks if d.radius is not None))
+    keys = []
+    for (a, b, d), disk in zip(triples, disks):
+        s, r = cd // d, disk.radius
+        radius = 0 if r is None else r.numerator * (rd // r.denominator)
+        keys.append((a * s, b * s, r is None, radius))
+    return sorted(range(len(disks)), key=keys.__getitem__)
+
+
 class BasisElement:
     """A finite disjoint union of open disks, in canonical disk order.
 
-    The empty list represents the empty set.  Construction sorts the disks
-    lexicographically by center then radius and verifies pairwise
-    disjointness.
+    The empty list represents the empty set.  The disks are sorted
+    lexicographically by center, then radius, with the plane after the
+    finite disks of its center; order[j] is the index, in the input, of the
+    j-th canonical disk.  BasisElement(disks) checks every pair of disks
+    for disjointness.  union checks only the pairs across its two operands,
+    whose own disks are disjoint already, and act checks none: an exact
+    isometry keeps disjoint disks disjoint.
     """
 
     __slots__ = ("disks", "order")
 
     def __init__(self, disks=()):
-        disks = list(disks)
-        order = sorted(range(len(disks)), key=lambda i: disks[i].sort_key())
-        self.disks = tuple(disks[i] for i in order)
-        # order[j] = original index of the j-th canonical disk
-        self.order = tuple(order)
+        self._arrange(disks)
         for i in range(len(self.disks)):
             for j in range(i + 1, len(self.disks)):
                 if not disjoint(self.disks[i], self.disks[j]):
                     raise ValueError(
                         f"disks overlap: {self.disks[i]} and {self.disks[j]}"
                     )
+
+    def _arrange(self, disks):
+        disks = tuple(disks)
+        order = _canonical_order(disks)
+        self.disks = tuple(disks[i] for i in order)
+        self.order = tuple(order)
+
+    @classmethod
+    def _of_disjoint(cls, disks) -> "BasisElement":
+        """The basis element of disks already known to be pairwise
+        disjoint; no pair is checked."""
+        self = object.__new__(cls)
+        self._arrange(disks)
+        return self
 
     def __len__(self):
         return len(self.disks)
@@ -164,8 +190,13 @@ class BasisElement:
         return f"BasisElement[{', '.join(map(repr, self.disks))}]"
 
     def union(self, other: "BasisElement") -> "BasisElement":
-        """Disjoint union of two disjoint basis elements (closure of the basis)."""
-        return BasisElement(self.disks + other.disks)
+        """Disjoint union of two disjoint basis elements (closure of the
+        basis); only the pairs across the two operands are checked."""
+        for d1 in self.disks:
+            for d2 in other.disks:
+                if not disjoint(d1, d2):
+                    raise ValueError(f"disks overlap: {d1} and {d2}")
+        return BasisElement._of_disjoint(self.disks + other.disks)
 
     def subset_of(self, other: "BasisElement") -> bool:
         return all(
@@ -213,11 +244,16 @@ class GroupElement:
 
 
 def act(g: GroupElement, obj):
-    """Apply an isometry to a Disk or BasisElement; radii are unchanged."""
+    """Apply an isometry to a Disk or BasisElement; radii are unchanged.
+
+    The image of a BasisElement is not checked for overlaps: q is an exact
+    unit, so distances, and with them disjointness, are kept exactly.  Its
+    order is relative to the canonical disks of obj.
+    """
     if isinstance(obj, Disk):
         return Disk(g.apply(obj.center), obj.radius)
     if isinstance(obj, BasisElement):
-        return BasisElement([act(g, d) for d in obj.disks])
+        return BasisElement._of_disjoint([act(g, d) for d in obj.disks])
     raise TypeError(f"cannot act on {type(obj).__name__}")
 
 

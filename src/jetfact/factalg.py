@@ -8,10 +8,13 @@ in the canonical disk order, and every structure map works on the terms.
 Corestriction along an inclusion of basis sets multiplies the factors
 that land in a common target disk through the product table (a lone
 factor passes through, an empty group gives the unit); multiplication for
-a disjoint pair concatenates the terms, then corestricts.  The isometry
-group moves the disks and applies the translation-rotation flow to each
-distinct factor once.  Equality is decided on the expansion over monomial
-tensors (data), computed once per section when first read.
+a disjoint pair concatenates the terms, then corestricts; the union of
+the two disk lists checks only the pairs across them.  The isometry group
+moves the disks, with no pair re-checked, and builds one
+translation-rotation flow e^{tT} q^{L0} per group element, applied once
+to each distinct factor.  Equality is decided on the expansion over
+monomial tensors (data), computed once per section when first read, from
+prefix products of each term's factors.
 
 TensorSection() puts outside keys in canonical form (factors sorted and
 read in normal form, keys with a factor above the bound dropped as zero,
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 from .diskgeom import (
     BasisElement,
@@ -51,7 +54,7 @@ from .jetalg import AlgebraHom, AlgebraPresentation, Echelon
 from .reports import SampledChecks, check_entry
 from .sampling import Sampler
 from .scalars import Scalar
-from .vertex import VertexAlgebra, completion_rotation, completion_translation
+from .vertex import VertexAlgebra, completion_flow
 from ._kernels import mono_weight
 
 __all__ = [
@@ -199,14 +202,18 @@ class TensorSection:
 
 def _expansion(terms) -> dict:
     """The sum over terms of the coefficient times the monomial expansion
-    of the simple tensor of the factors, zero sums dropped."""
+    of the simple tensor of the factors, zero sums dropped.
+
+    A term's expansion is built factor by factor from prefix products, so
+    each partial coefficient is multiplied once.
+    """
     data = {}
     for coeff, factors in terms:
-        for combo in iproduct(*[f.data.items() for f in factors]):
-            key = tuple(m for m, _ in combo)
-            c = coeff
-            for _, fc in combo:
-                c = c * fc
+        partial = [((), coeff)]
+        for f in factors:
+            items = f.data.items()
+            partial = [(key + (m,), c * fc) for key, c in partial for m, fc in items]
+        for key, c in partial:
             acc = data.get(key)
             nc = c if acc is None else acc + c
             if nc:
@@ -341,13 +348,10 @@ def mu_l_via_placement(P, elements, placement: BasisElement, ambient: Disk) -> G
 
 def equivariant_act(g: GroupElement, s: TensorSection, V: VertexAlgebra) -> TensorSection:
     """Move a section by an isometry: disks by the point action, factors by
-    the translation-rotation flow e^{tT} q^{L0}."""
-    newL = BasisElement([act(g, d) for d in s.L])
-
-    @cache
-    def move(f):
-        return completion_translation(g.t, completion_rotation(g.q, f, V), V)
-
+    the translation-rotation flow e^{tT} q^{L0}, made once for g and
+    applied once to each distinct factor."""
+    newL = act(g, s.L)
+    move = cache(completion_flow(g.q, g.t, V))
     terms = [(c, tuple(move(factors[i]) for i in newL.order)) for c, factors in s.terms]
     return TensorSection._make(newL, s.P, terms)
 

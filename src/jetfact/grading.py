@@ -115,19 +115,10 @@ class GradedElement:
         coeff = Scalar.coerce(coeff)
         return GradedElement._make(lc_scale(self.data, coeff), self.wmax)
 
-    def project(self, delta: int) -> "GradedElement":
-        """The weight-delta component; zero when absent or above the bound."""
-        part = {m: c for m, c in self.data.items() if mono_weight(m) == delta}
-        return GradedElement._make(part, self.wmax)
-
     # -- structure queries -----------------------------------------------------
 
     def weights(self) -> list:
         return sorted({mono_weight(m) for m in self.data})
-
-    def components(self) -> dict:
-        """Mapping weight -> sub-element, covering exactly the stored weights."""
-        return {w: self.project(w) for w in self.weights()}
 
     def is_homogeneous(self) -> bool:
         return len(self.weights()) <= 1

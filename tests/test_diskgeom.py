@@ -4,6 +4,7 @@ import pytest
 
 from jetfact.diskgeom import (
     BasisElement,
+    _canonical_order,
     Disk,
     GroupElement,
     act,
@@ -249,3 +250,50 @@ def test_compare_distance_has_the_sign_of_the_fraction_difference():
         diff = _dist2(z, w) - r * r
         got = compare_distance(z, w, r.numerator, r.denominator)
         assert (got > 0) - (got < 0) == (diff > 0) - (diff < 0)
+
+
+def test_act_on_a_basis_element_matches_the_checked_constructor():
+    # act skips the overlap checks; its disks and order must be those of
+    # the checked constructor, also when a rotation reorders the disks.
+    s = Sampler(41)
+    reordered = 0
+    for q in (I, Scalar(-1), Scalar(Fraction(3, 5), Fraction(4, 5)), Scalar(0, -1)):
+        for _ in range(8):
+            L = s.disjoint_disks(s.rng.randint(2, 4))
+            g = GroupElement(q, s.translation())
+            moved = act(g, L)
+            checked = BasisElement([act(g, d) for d in L])
+            assert moved.disks == checked.disks
+            assert moved.order == checked.order
+            reordered += moved.order != tuple(range(len(L)))
+    assert reordered
+
+
+def test_canonical_order_matches_a_sort_by_fraction_keys():
+    s = Sampler(43)
+    for _ in range(40):
+        disks = []
+        for _ in range(s.rng.randint(2, 6)):
+            center = Scalar(s.fraction(-2, 2), s.fraction(-2, 2))
+            disks.append(D(center, abs(s.fraction(1, 3)) / s.rng.choice((1, 5, 7))))
+        # Shared centers with other radii, and the plane at one of them.
+        disks.append(D(disks[0].center, disks[0].radius * 2))
+        disks.insert(s.rng.randrange(len(disks)), Disk(disks[-1].center, None))
+        s.rng.shuffle(disks)
+        keys = [
+            (d.center.re, d.center.im, d.is_plane, Fraction(0) if d.is_plane else d.radius)
+            for d in disks
+        ]
+        assert _canonical_order(disks) == sorted(range(len(disks)), key=keys.__getitem__)
+
+
+def test_union_refuses_operands_that_overlap_only_across():
+    L = BasisElement([D(0, 1), D(5, 1)])
+    M = BasisElement([D(10, 1), D(Fraction(11, 2), 1)])
+    with pytest.raises(ValueError):
+        L.union(M)
+    with pytest.raises(ValueError):
+        M.union(L)
+    far = BasisElement([D(10, 1), D(-3, 1)])
+    assert L.union(far).disks == BasisElement(list(L) + list(far)).disks
+    assert L.union(far).order == BasisElement(list(L) + list(far)).order

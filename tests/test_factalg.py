@@ -215,6 +215,25 @@ def test_equivariant_act_composition(vx, free_x):
         )
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_equivariant_act_is_the_per_factor_composition(vxy, seed):
+    # One flow per group element against the two flows per factor.
+    P = vxy.presentation
+    s = Sampler(seed)
+    sec = _sample_section(s, s.disjoint_disks(3), P)
+    for _ in range(4):
+        g = s.group_element()
+        order = BasisElement([act(g, d) for d in sec.L]).order
+
+        def per_factor(f):
+            return completion_translation(g.t, completion_rotation(g.q, f, vxy), vxy)
+
+        expected = [(c, tuple(per_factor(factors[i]) for i in order)) for c, factors in sec.terms]
+        moved = equivariant_act(g, sec, vxy)
+        assert moved.terms == expected
+        assert moved.L == act(g, sec.L)
+
+
 def test_famorphism_naturality(free_x):
     tgt = AlgebraPresentation(["y"], [], 6)
     hom = lift_hom({"x": tgt.multiply(tgt.gen("y"), tgt.gen("y"))}, free_x, tgt)

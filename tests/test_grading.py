@@ -13,8 +13,6 @@ def x(order, wmax=6):
 def test_weight_bookkeeping():
     a = x(0) + x(1)
     assert a.weights() == [1, 2]
-    assert a.project(1) == x(0)
-    assert a.project(2) == x(1)
     assert mono_weight((("x", 1), ("x", 0))) == 3
 
 
@@ -36,26 +34,6 @@ def test_truncation_discards():
     assert not a  # weight 7 exceeds the bound
     b = GradedElement({(("x", 5),): 1}, 6)
     assert b.weight() == 6
-
-
-def test_project_out_of_range():
-    a = x(0)
-    assert not a.project(5)
-    assert not a.project(0)
-    assert not GradedElement.zero(6).project(3)
-
-
-def test_projection_sum_reconstructs():
-    s = Sampler(11)
-    from jetfact.jetalg import AlgebraPresentation
-
-    P = AlgebraPresentation(["x", "y"], [], 6)
-    for _ in range(25):
-        a = s.element(P)
-        total = GradedElement.zero(6)
-        for part in a.components().values():
-            total = total + part
-        assert total == a
 
 
 def test_add_assoc_comm_sampled():

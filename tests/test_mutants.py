@@ -48,7 +48,9 @@ def test_group_product_dropping_a_factor_fails(monkeypatch, free_x):
 
 
 def test_identity_rotation_fails_equivariance_compose(monkeypatch, free_x):
-    monkeypatch.setattr(factalg, "completion_rotation", lambda q, elem, V: elem)
+    # The flow keeps its translation and ignores the rotation q.
+    flow = factalg.completion_flow
+    monkeypatch.setattr(factalg, "completion_flow", lambda q, z, V: flow(1, z, V))
     assert "equivariance_compose" in failing(check_pfa_axioms(free_x, samples=5, seed=0))
 
 

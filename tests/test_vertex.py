@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from jetfact._kernels import mono_weight
 from jetfact.grading import GradedElement
 from jetfact.jetalg import AlgebraPresentation
 from jetfact.reports import all_pass
@@ -12,6 +13,7 @@ from jetfact.vertex import (
     ModeTable,
     VertexAlgebra,
     check_vertex_axioms,
+    completion_flow,
     completion_rotation,
     completion_translation,
     locality_sides,
@@ -261,3 +263,37 @@ def test_report_structure(vx):
     for c in report["checks"]:
         assert c["status"] in ("pass", "fail")
         assert "detail" in c
+
+
+@pytest.mark.parametrize(
+    "gens, relations, wmax", ROUNDTRIP_FAMILY, ids=["x-6", "x-5", "x|xx-6", "xy|xy-4"]
+)
+def test_completion_flow_against_derivatives_over_factorials(gens, relations, wmax):
+    # The oracle rotates each monomial by q to its weight, then sums
+    # z^k / k! T^k by repeated derive and math.factorial, with no tower.
+    P = AlgebraPresentation(gens, relations, wmax)
+    V = VertexAlgebra(P)
+    basis = [
+        GradedElement({m: 1}, wmax)
+        for delta in range(wmax + 1)
+        for m in P.weight_basis(delta)
+    ]
+    for q in (Scalar(1), I, Scalar(Fraction(3, 5), Fraction(4, 5))):
+        for z in (Scalar(0), Scalar(Fraction(2, 3)), Scalar(1, Fraction(-1, 2))):
+            flow = completion_flow(q, z, V)
+            for a in basis:
+                r = GradedElement({m: c * q ** mono_weight(m) for m, c in a.data.items()}, wmax)
+                expected = P.zero()
+                for k in range(wmax + 1):
+                    coeff = z**k * Scalar(Fraction(1, factorial(k)))
+                    expected = expected + P.derive(r, times=k).scale(coeff)
+                assert flow(a) == expected, (str(q), str(z), str(a))
+
+
+def test_completion_flow_checks_q_once_and_each_state(vx):
+    with pytest.raises(ValueError):
+        completion_flow(Scalar(2), Scalar(1), vx)
+    flow = completion_flow(I, Scalar(1), vx)
+    for foreign in (GradedElement.generator("y", 0, 6), GradedElement.generator("x", 0, 5)):
+        with pytest.raises(ValueError):
+            flow(foreign)
