@@ -5,7 +5,9 @@ check suites.  Each handler takes the parsed flags, the presentation and
 the preset and returns its check list; run() builds the presentation,
 times the handler and emits one JSON report of the form
 {command, params, checks: [{name, status, detail}], timing_ms, elapsed_ms,
-version, backend, python} to stdout or --out.  Exit status is 0 when every
+version, backend, python} to stdout or --out.  A sampling command (one
+with --samples) reports each check once through reports.SampledChecks; the
+num commands share the sampled loop _sampled.  Exit status is 0 when every
 check passes, 1 on check failures, 2 on bad input (an InputError such as
 a parse error or a malformed preset or flag, an OSError, or a negative
 count) and 3 on any other error, reported as one line on stderr.  All
@@ -24,17 +26,15 @@ from .errors import InputError
 from .exprs import free_names
 from .factalg import (
     SupportedOpen,
-    TensorSection,
-    adjunction_theta,
-    adjunction_theta_prime,
+    check_adjunction,
     check_coequalizer_chain,
     check_pfa_axioms,
 )
 from .grading import format_element, format_monomial
-from .jetalg import AlgebraPresentation, lift_hom
+from .jetalg import AlgebraPresentation
 from .numcx import AliasingError, mode_agreement_check, residue_swap_check
 from .reconstruct import eta_roundtrip_check
-from .reports import all_pass, check_entry, make_report
+from .reports import SampledChecks, all_pass, check_entry, make_report
 from .sampling import Sampler
 from .scalars import frac
 from .vertex import VertexAlgebra, check_vertex_axioms, vertex_op
@@ -109,6 +109,8 @@ def cmd_fact_check(args, P, preset) -> list:
         raise InputError("preset geometry must be a JSON object")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise InputError("preset checks must be a list of JSON objects")
+    if len(entries) > 1:
+        raise InputError("preset checks must hold at most one entry")
     # Named geometry in the scenario is validated up front: construction
     # enforces disjointness for basis elements and connectivity plus
     # region disjointness for supported opens ({"regions": [[...], ...]}).
@@ -144,35 +146,7 @@ def cmd_fact_coeq(args, P, preset) -> list:
 
 
 def cmd_fact_adjunction(args, P, preset) -> list:
-    sampler = Sampler(args.seed)
-    target = AlgebraPresentation(["u"], [], P.wmax)
-    failures = 0
-    for _ in range(args.samples):
-        f0 = {g: sampler.element(target, max_terms=2) for g in P.generators}
-        hom = lift_hom(f0, P, target)
-        phi = adjunction_theta_prime(hom)
-        extracted = adjunction_theta(phi)
-        # Extract-then-wrap fixes the morphism on every variable ...
-        ok = all(
-            extracted.image_of_variable(*var) == img
-            for var, img in hom.variable_items()
-        )
-        if ok:
-            # ... and wrap-then-extract fixes the action on sampled sections.
-            L = sampler.disjoint_disks(2)
-            s = TensorSection.simple(
-                L, [sampler.element(P, max_terms=2) for _ in range(2)], P
-            )
-            ok = adjunction_theta_prime(extracted).apply(s) == phi.apply(s)
-        if not ok:
-            failures += 1
-    return [
-        check_entry(
-            "adjunction_round_trips",
-            failures == 0,
-            {"samples": args.samples, "failures": failures},
-        )
-    ]
+    return check_adjunction(P, samples=args.samples, seed=args.seed)["checks"]
 
 
 def cmd_reconstruct_roundtrip(args, P, preset) -> list:
@@ -180,54 +154,65 @@ def cmd_reconstruct_roundtrip(args, P, preset) -> list:
     return eta_roundtrip_check(V)["checks"]
 
 
-def _run_samples(samples: int, check) -> list:
-    """The checks of check(i) for every sample i.  When samples alias, all
-    of them still run and the error raised names the most nodes any needs."""
-    checks, aliased = [], []
-    for i in range(samples):
+def _sampled(args, names, sample) -> list:
+    """The checks names over args.samples samples.  sample(sampler) returns
+    one sample's states and check entries; a failing entry's counterexample
+    is its detail with the states.  When samples alias, all of them still run
+    and the error raised names the most nodes any needs."""
+    sampler = Sampler(args.seed)
+    tally = SampledChecks(names)
+    aliased = []
+    for _ in range(args.samples):
         try:
-            checks.extend(check(i))
+            states, checks = sample(sampler)
         except AliasingError as exc:
             aliased.append(exc)
+            continue
+        for c in checks:
+            tally.record(c["name"], c["status"] == "pass", lambda: {**states, **c["detail"]})
     if aliased:
         raise max(aliased, key=lambda exc: exc.need)
-    return checks
+    return tally.entries(args.samples)
 
 
 def cmd_num_laurent(args, P, preset) -> list:
     V = VertexAlgebra(P)
-    sampler = Sampler(args.seed)
 
-    def check(i):
+    def sample(sampler):
         # Two weights of a triple sum to at most W: the product survives.
         da, db, _ = sampler.weight_triple(P.wmax)
         a, b = (sampler.homogeneous_element(P, delta=d) for d in (da, db))
         result = mode_agreement_check(
             a, b, V, nmax=args.nmax, nodes=args.nodes, tolerance=args.tolerance
         )
-        return [{**c, "name": f"sample_{i}_{c['name']}"} for c in result["checks"]]
+        return {"a": str(a), "b": str(b)}, result["checks"]
 
-    return _run_samples(args.samples, check)
+    return _sampled(args, ["numeric_symbolic_modes"], sample)
 
 
 def cmd_num_swap(args, P, preset) -> list:
     V = VertexAlgebra(P)
-    sampler = Sampler(args.seed)
+    names = [
+        "iterated_orders_agree",
+        "matches_mode_sum_first_order",
+        "matches_mode_sum_second_order",
+        "exact_sides_equal",
+    ]
 
-    def check(i):
+    def sample(sampler):
         weights = sampler.weight_triple(P.wmax)
         a, b, c = (sampler.homogeneous_element(P, delta=d) for d in weights)
         m = -sampler.rng.randint(1, 2)
         n = -sampler.rng.randint(1, 2)
         N = sampler.rng.randint(0, args.nmax)
+        states = {"a": str(a), "b": str(b), "c": str(c), "m": m, "n": n, "N": N}
         result = residue_swap_check(
             a, b, c, m, n, N, V, nodes=args.nodes, tolerance=args.tolerance
         )
-        ok = all_pass(result["checks"])
-        detail = {"m": m, "n": n, "N": N, "subchecks": result["checks"]}
-        return [check_entry(f"sample_{i}", ok, detail)]
+        exact = check_entry("exact_sides_equal", result["exact_sides_equal"], {})
+        return states, result["checks"] + [exact]
 
-    return _run_samples(args.samples, check)
+    return _sampled(args, names, sample)
 
 
 def vars_of(args) -> dict:

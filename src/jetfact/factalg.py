@@ -50,7 +50,7 @@ from .diskgeom import (
     disjoint,
 )
 from .grading import GradedElement, format_monomial, normalize_monomial
-from .jetalg import AlgebraHom, AlgebraPresentation, Echelon
+from .jetalg import AlgebraHom, AlgebraPresentation, Echelon, lift_hom
 from .reports import SampledChecks, check_entry
 from .sampling import Sampler
 from .scalars import Scalar
@@ -70,6 +70,7 @@ __all__ = [
     "adjunction_theta",
     "adjunction_theta_prime",
     "check_pfa_axioms",
+    "check_adjunction",
     "check_coequalizer_chain",
 ]
 
@@ -516,7 +517,7 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
         unit = TensorSection.unit_on_empty(P, c)
         ok = multiply_sections(s, unit, N) == corestrict(s, N).scale(c)
         ok = ok and corestrict(unit, M) == TensorSection.simple(M, [P.unit()] * len(M), P, c)
-        tally.record("unit", ok)
+        tally.record("unit", ok, lambda: {"c": str(c), "M": repr(M)})
 
         # Equivariance, on a two-disk section: the action works factor by
         # factor and the translation flow densifies elements, so small
@@ -531,10 +532,8 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
             seq == equivariant_act(g1.compose(g2), se, V),
             lambda: {"g1": repr(g1), "g2": repr(g2)},
         )
-        tally.record(
-            "equivariance_identity",
-            equivariant_act(GroupElement.identity(), se, V) == se,
-        )
+        ok = equivariant_act(GroupElement.identity(), se, V) == se
+        tally.record("equivariance_identity", ok, lambda: {"section": repr(se)})
         te = _sample_section(sampler, act(shift, Le), P)
         lhs = equivariant_act(g1, multiply_sections(se, te, big), V)
         rhs = multiply_sections(
@@ -545,10 +544,8 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
         tally.record(
             "equivariance_multiplication", lhs == rhs, lambda: {"g": repr(g1)}
         )
-        tally.record(
-            "equivariance_unit",
-            equivariant_act(g1, unit, V).as_scalar() == c,
-        )
+        ok = equivariant_act(g1, unit, V).as_scalar() == c
+        tally.record("equivariance_unit", ok, lambda: {"g": repr(g1), "c": str(c)})
 
         if corrupt:
             # Fixed generator factors so the dropped-factor corruption is
@@ -561,8 +558,37 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
             ]
             pair = tensor_concat(fixed[0], fixed[1])
             broken = TensorSection._make(wbe, P, _grouped_terms(pair, [[0]]))
-            tally.record("negative_control", broken != corestrict(pair, wbe))
+            ok = broken != corestrict(pair, wbe)
+            tally.record("negative_control", ok, lambda: {"pair": repr(pair)})
 
+    return {"checks": tally.entries(samples)}
+
+
+def check_adjunction(P: AlgebraPresentation, samples: int = 20, seed: int = 0) -> dict:
+    """Sampled round trips of theta = adjunction_theta and theta' =
+    adjunction_theta_prime on f: P -> C[u] lifted from random generator images
+    f0: extract_after_wrap, theta(theta'(f)) = f on every variable;
+    wrap_after_extract, theta'(theta(theta'(f))) = theta'(f) on a two-disk section."""
+    sampler = Sampler(seed)
+    target = AlgebraPresentation(["u"], [], P.wmax)
+    tally = SampledChecks(["extract_after_wrap", "wrap_after_extract"])
+    for _ in range(samples):
+        f0 = {g: sampler.element(target, max_terms=2) for g in P.generators}
+        phi = adjunction_theta_prime(lift_hom(f0, P, target))
+        extracted = adjunction_theta(phi)
+        bad = [v for v, img in phi.hom.variable_items() if extracted.image_of_variable(*v) != img]
+        tally.record(
+            "extract_after_wrap",
+            not bad,
+            lambda: {"f0": {g: str(e) for g, e in f0.items()}, "variables": bad},
+        )
+        L = sampler.disjoint_disks(2)
+        s = TensorSection.simple(L, [sampler.element(P, max_terms=2) for _ in range(2)], P)
+        tally.record(
+            "wrap_after_extract",
+            adjunction_theta_prime(extracted).apply(s) == phi.apply(s),
+            lambda: {"f0": {g: str(e) for g, e in f0.items()}, "section": repr(s)},
+        )
     return {"checks": tally.entries(samples)}
 
 

@@ -25,7 +25,7 @@ class SampledChecks:
         self.passes = dict.fromkeys(self.names, 0)
         self.failures = {}
 
-    def record(self, name: str, ok: bool, detail=None) -> None:
+    def record(self, name: str, ok: bool, detail) -> None:
         """Count a pass, or keep the first failure's counterexample.
 
         detail is a function of no arguments returning the counterexample;
@@ -34,7 +34,7 @@ class SampledChecks:
         if ok:
             self.passes[name] += 1
         elif name not in self.failures:
-            self.failures[name] = None if detail is None else detail()
+            self.failures[name] = detail()
 
     def entries(self, samples: int) -> list:
         """One check entry per name; it passes only if every sample did."""

@@ -75,6 +75,10 @@ def test_fact_adjunction(tmp_path):
         tmp_path,
     )
     assert code == 0
+    assert [(c["name"], c["detail"]) for c in report["checks"]] == [
+        ("extract_after_wrap", {"passed": 5, "samples": 5}),
+        ("wrap_after_extract", {"passed": 5, "samples": 5}),
+    ]
 
 
 def test_reconstruct_roundtrip(tmp_path):
@@ -85,6 +89,17 @@ def test_reconstruct_roundtrip(tmp_path):
     assert code == 0
     names = [c["name"] for c in report["checks"]]
     assert names == ["vacuum", "translation", "modes"]
+
+
+NUM_CHECKS = {
+    "laurent": ["numeric_symbolic_modes"],
+    "swap": [
+        "iterated_orders_agree",
+        "matches_mode_sum_first_order",
+        "matches_mode_sum_second_order",
+        "exact_sides_equal",
+    ],
+}
 
 
 def test_num_laurent(tmp_path):
@@ -100,6 +115,7 @@ def test_num_swap(tmp_path):
         ["num", "swap", "--gens", "x", "--max-weight", "4", "--samples", "2"], tmp_path
     )
     assert code == 0
+    assert [c["name"] for c in report["checks"]] == NUM_CHECKS["swap"]
 
 
 def test_num_laurent_too_few_nodes_exits_two(tmp_path, capsys):
@@ -116,12 +132,16 @@ def test_num_laurent_too_few_nodes_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("cmd", ["laurent", "swap"])
 def test_num_zero_samples_runs_none(cmd, tmp_path):
+    # As vertex check --samples 0 does: every check once, 0 of 0 passed.
     code, report = run_json(
         ["num", cmd, "--gens", "x", "--max-weight", "3", "--samples", "0"], tmp_path
     )
     assert code == 0
     assert report["params"]["samples"] == 0
-    assert report["checks"] == []
+    assert report["checks"] == [
+        {"name": name, "status": "pass", "detail": {"passed": 0, "samples": 0}}
+        for name in NUM_CHECKS[cmd]
+    ]
 
 
 SMALL =["--gens", "x", "--max-weight", "3"]
@@ -158,6 +178,14 @@ def test_every_subcommand_reports(argv, tmp_path):
     assert report["version"] == jetfact.__version__
     assert report["backend"] == jetfact.KERNEL_BACKEND
     assert report["python"] == platform.python_version()
+    if "--samples" in argv:
+        # A sampling command reports each check once, over all its samples;
+        # vertex check's translation_is_jet is checked once per presentation.
+        names = [c["name"] for c in report["checks"]]
+        assert len(names) == len(set(names))
+        samples = int(argv[argv.index("--samples") + 1])
+        sampled = [c for c in report["checks"] if c["name"] != "translation_is_jet"]
+        assert all(c["detail"]["samples"] == samples for c in sampled)
 
 
 def test_parse_error_exit_code(capsys):
@@ -196,6 +224,7 @@ def test_zero_denominator_exits_two(argv, capsys):
         {"presentation": {"generators": 5}},
         {"checks": [{"seed": [1]}]},
         {"geometry": {"g": 5}},
+        {"checks": [{}, {}]},
     ],
     ids=[
         "top-level list",
@@ -206,6 +235,7 @@ def test_zero_denominator_exits_two(argv, capsys):
         "generators number",
         "seed list",
         "geometry entry number",
+        "two checks entries",
     ],
 )
 def test_malformed_preset_exits_two(doc, tmp_path, capsys):
@@ -364,6 +394,14 @@ def test_preset_with_presentation_path(tmp_path):
     code, report = run_json(["jet", "build", "--preset", str(preset), "--dims"], tmp_path)
     assert code == 0
     assert report["checks"][0]["detail"]["dims"] == [1, 1, 1, 1, 2, 2]
+
+
+def test_preset_with_no_checks_entry_runs_no_structure_checks(tmp_path):
+    preset = tmp_path / "scenario.json"
+    preset.write_text(json.dumps({"checks": []}))
+    code, report = run_json(["fact", "check", "--preset", str(preset)], tmp_path)
+    assert code == 0
+    assert report["checks"] == []
 
 
 def test_preset_rejects_overlapping_geometry(tmp_path):

@@ -12,6 +12,7 @@ from jetfact.factalg import (
     _sample_section,
     adjunction_theta,
     adjunction_theta_prime,
+    check_adjunction,
     check_coequalizer_chain,
     check_pfa_axioms,
     corestrict,
@@ -312,6 +313,15 @@ def test_adjunction_round_trips(free_x):
             L, [s.element(free_x, max_terms=2) for _ in range(2)], free_x
         )
         assert rewrapped.apply(sec) == phi.apply(sec)
+
+
+@pytest.mark.parametrize("name", ["free_x", "free_xy"])
+def test_check_adjunction_passes_both_round_trips(name, request):
+    report = check_adjunction(request.getfixturevalue(name), samples=4, seed=3)
+    assert report["checks"] == [
+        {"name": n, "status": "pass", "detail": {"passed": 4, "samples": 4}}
+        for n in ("extract_after_wrap", "wrap_after_extract")
+    ]
 
 
 def test_pfa_axiom_suite(vx):

@@ -1,19 +1,21 @@
 """Mutation smoke tests: each named mutant is patched in at a module global
-of the section, jet or insertion layer, or written into a table of a fresh
-presentation, and the harness that covers it must report a failure (not
-pass, and not crash)."""
+of the section, jet, insertion or numeric layer, or written into a table of
+a fresh presentation, and the harness that covers it must report a failure
+(not pass, and not crash)."""
 
+import json
 from math import factorial
 
 import pytest
 
-from jetfact import factalg, jetalg, reconstruct
+from jetfact import factalg, jetalg, numcx, reconstruct
 from jetfact._kernels import lc_scale
-from jetfact.jetalg import AlgebraPresentation
-from jetfact.factalg import check_coequalizer_chain, check_pfa_axioms
+from jetfact.cli import run
+from jetfact.jetalg import AlgebraHom, AlgebraPresentation
+from jetfact.factalg import check_adjunction, check_coequalizer_chain, check_pfa_axioms
 from jetfact.reconstruct import eta_roundtrip_check
 from jetfact.scalars import Scalar
-from jetfact.vertex import VertexAlgebra, check_vertex_axioms
+from jetfact.vertex import ModeTable, VertexAlgebra, check_vertex_axioms
 
 
 def failing(report) -> set:
@@ -143,3 +145,54 @@ def test_concat_without_the_disk_reorder_fails_symmetry(monkeypatch, gens, rels)
     monkeypatch.setattr(factalg, "tensor_concat", unordered_concat)
     P = AlgebraPresentation(gens, rels, 6)
     assert "symmetry" in failing(check_pfa_axioms(P, samples=5, seed=0))
+
+
+def test_rescaled_variable_image_fails_extract_after_wrap(monkeypatch, free_x):
+    # The extracted morphism sends x0 to twice the image it should have.
+    theta = factalg.adjunction_theta
+
+    def rescaled(phi):
+        f = theta(phi)
+        images = dict(f.variable_items())
+        images[("x", 0)] = images[("x", 0)].scale(Scalar(2))
+        return AlgebraHom(f.source, f.target, images)
+
+    monkeypatch.setattr(factalg, "adjunction_theta", rescaled)
+    report = check_adjunction(free_x, samples=5, seed=0)
+    assert "extract_after_wrap" in failing(report)
+    entry = next(c for c in report["checks"] if c["name"] == "extract_after_wrap")
+    assert ("x", 0) in entry["detail"]["first_counterexample"]["variables"]
+
+
+def test_doubled_modes_fail_the_swap_mode_sums(monkeypatch, tmp_path):
+    # Both exact binomial mode sums read the doubled modes; the two numeric
+    # contour orders do not.
+    vertex_op = numcx.vertex_op
+
+    def doubled(a, b, V):
+        table = vertex_op(a, b, V)
+        return ModeTable({n: e.scale(Scalar(2)) for n, e in table.items()}, table.wmax)
+
+    monkeypatch.setattr(numcx, "vertex_op", doubled)
+    out = tmp_path / "swap.json"
+    assert run(["num", "swap", "--samples", "5", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    for name in ("matches_mode_sum_first_order", "matches_mode_sum_second_order"):
+        assert name in failing(report)
+        entry = next(c for c in report["checks"] if c["name"] == name)
+        assert {"a", "b", "c", "m", "n", "N"} <= entry["detail"]["first_counterexample"].keys()
+
+
+def test_every_failure_names_a_counterexample(monkeypatch, free_x):
+    # Negated corestriction and action break the unit law and the
+    # equivariance checks; each failure must carry its counterexample.
+    corestrict, act = factalg.corestrict, factalg.equivariant_act
+    monkeypatch.setattr(factalg, "corestrict", lambda s, M: corestrict(s, M).scale(Scalar(-1)))
+    monkeypatch.setattr(
+        factalg, "equivariant_act", lambda g, s, V: act(g, s, V).scale(Scalar(-1))
+    )
+    report = check_pfa_axioms(free_x, samples=2, seed=0, corrupt=True)
+    assert {"unit", "equivariance_identity", "equivariance_unit"} <= failing(report)
+    for c in report["checks"]:
+        if c["status"] == "fail":
+            assert c["detail"]["first_counterexample"] is not None, c["name"]
