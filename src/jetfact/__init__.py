@@ -11,7 +11,7 @@ from ._kernels import BACKEND as KERNEL_BACKEND
 from .errors import InputError
 from .scalars import Scalar
 from .grading import GradedElement
-from .jetalg import AlgebraPresentation, DifferentialHom, lift_hom
+from .jetalg import AlgebraPresentation, lift_hom
 from .vertex import VertexAlgebra, vertex_op
 from .diskgeom import BasisElement, Disk, GroupElement
 from .factalg import TensorSection, SupportedOpen
@@ -25,7 +25,6 @@ __all__ = [
     "Scalar",
     "GradedElement",
     "AlgebraPresentation",
-    "DifferentialHom",
     "lift_hom",
     "VertexAlgebra",
     "vertex_op",

@@ -129,10 +129,10 @@ def cmd_fact_check(args, P, preset) -> list:
             raise InputError(f"preset geometry {name!r} is malformed: {exc}") from None
     for entry in entries:
         samples = entry.get("samples", args.samples)
-        if not isinstance(samples, int) or samples < 0:
+        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 0:
             raise InputError(f"preset samples must be a non-negative integer: {samples!r}")
         seed = entry.get("seed", args.seed)
-        if not isinstance(seed, int):
+        if not isinstance(seed, int) or isinstance(seed, bool):
             raise InputError(f"preset seed must be an integer: {seed!r}")
         checks.extend(check_pfa_axioms(P, samples=samples, seed=seed)["checks"])
     return checks
@@ -140,8 +140,6 @@ def cmd_fact_check(args, P, preset) -> list:
 
 def cmd_fact_coeq(args, P, preset) -> list:
     radii = [frac(r) for r in args.radii.split(",")]
-    if any(r <= 0 for r in radii) or radii != sorted(set(radii)):
-        raise InputError(f"radii must be positive and strictly increasing, got {args.radii}")
     return check_coequalizer_chain(P, radii)["checks"]
 
 

@@ -141,7 +141,8 @@ class BasisElement:
     j-th canonical disk.  BasisElement(disks) checks every pair of disks
     for disjointness.  union checks only the pairs across its two operands,
     whose own disks are disjoint already, and act checks none: an exact
-    isometry keeps disjoint disks disjoint.
+    isometry keeps disjoint disks disjoint.  Only decompose decides
+    inclusion in another basis element.
     """
 
     __slots__ = ("disks", "order")
@@ -197,11 +198,6 @@ class BasisElement:
                 if not disjoint(d1, d2):
                     raise ValueError(f"disks overlap: {d1} and {d2}")
         return BasisElement._of_disjoint(self.disks + other.disks)
-
-    def subset_of(self, other: "BasisElement") -> bool:
-        return all(
-            any(contains(d, m) for m in other.disks) for d in self.disks
-        )
 
     @classmethod
     def from_json(cls, docs) -> "BasisElement":

@@ -47,8 +47,8 @@ from .diskgeom import (
     connected_components,
     contains,
     decompose,
-    disjoint,
 )
+from .errors import InputError
 from .grading import GradedElement, format_monomial, normalize_monomial
 from .jetalg import AlgebraHom, AlgebraPresentation, Echelon, lift_hom
 from .reports import SampledChecks, check_entry
@@ -279,24 +279,21 @@ def multiply_sections(s: TensorSection, t: TensorSection, N: BasisElement) -> Te
 
 class SupportedOpen:
     """Finite list of pairwise disjoint connected regions, each a finite
-    union of disks; the shape of open set on which evaluation is defined."""
+    union of disks; the shape of open set on which evaluation is defined.
+    The regions are valid exactly when they are the overlap components of
+    all their disks."""
 
     def __init__(self, regions):
-        cleaned = []
-        for region in regions:
-            disks = tuple(region)
-            if not disks:
-                raise ValueError("regions must contain at least one disk")
-            if len(connected_components(disks)) != 1:
-                raise ValueError("region is not connected")
-            cleaned.append(disks)
-        for i in range(len(cleaned)):
-            for j in range(i + 1, len(cleaned)):
-                for d1 in cleaned[i]:
-                    for d2 in cleaned[j]:
-                        if not disjoint(d1, d2):
-                            raise ValueError("regions overlap")
-        self.regions = tuple(cleaned)
+        regions = tuple(map(tuple, regions))
+        if not all(regions):
+            raise ValueError("regions must contain at least one disk")
+        owner = [j for j, region in enumerate(regions) for _ in region]
+        components = connected_components([d for region in regions for d in region])
+        if any(owner[i] != owner[c[0]] for c in components for i in c):
+            raise ValueError("regions overlap")
+        if len(components) > len(regions):
+            raise ValueError("region is not connected")
+        self.regions = regions
 
     def __len__(self):
         return len(self.regions)
@@ -335,16 +332,11 @@ def mu_l_via_placement(P, elements, placement: BasisElement, ambient: Disk) -> G
     Places the factors on the disks of the placement, corestricts into the
     ambient disk, and reads off the resulting element.  Placement
     independence says this agrees with the placement-free P.product for
-    every admissible choice.
+    every admissible choice.  The section refuses a wrong element count
+    and the corestriction a placement disk outside the ambient disk.
     """
-    elements = list(elements)
-    if len(elements) != len(placement):
-        raise ValueError("need exactly one element per placement disk")
     section = TensorSection.simple(placement, elements, P)
-    target = BasisElement([ambient])
-    if not placement.subset_of(target):
-        raise ValueError("placement does not sit inside the ambient disk")
-    return corestrict(section, target).as_element()
+    return corestrict(section, BasisElement([ambient])).as_element()
 
 
 def equivariant_act(g: GroupElement, s: TensorSection, V: VertexAlgebra) -> TensorSection:
@@ -568,7 +560,10 @@ def check_adjunction(P: AlgebraPresentation, samples: int = 20, seed: int = 0) -
     """Sampled round trips of theta = adjunction_theta and theta' =
     adjunction_theta_prime on f: P -> C[u] lifted from random generator images
     f0: extract_after_wrap, theta(theta'(f)) = f on every variable;
-    wrap_after_extract, theta'(theta(theta'(f))) = theta'(f) on a two-disk section."""
+    wrap_after_extract, theta'(theta(theta'(f))) = theta'(f) on a two-disk section.
+    Random images almost never satisfy a relation: P must be free (InputError)."""
+    if P.relations:
+        raise InputError(f"adjunction needs a presentation without relations, got {P!r}")
     sampler = Sampler(seed)
     target = AlgebraPresentation(["u"], [], P.wmax)
     tally = SampledChecks(["extract_after_wrap", "wrap_after_extract"])
@@ -610,13 +605,12 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
     intersections and the projection to the top disk are computable inside
     the basis.  Per weight component the cokernel of (p - q) must map
     isomorphically onto the value on the top disk; this is verified by
-    exact rank computations.
+    exact rank computations.  Other radii raise InputError, naming them.
     """
-    radii = [r for r in radii]
-    if any(radii[i] >= radii[i + 1] for i in range(len(radii) - 1)):
-        raise ValueError("radii must be strictly increasing")
-    if not radii:
-        raise ValueError("need at least one radius")
+    radii = list(radii)
+    if not radii or radii[0] <= 0 or any(a >= b for a, b in zip(radii, radii[1:])):
+        shown = ", ".join(map(str, radii))
+        raise InputError(f"radii must be positive and strictly increasing, got [{shown}]")
     wmax = P.wmax if wmax is None else wmax
     n = len(radii)
     opens = [BasisElement([Disk(Scalar(0), r)]) for r in radii]

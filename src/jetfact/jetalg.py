@@ -52,7 +52,6 @@ __all__ = [
     "Echelon",
     "AlgebraPresentation",
     "AlgebraHom",
-    "DifferentialHom",
     "LiftError",
     "lift_hom",
 ]
@@ -442,47 +441,28 @@ class LiftError(ValueError):
     """A requested differential extension does not respect the relations."""
 
 
-class DifferentialHom(AlgebraHom):
-    """The differential extension of a map defined on order-zero generators.
-
-    The variable x^(m) maps to the m-th derivative of the image of x, so
-    the morphism commutes with the derivations by construction.
-    """
-
-    def __init__(self, source, target, gen0_images: dict):
-        super().__init__(source, target, {})
-        self.gen0_images = dict(gen0_images)
-
-    def image_of_variable(self, gen: str, order: int) -> GradedElement:
-        key = (gen, order)
-        img = self._images.get(key)
-        if img is None:
-            if gen not in self.gen0_images:
-                raise KeyError(f"no image assigned for generator {gen!r}")
-            img = self.target.derive(self.gen0_images[gen], times=order)
-            self._images[key] = img
-        return img
-
-    def variable_items(self):
-        for gen in self.gen0_images:
-            for order in range(self.source.wmax):
-                yield (gen, order), self.image_of_variable(gen, order)
-
-
-def lift_hom(f0, source: AlgebraPresentation, target: AlgebraPresentation) -> DifferentialHom:
+def lift_hom(f0, source: AlgebraPresentation, target: AlgebraPresentation) -> AlgebraHom:
     """Extend a generator assignment to the unique differential morphism.
 
     f0 is a dict mapping source generator names to target elements, or a
-    list aligned with source.generators.  The extension sends x^(m) to the
-    m-th derivative of f0(x).  Raises LiftError when a relation image does
-    not vanish in the target up to the truncation bound.
+    list aligned with source.generators.  The result is an AlgebraHom
+    sending x^(m), for each m < W, to the m-th derivative of f0(x), one
+    derivation per step.  Raises LiftError when a relation image does not
+    vanish in the target up to the truncation bound.
     """
     if not isinstance(f0, dict):
         f0 = dict(zip(source.generators, f0))
     missing = set(source.generators) - set(f0)
     if missing:
         raise LiftError(f"no image for generators {sorted(missing)}")
-    hom = DifferentialHom(source, target, f0)
+    images = {}
+    for gen in source.generators:
+        img = f0[gen]
+        for order in range(source.wmax):
+            if order:
+                img = target.derive(img)
+            images[gen, order] = img
+    hom = AlgebraHom(source, target, images)
     for rel in source.relations:
         img = hom.apply(rel)
         if img:

@@ -10,11 +10,8 @@ from ._kernels import BACKEND as KERNEL_BACKEND
 __all__ = ["check_entry", "SampledChecks", "make_report", "all_pass"]
 
 
-def check_entry(name: str, ok: bool, detail=None) -> dict:
-    entry = {"name": name, "status": "pass" if ok else "fail"}
-    if detail is not None:
-        entry["detail"] = detail
-    return entry
+def check_entry(name: str, ok: bool, detail) -> dict:
+    return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
 
 
 class SampledChecks:

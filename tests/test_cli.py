@@ -225,6 +225,8 @@ def test_zero_denominator_exits_two(argv, capsys):
         {"checks": [{"seed": [1]}]},
         {"geometry": {"g": 5}},
         {"checks": [{}, {}]},
+        {"checks": [{"samples": True}]},
+        {"checks": [{"seed": False}]},
     ],
     ids=[
         "top-level list",
@@ -236,6 +238,8 @@ def test_zero_denominator_exits_two(argv, capsys):
         "seed list",
         "geometry entry number",
         "two checks entries",
+        "boolean samples",
+        "boolean seed",
     ],
 )
 def test_malformed_preset_exits_two(doc, tmp_path, capsys):
@@ -309,6 +313,7 @@ def test_value_error_inside_a_structure_map_exits_three(monkeypatch, capsys):
         ["jet", "build", "--max-weight", "-1"],
         ["fact", "check", "--relations", "1", "--samples", "1"],
         ["fact", "check", "--preset", __file__],
+        ["fact", "adjunction", "--gens", "x,y", "--relations", "x*y", "--samples", "3"],
     ],
     ids=[
         "decreasing radii",
@@ -318,6 +323,7 @@ def test_value_error_inside_a_structure_map_exits_three(monkeypatch, capsys):
         "negative max weight",
         "zero algebra",
         "preset not JSON",
+        "adjunction with relations",
     ],
 )
 def test_bad_input_is_an_input_error(argv, capsys):

@@ -124,13 +124,6 @@ def test_union_closure():
         L.union(BasisElement([D(1, 1)]))
 
 
-def test_subset_of():
-    L = BasisElement([D(0, Fraction(1, 4))])
-    M = BasisElement([D(0, 2), D(5, 2)])
-    assert L.subset_of(M)
-    assert not M.subset_of(L)
-
-
 def test_connected_components_examples():
     disks = [D(0, 1), D(1, 1), D(5, 1)]
     assert connected_components(disks) == [[0, 1], [2]]

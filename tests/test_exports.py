@@ -26,7 +26,6 @@ KEPT = {
     "factalg.evaluate": "local constancy on supported opens, which README names",
     "factalg.SupportedOpen.region_of": "evaluate's regions: local constancy, in README",
     "factalg.mu_l_via_placement": "placement independence (acceptance 04)",
-    "diskgeom.BasisElement.subset_of": "the placement check of acceptance 04",
     "jetalg.AlgebraPresentation.product": "the placement-free side of acceptance 04",
     "reconstruct.insert_via_disks": "the disk route of insertion (ROADMAP item 3)",
     "reconstruct.InsertionSeries.evaluate_exact": "the series side of the disk route",

@@ -5,6 +5,7 @@ import pytest
 
 from jetfact._kernels import mono_mul
 from jetfact.diskgeom import BasisElement, Disk, GroupElement, act, contains, decompose
+from jetfact.errors import InputError
 from jetfact.factalg import (
     FAMorphism,
     SupportedOpen,
@@ -164,10 +165,15 @@ def test_evaluate_errors(free_x):
     outside = TensorSection.simple(small_disks(10), [free_x.gen("x")], free_x)
     with pytest.raises(ValueError):
         evaluate(outside, U)
-    with pytest.raises(ValueError):
-        SupportedOpen([[D(0, 1), D(5, 1)]])  # disconnected region
-    with pytest.raises(ValueError):
-        SupportedOpen([[D(0, 1)], [D(1, 1)]])  # overlapping regions
+    with pytest.raises(ValueError, match="region is not connected"):
+        SupportedOpen([[D(0, 1), D(5, 1)]])
+    with pytest.raises(ValueError, match="regions overlap"):
+        SupportedOpen([[D(0, 1)], [D(1, 1)]])
+    with pytest.raises(ValueError, match="regions overlap"):
+        SupportedOpen([[D(0, 1)], [D(5, 1)], [D(1, 1)]])  # only regions 0 and 2
+    with pytest.raises(ValueError, match="regions overlap"):
+        # The first region is joined only through the second.
+        SupportedOpen([[D(0, 1), D(3, 1)], [D(Fraction(3, 2), 1)]])
     with pytest.raises(ValueError):
         SupportedOpen([[]])
 
@@ -177,6 +183,13 @@ def test_mu_l_examples(free_x):
     assert free_x.product([a, b]) == free_x.multiply(a, b)
     assert free_x.product([a]) == a
     assert free_x.product([a, b, c]) == free_x.product([free_x.product([a, b]), c])
+
+
+def test_mu_l_placement_refuses_a_disk_outside_the_ambient(free_x):
+    placement = BasisElement([D(0, 1), D(5, 1)])
+    x = free_x.gen("x")
+    with pytest.raises(ValueError, match="not covered"):
+        mu_l_via_placement(free_x, [x, x], placement, D(0, 2))
 
 
 def test_mu_l_placement_independence(free_x):
@@ -315,6 +328,11 @@ def test_adjunction_round_trips(free_x):
         assert rewrapped.apply(sec) == phi.apply(sec)
 
 
+def test_check_adjunction_refuses_relations(quot_xy):
+    with pytest.raises(InputError, match="x0\\*y0"):
+        check_adjunction(quot_xy, samples=1)
+
+
 @pytest.mark.parametrize("name", ["free_x", "free_xy"])
 def test_check_adjunction_passes_both_round_trips(name, request):
     report = check_adjunction(request.getfixturevalue(name), samples=4, seed=3)
@@ -365,10 +383,10 @@ def test_coequalizer_chain(free_x):
 
 
 def test_coequalizer_chain_validation(free_x):
-    with pytest.raises(ValueError):
-        check_coequalizer_chain(free_x, [Fraction(2), Fraction(1)])
-    with pytest.raises(ValueError):
-        check_coequalizer_chain(free_x, [])
+    for radii in [[], [0, 1], [2, 1], [1, 1]]:
+        with pytest.raises(InputError, match="strictly increasing") as err:
+            check_coequalizer_chain(free_x, radii)
+        assert str(err.value).endswith(f"got {radii}")
 
 
 def test_section_equality_ignores_the_presentation(free_x, quot_x2):

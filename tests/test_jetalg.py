@@ -10,7 +10,6 @@ from jetfact.grading import GradedElement
 from jetfact.jetalg import (
     AlgebraHom,
     AlgebraPresentation,
-    DifferentialHom,
     Echelon,
     LiftError,
     lift_hom,
@@ -404,11 +403,21 @@ def test_lift_uniqueness():
     tgt = AlgebraPresentation(["y"], [], 6)
     img = tgt.gen("y", 1)
     h1 = lift_hom({"x": img}, src, tgt)
-    h2 = DifferentialHom(src, tgt, {"x": img})
+    h2 = AlgebraHom(src, tgt, {("x", k): tgt.derive(img, times=k) for k in range(6)})
     s = Sampler(23)
     for _ in range(20):
         a = s.element(src)
         assert h1.apply(a) == h2.apply(a)
+
+
+def test_lift_assigns_every_variable_below_the_bound_once():
+    src = AlgebraPresentation(["x", "y"], [], 5)
+    tgt = AlgebraPresentation(["u"], [], 5)
+    f0 = {"x": tgt.parse("u + u*u"), "y": tgt.gen("u", 1)}
+    items = list(lift_hom(f0, src, tgt).variable_items())
+    assert [v for v, _ in items] == [(g, m) for g in ("x", "y") for m in range(5)]
+    for (g, m), img in items:
+        assert img == tgt.derive(f0[g], times=m)
 
 
 def test_lift_rejects_broken_relations(quot_x2):
