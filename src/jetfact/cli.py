@@ -112,8 +112,9 @@ def cmd_fact_check(args, P, preset) -> list:
     if len(entries) > 1:
         raise InputError("preset checks must hold at most one entry")
     # Named geometry in the scenario is validated up front: construction
-    # enforces disjointness for basis elements and connectivity plus
-    # region disjointness for supported opens ({"regions": [[...], ...]}).
+    # enforces positive radii and disjointness for basis elements, and
+    # connectivity plus region disjointness for supported opens
+    # ({"regions": [[...], ...]}); a violation is a failed check.
     for name, doc in geometry.items():
         try:
             if isinstance(doc, dict) and "regions" in doc:
@@ -122,11 +123,12 @@ def cmd_fact_check(args, P, preset) -> list:
             else:
                 detail = {"disks": len(BasisElement.from_json(doc))}
             checks.append(check_entry(f"geometry_{name}", True, detail))
-        except (ValueError, KeyError) as exc:
-            checks.append(check_entry(f"geometry_{name}", False, {"error": str(exc)}))
-        except TypeError as exc:
-            # A value of the wrong JSON type is bad input, not a failed check.
+        except (InputError, TypeError) as exc:
+            # A disk that does not parse, or a value of the wrong JSON
+            # type, is bad input, not a failed check.
             raise InputError(f"preset geometry {name!r} is malformed: {exc}") from None
+        except ValueError as exc:
+            checks.append(check_entry(f"geometry_{name}", False, {"error": str(exc)}))
     for entry in entries:
         samples = entry.get("samples", args.samples)
         if not isinstance(samples, int) or isinstance(samples, bool) or samples < 0:
@@ -219,7 +221,7 @@ def vars_of(args) -> dict:
 
 
 def non_negative_int(text: str) -> int:
-    """argparse type of --samples and --nmax: a non-negative integer."""
+    """argparse type of --samples, --nmax and --basis: a non-negative integer."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = jet.add_parser("build", help="build a presentation and list dimensions")
     _add_common(b)
     b.add_argument("--dims", action="store_true", help="list weight-space dimensions")
-    b.add_argument("--basis", type=int, help="list the basis of this weight")
+    b.add_argument("--basis", type=non_negative_int, help="list the basis of this weight")
     b.set_defaults(func=cmd_jet_build)
 
     vx = sub.add_parser("vertex").add_subparsers(dest="cmd", required=True)

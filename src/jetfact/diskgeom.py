@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from math import lcm
 
+from .errors import InputError
 from .scalars import Scalar, frac
 
 __all__ = [
@@ -68,8 +69,12 @@ class Disk:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Disk":
-        re, im = doc["c"]
-        r = doc["r"]
+        """The disk {"c": [re, im], "r": r}; r may be "inf".  A document of
+        another shape, or a number that does not parse, is an InputError."""
+        try:
+            (re, im), r = doc["c"], doc["r"]
+        except (KeyError, ValueError):
+            raise InputError(f'a disk is {{"c": [re, im], "r": r}}, got {doc!r}') from None
         return cls(Scalar(frac(re), frac(im)), None if r == "inf" else frac(r))
 
 

@@ -331,7 +331,7 @@ class AlgebraPresentation:
         if delta < 0:
             return []
         if delta > self.wmax:
-            raise ValueError(f"weight {delta} exceeds truncation bound {self.wmax}")
+            raise InputError(f"weight {delta} exceeds truncation bound {self.wmax}")
         if delta not in self._basis_cache:
             self._basis_cache[delta] = [
                 m for m in self._free_monomials(delta) if m not in self._echelon.pivots

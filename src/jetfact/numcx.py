@@ -9,20 +9,21 @@ from one FFT of the samples) and the double residues all read it.  The
 trapezoid rule is spectrally exact for the trigonometric-polynomial
 integrands this system produces.  Line segments refine a midpoint rule
 dyadically with one Richardson step and raise QuadratureError when it
-does not settle.  The two-variable residues of the locality check are the
-trapezoid double sum over the node grid, reassociated into small matrix
-products of the node Vandermonde matrices.  On a finite node set
-exponents that differ by a multiple of the node count alias onto each
-other, so both numeric checks compute the smallest node count from which
-their series reads no other exponent and refuse fewer nodes with an
-AliasingError that carries it.
+does not settle.  The two-variable residues of the locality check take
+their weight as a Laurent polynomial in (z, w); each of its terms is a z
+part times a w part, so the trapezoid double sum factors into one node
+average per circle and term, and no array over the node grid is formed.
+On a finite node set exponents that differ by a multiple of the node
+count alias onto each other, so both numeric checks compute the smallest
+node count from which their series reads no other exponent and refuse
+fewer nodes with an AliasingError that carries it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import gcd, inf, pi
+from math import comb, gcd, inf, pi
 
 import numpy as np
 
@@ -335,26 +336,29 @@ def laurent_coeffs(f, center, ns, radius, nodes: int = 128) -> np.ndarray:
     return spectrum * (radius ** -ns.astype(float))[:, None]
 
 
-def double_residue(coeffs: np.ndarray, weight, r_z: float, r_w: float, nodes: int) -> np.ndarray:
+def double_residue(
+    coeffs: np.ndarray, weight: dict, r_z: float, r_w: float, nodes: int
+) -> np.ndarray:
     """Res_z Res_w of weight(z, w) * F(z, w) on the circles |z| = r_z and
     |w| = r_w, by the trapezoid rule with the given node count per circle.
 
-    F is the polynomial sum of coeffs[e1, e2, :] z^e1 w^e2 and weight maps
-    a column of z nodes and a row of w nodes to their grid of scalar
-    weights.  The double node average of g(z, w) = weight(z, w) z w times
-    F is reassociated as the sum over (e1, e2) of (Vz^T g Vw)[e1, e2]
-    coeffs[e1, e2, :] / nodes^2, with Vz, Vw the node Vandermonde
-    matrices, so no grid of coefficient vectors is formed.  The sum is
-    exact for Laurent polynomials that alias nothing at this node count;
-    which radius is larger decides the expansion region.
+    F is the polynomial sum of coeffs[e1, e2, :] z^e1 w^e2, and weight is
+    the Laurent polynomial {(p, q): c} summing c z^p w^q.  Each term of
+    z w weight F is a z part times a w part, so its double node average is
+    the product of one node average per circle: Vz^T z^(p+1) and
+    Vw^T w^(q+1), with Vz, Vw the node Vandermonde matrices.  Their outer
+    products, weighted by c and summed, contract with coeffs: the
+    trapezoid double sum reassociated, with no array over the node grid.
+    The sum is exact for Laurent polynomials that alias nothing at this
+    node count; which radius is larger decides the expansion region.
     """
     _, z = _circle_nodes(r_z, nodes)
     _, w = _circle_nodes(r_w, nodes)
-    Vz = np.vander(z, coeffs.shape[0], increasing=True)
-    Vw = np.vander(w, coeffs.shape[1], increasing=True)
-    Z, W = z[:, None], w[None, :]
-    g = weight(Z, W) * Z * W
-    return np.tensordot(Vz.T @ g @ Vw, coeffs, axes=2) / (nodes * nodes)
+    shifts = np.array(list(weight), dtype=int).reshape(-1, 2) + 1
+    c = np.array(list(weight.values()), dtype=complex)
+    Az = np.vander(z, coeffs.shape[0], increasing=True).T @ z[:, None] ** shifts[:, 0]
+    Aw = np.vander(w, coeffs.shape[1], increasing=True).T @ w[:, None] ** shifts[:, 1]
+    return np.tensordot((Az * c) @ Aw.T, coeffs, axes=2) / (nodes * nodes)
 
 
 def mode_agreement_check(
@@ -389,8 +393,11 @@ def mode_agreement_check(
     numeric = laurent_coeffs(f, 0.0, powers, 0.75, nodes)
     # The series has no pole, so modes n >= 0 (k < 0) read zero from it,
     # and so do the powers above its degree.
-    exact = [C[k] if 0 <= k < len(C) else 0 for k in powers]
-    worst = max(max_norm(coeff - e) for coeff, e in zip(numeric, exact))
+    ks = np.array(powers)
+    held = (0 <= ks) & (ks < len(C))
+    exact = np.zeros_like(numeric)
+    exact[held] = C[ks[held]]
+    worst = max_norm(numeric - exact)
     checks = [
         check_entry(
             "numeric_symbolic_modes",
@@ -399,6 +406,12 @@ def mode_agreement_check(
         )
     ]
     return {"checks": checks}
+
+
+def _locality_weight(m: int, n: int, N: int) -> dict:
+    """z^m w^n (z - w)^N as the Laurent polynomial {(p, q): coefficient},
+    by the binomial theorem: C(N, i) (-1)^(N-i) at (m + i, n + N - i)."""
+    return {(m + i, n + N - i): comb(N, i) * (-1) ** (N - i) for i in range(N + 1)}
 
 
 def residue_swap_check(
@@ -420,9 +433,10 @@ def residue_swap_check(
     inside the z-contour matches the mode sum with the first state
     outermost; swapping the radii matches the other association.  Both
     numeric values and both exact sums must agree within the tolerance in
-    the max-norm.  Each contour order is the trapezoid double sum on the
-    node grid, computed by double_residue from the stacked series
-    coefficients as small matrix products.
+    the max-norm.  The weight is expanded once by the binomial theorem
+    (_locality_weight); the aliasing guard reads its exponents, and
+    double_residue integrates it term by term in each contour order
+    against the stacked series coefficients.
     Raises ValueError when N is negative, and AliasingError when the node
     count is below the smallest one from which no monomial of the
     integrand aliases onto the residue.
@@ -431,22 +445,15 @@ def residue_swap_check(
         raise ValueError("locality order N must be non-negative")
     P = V.presentation
     series = insert(["z", "w", Scalar(0)], [a, b, c], V)
-    # (z - w)^N contributes z^i w^(N-i); the residue reads z^-1 w^-1.
+    weight = _locality_weight(m, n, N)
+    # The residue reads z^-1 w^-1 of weight(z, w) F(z, w).
     _refuse_aliasing(
         nodes,
-        (
-            (m + 1 + i + e1, n + 1 + N - i + e2)
-            for e1, e2 in series.coeffs
-            for i in range(N + 1)
-        ),
+        ((p + 1 + e1, q + 1 + e2) for e1, e2 in series.coeffs for p, q in weight),
         f"the residue at m={m}, n={n}, N={N} of a series of degree "
         f"{series.total_degree()}",
     )
     C = coefficient_tensor(series, P)
-
-    def weight(z, w):
-        return z**m * w**n * (z - w) ** N
-
     order_w_inner = double_residue(C, weight, 1.5, 0.5, nodes)
     order_z_inner = double_residue(C, weight, 0.5, 1.5, nodes)
 

@@ -227,6 +227,11 @@ def test_zero_denominator_exits_two(argv, capsys):
         {"checks": [{}, {}]},
         {"checks": [{"samples": True}]},
         {"checks": [{"seed": False}]},
+        {"geometry": {"L": [{"c": ["a", "0"], "r": "1"}]}},
+        {"geometry": {"L": [{"c": ["0", "0"], "r": "1/0"}]}},
+        {"geometry": {"L": [{"c": ["0", "0"]}]}},
+        {"geometry": {"L": [{"c": ["0"], "r": "1"}]}},
+        {"geometry": {"U": {"regions": [[{"c": ["0", "0"], "r": "x"}]]}}},
     ],
     ids=[
         "top-level list",
@@ -240,6 +245,11 @@ def test_zero_denominator_exits_two(argv, capsys):
         "two checks entries",
         "boolean samples",
         "boolean seed",
+        "disk center not a number",
+        "disk radius 1/0",
+        "disk without radius",
+        "disk center of one number",
+        "region disk radius not a number",
     ],
 )
 def test_malformed_preset_exits_two(doc, tmp_path, capsys):
@@ -258,6 +268,7 @@ def test_malformed_preset_exits_two(doc, tmp_path, capsys):
         ["fact", "adjunction", "--samples", "-2"],
         ["num", "swap", "--samples", "-2"],
         ["num", "laurent", "--nmax", "-1"],
+        ["jet", "build", "--basis", "-1"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -314,6 +325,7 @@ def test_value_error_inside_a_structure_map_exits_three(monkeypatch, capsys):
         ["fact", "check", "--relations", "1", "--samples", "1"],
         ["fact", "check", "--preset", __file__],
         ["fact", "adjunction", "--gens", "x,y", "--relations", "x*y", "--samples", "3"],
+        ["jet", "build", "--max-weight", "6", "--basis", "99"],
     ],
     ids=[
         "decreasing radii",
@@ -324,6 +336,7 @@ def test_value_error_inside_a_structure_map_exits_three(monkeypatch, capsys):
         "zero algebra",
         "preset not JSON",
         "adjunction with relations",
+        "basis above max weight",
     ],
 )
 def test_bad_input_is_an_input_error(argv, capsys):
@@ -430,6 +443,28 @@ def test_preset_rejects_overlapping_geometry(tmp_path):
     assert code == 1
     geo = next(c for c in report["checks"] if c["name"] == "geometry_bad")
     assert geo["status"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"c": ["0", "0"], "r": "0"}],
+        [{"c": ["0", "0"], "r": "-1"}],
+        {"regions": [[{"c": ["0", "0"], "r": "1"}, {"c": ["3", "0"], "r": "1"}]]},
+        {"regions": [[{"c": ["0", "0"], "r": "1"}], [{"c": ["1", "0"], "r": "1"}]]},
+    ],
+    ids=["zero radius", "negative radius", "disconnected region", "overlapping regions"],
+)
+def test_preset_geometry_that_parses_but_fails_is_a_failed_check(doc, tmp_path):
+    # Well-formed disks that break a rule of the geometry fail their check
+    # (exit 1); only input that does not parse exits 2.
+    preset = tmp_path / "scenario.json"
+    preset.write_text(json.dumps({"geometry": {"g": doc}, "checks": []}))
+    code, report = run_json(["fact", "check", "--preset", str(preset)], tmp_path)
+    assert code == 1
+    [check] = report["checks"]
+    assert (check["name"], check["status"]) == ("geometry_g", "fail")
+    assert check["detail"]["error"]
 
 
 def test_report_to_stdout(capsys):
