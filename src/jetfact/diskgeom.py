@@ -247,12 +247,15 @@ class GroupElement:
 def act(g: GroupElement, obj):
     """Apply an isometry to a Disk or BasisElement; radii are unchanged.
 
-    The image of a BasisElement is not checked for overlaps: q is an exact
-    unit, so distances, and with them disjointness, are kept exactly.  Its
-    order is relative to the canonical disks of obj.
+    Nothing of the image is re-checked: obj's radius was checked when obj
+    was built, and q is an exact unit, so distances and disjointness are
+    kept exactly.  The order of a BasisElement's image is relative to the
+    canonical disks of obj.
     """
     if isinstance(obj, Disk):
-        return Disk(g.apply(obj.center), obj.radius)
+        moved = object.__new__(Disk)
+        moved.center, moved.radius = g.apply(obj.center), obj.radius
+        return moved
     if isinstance(obj, BasisElement):
         return BasisElement._of_disjoint([act(g, d) for d in obj.disks])
     raise TypeError(f"cannot act on {type(obj).__name__}")

@@ -12,9 +12,11 @@ a disjoint pair concatenates the terms, then corestricts; the union of
 the two disk lists checks only the pairs across them.  The isometry group
 moves the disks, with no pair re-checked, and builds one
 translation-rotation flow e^{tT} q^{L0} per group element, applied once
-to each distinct factor.  Equality is decided on the expansion over
-monomial tensors (data), computed once per section when first read, from
-prefix products of each term's factors.
+to each distinct factor; the flow is the section presentation's own
+(AlgebraPresentation.flow), so no vertex structure is involved.
+Equality is decided on the expansion over monomial tensors (data),
+computed once per section when first read, from prefix products of each
+term's factors.
 
 TensorSection() puts outside keys in canonical form (factors sorted and
 read in normal form, keys with a factor above the bound dropped as zero,
@@ -54,7 +56,6 @@ from .jetalg import AlgebraHom, AlgebraPresentation, Echelon, lift_hom
 from .reports import SampledChecks, check_entry
 from .sampling import Sampler
 from .scalars import Scalar
-from .vertex import VertexAlgebra, completion_flow
 from ._kernels import mono_weight
 
 __all__ = [
@@ -339,12 +340,12 @@ def mu_l_via_placement(P, elements, placement: BasisElement, ambient: Disk) -> G
     return corestrict(section, BasisElement([ambient])).as_element()
 
 
-def equivariant_act(g: GroupElement, s: TensorSection, V: VertexAlgebra) -> TensorSection:
+def equivariant_act(g: GroupElement, s: TensorSection) -> TensorSection:
     """Move a section by an isometry: disks by the point action, factors by
-    the translation-rotation flow e^{tT} q^{L0}, made once for g and
-    applied once to each distinct factor."""
+    the translation-rotation flow e^{tT} q^{L0} of the section's own
+    presentation, made once for g and applied once to each distinct factor."""
     newL = act(g, s.L)
-    move = cache(completion_flow(g.q, g.t, V))
+    move = cache(s.P.flow(g.q, g.t))
     terms = [(c, tuple(move(factors[i]) for i in newL.order)) for c, factors in s.terms]
     return TensorSection._make(newL, s.P, terms)
 
@@ -413,8 +414,8 @@ def _sample_section(sampler: Sampler, L: BasisElement, P) -> TensorSection:
     )
 
 
-def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = False) -> dict:
-    """Sampled verification of the structure-map axioms.
+def check_pfa_axioms(P, samples: int = 30, seed: int = 0, corrupt: bool = False) -> dict:
+    """Sampled verification of the structure-map axioms on sections over P.
 
     Covers precosheaf functoriality, compatibility of multiplication with
     corestriction, symmetry, the associativity square, the unit law, and
@@ -422,8 +423,6 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
     control runs a broken corestriction, which keeps only the first
     factor of a group, and reports pass when the harness catches it.
     """
-    V = algebra if isinstance(algebra, VertexAlgebra) else VertexAlgebra(algebra)
-    P = V.presentation
     sampler = Sampler(seed)
 
     names = [
@@ -518,25 +517,21 @@ def check_pfa_axioms(algebra, samples: int = 30, seed: int = 0, corrupt: bool = 
         g2 = sampler.group_element()
         Le = sampler.disjoint_disks(2)
         se = _sample_section(sampler, Le, P)
-        seq = equivariant_act(g1, equivariant_act(g2, se, V), V)
+        seq = equivariant_act(g1, equivariant_act(g2, se))
         tally.record(
             "equivariance_compose",
-            seq == equivariant_act(g1.compose(g2), se, V),
+            seq == equivariant_act(g1.compose(g2), se),
             lambda: {"g1": repr(g1), "g2": repr(g2)},
         )
-        ok = equivariant_act(GroupElement.identity(), se, V) == se
+        ok = equivariant_act(GroupElement.identity(), se) == se
         tally.record("equivariance_identity", ok, lambda: {"section": repr(se)})
         te = _sample_section(sampler, act(shift, Le), P)
-        lhs = equivariant_act(g1, multiply_sections(se, te, big), V)
-        rhs = multiply_sections(
-            equivariant_act(g1, se, V),
-            equivariant_act(g1, te, V),
-            act(g1, big),
-        )
+        lhs = equivariant_act(g1, multiply_sections(se, te, big))
+        rhs = multiply_sections(equivariant_act(g1, se), equivariant_act(g1, te), act(g1, big))
         tally.record(
             "equivariance_multiplication", lhs == rhs, lambda: {"g": repr(g1)}
         )
-        ok = equivariant_act(g1, unit, V).as_scalar() == c
+        ok = equivariant_act(g1, unit).as_scalar() == c
         tally.record("equivariance_unit", ok, lambda: {"g": repr(g1), "c": str(c)})
 
         if corrupt:

@@ -28,8 +28,9 @@ The normal form is linear, so the product and the derivation are linear
 maps on monomials.  Each presentation holds them as two lazily filled
 tables on monomials (the reduced product of a pair, the reduced
 derivative of one), and multiply and derive are sums over table rows.
-The translation tower T^k a / k! of an element is summed in the same way
-from per-monomial towers built on the derivative table.
+The translation tower T^k a / k! of an element and the flow e^{zT} q^{L0}
+that moves disk sections are summed in the same way from per-monomial
+towers built on the derivative table.
 
 Presentations are immutable after construction.  The internal caches
 (free monomials, weight bases, the coordinate index, normal forms of
@@ -74,6 +75,14 @@ def _add_scaled(out: dict, c, row: dict) -> None:
                 out[m] = t
             else:
                 del out[m]
+
+
+def _powers(s: Scalar, n: int) -> list:
+    """[s^0, s^1, ..., s^n]."""
+    out = [ONE]
+    for _ in range(n):
+        out.append(out[-1] * s)
+    return out
 
 
 class Echelon:
@@ -251,20 +260,44 @@ class AlgebraPresentation:
         self._check_element(a)
         if not a:
             return []
-        towers = self._towers
+        towers = [(c, self._monomial_tower(m)) for m, c in a.data.items()]
         out = [a]
         while True:
             k = len(out) - 1
             data = {}
-            for m, c in a.data.items():
-                tower = towers.get(m)
-                if tower is None:
-                    tower = self._monomial_tower(m)
+            for c, tower in towers:
                 if k < len(tower):
                     _add_scaled(data, c, tower[k])
             if not data:
                 return out
             out.append(GradedElement._make(data, self.wmax))
+
+    def flow(self, q: Scalar, z: Scalar):
+        """The flow a -> e^{zT} q^{L0} a of the isometry w -> q w + z.
+
+        The exact unit q is checked, and the powers of q and z computed,
+        once.  The returned function checks its a; a monomial m of weight w
+        and coefficient c gives c q^w m itself (a normal form stays one)
+        plus c q^w z^k times each row T^k m / k! of m's memoised tower.
+        """
+        q = Scalar.coerce(q)
+        if not q.is_unit():
+            raise ValueError(f"rotation scalar must have unit modulus, got {q}")
+        z = Scalar.coerce(z)
+        qpow = _powers(q, self.wmax)
+        zpow = _powers(z, self.wmax) if z else None
+
+        def flow(a: GradedElement) -> GradedElement:
+            self._check_element(a)
+            rotated = {m: c * qpow[mono_weight(m)] for m, c in a.data.items()}
+            out = dict(rotated)
+            if zpow:
+                for m, c in rotated.items():
+                    for k, row in enumerate(self._monomial_tower(m), 1):
+                        _add_scaled(out, c * zpow[k], row)
+            return GradedElement._make(out, self.wmax)
+
+        return flow
 
     def _product(self, a: dict, b: dict) -> dict:
         """Normal form of the product of two kernel dicts, by table rows."""
@@ -296,6 +329,9 @@ class AlgebraPresentation:
 
     def _monomial_tower(self, m) -> list:
         """[T^k m / k! for k >= 1] while nonzero, memoised."""
+        tower = self._towers.get(m)
+        if tower is not None:
+            return tower
         tower = []
         data = self._derivative({m: ONE})
         while data:
@@ -352,14 +388,11 @@ class AlgebraPresentation:
         """Concatenated weight bases for all weights up to the bound."""
         return list(self._coordinate_index())
 
-    def coordinates(self, elem: GradedElement):
-        """Exact coordinates of normal_form(elem) over basis_monomials()."""
-        nf = self.normal_form(elem)
+    def coordinates(self, elem: GradedElement) -> dict:
+        """The nonzero exact coordinates of normal_form(elem), as
+        {position in basis_monomials(): coefficient}."""
         index = self._coordinate_index()
-        vec = [Scalar(0)] * len(index)
-        for mono, coeff in nf.data.items():
-            vec[index[mono]] = coeff
-        return vec
+        return {index[mono]: c for mono, c in self.normal_form(elem).data.items()}
 
     # -- serialization ---------------------------------------------------------
 

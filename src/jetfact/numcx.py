@@ -170,8 +170,12 @@ def _as_contour_function(f) -> ContourFunction:
 
 
 def element_vector(elem, P: AlgebraPresentation) -> np.ndarray:
-    """Float coordinates of an exact element over the full monomial basis."""
-    return np.array([complex(c) for c in P.coordinates(elem)], dtype=complex)
+    """Float coordinates of an exact element over the full monomial basis;
+    only the nonzero ones are converted."""
+    vec = np.zeros(len(P.basis_monomials()), dtype=complex)
+    for i, c in P.coordinates(elem).items():
+        vec[i] = complex(c)
+    return vec
 
 
 def series_function(series: InsertionSeries, P: AlgebraPresentation, tensor=None):
@@ -241,8 +245,17 @@ def _circle_nodes(radius: float, nodes: int):
     if nodes < 1:
         raise ValueError(f"need at least one trapezoid node, got {nodes}")
     _check_radius(radius)
+    theta, roots = _unit_circle(nodes)
+    return theta, radius * roots
+
+
+@cache
+def _unit_circle(nodes: int):
+    """The angles 2 pi k / nodes and the unit roots at them, read-only."""
     theta = 2 * pi * np.arange(nodes) / nodes
-    return theta, radius * np.exp(1j * theta)
+    roots = np.exp(1j * theta)
+    theta.flags.writeable = roots.flags.writeable = False
+    return theta, roots
 
 
 def _sample_circle(f: ContourFunction, center: complex, radius: float, nodes: int):

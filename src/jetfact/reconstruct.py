@@ -246,7 +246,7 @@ def insert_via_disks(points, elements, V: VertexAlgebra):
         home = TensorSection.simple(
             BasisElement([Disk(Scalar(0), r)]), [state], V.presentation
         )
-        sections.append(equivariant_act(GroupElement(Scalar(1), p), home, V))
+        sections.append(equivariant_act(GroupElement(Scalar(1), p), home))
     if not sections:
         return corestrict(
             TensorSection.unit_on_empty(V.presentation), ambient

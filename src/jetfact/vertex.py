@@ -9,10 +9,10 @@ attached to a state acts by
 so the mode a_(n) b is the z^(-n-1) coefficient: modes with n >= 0 vanish
 and a_(-n-1) b = (T^n a) * b / n!.  The tower T^n a / n! depends on a
 alone, so vertex_ops builds it once per state and vertex_op is its form
-for one pair.  In the same way completion_flow(q, z, V) checks q and
-computes its powers once, and returns a -> e^{zT} q^{L0} a;
-completion_rotation and completion_translation are its forms for the
-rotation and the translation alone.  The axiom checker verifies the
+for one pair.  The flow a -> e^{zT} q^{L0} a of an isometry needs only
+the presentation's derivation and grading, so it is the presentation's
+flow(q, z); completion_rotation and completion_translation are its forms
+for the rotation and the translation alone.  The axiom checker verifies the
 vacuum, translation, and locality identities on seeded samples; locality
 is run as the finite binomial mode identity at orders N = 0, 1, 2, which
 is the form the residue calculus reduces it to.  It also checks, once,
@@ -25,18 +25,16 @@ from functools import cache
 from math import comb
 
 from .grading import GradedElement, format_element, format_monomial
-from .jetalg import AlgebraPresentation, _add_scaled
+from .jetalg import AlgebraPresentation
 from .reports import SampledChecks, check_entry
 from .sampling import Sampler
 from .scalars import ONE, ZERO, Scalar
-from ._kernels import mono_weight
 
 __all__ = [
     "VertexAlgebra",
     "ModeTable",
     "vertex_ops",
     "vertex_op",
-    "completion_flow",
     "completion_rotation",
     "completion_translation",
     "check_vertex_axioms",
@@ -126,53 +124,9 @@ def vertex_op(a: GradedElement, b: GradedElement, V: VertexAlgebra) -> ModeTable
     return vertex_ops(a, V)(b)
 
 
-def completion_flow(q: Scalar, z: Scalar, V: VertexAlgebra):
-    """The translation-rotation flow of the isometry w -> q w + z: the
-    function a -> e^{zT} q^{L0} a.
-
-    q must be an exact unit.  It is checked here, once, and the powers
-    q^0..q^W and z^0..z^W are computed once.  The returned function checks
-    its a and makes one accumulation over a's monomials: a monomial m of
-    weight w and coefficient c gives c q^w m itself, unreduced (the k = 0
-    term of translation_tower), plus c q^w z^k times each row T^k m / k!
-    of m's tower, memoised per presentation as translation_tower reads it.
-    """
-    q = Scalar.coerce(q)
-    if not q.is_unit():
-        raise ValueError(f"rotation scalar must have unit modulus, got {q}")
-    z = Scalar.coerce(z)
-    P = V.presentation
-    qpow = _powers(q, V.wmax)
-    zpow = _powers(z, V.wmax) if z else None
-    towers = P._towers
-
-    def flow(a: GradedElement) -> GradedElement:
-        P._check_element(a)
-        rotated = {m: c * qpow[mono_weight(m)] for m, c in a.data.items()}
-        out = dict(rotated)
-        if zpow:
-            for m, c in rotated.items():
-                tower = towers.get(m)
-                if tower is None:
-                    tower = P._monomial_tower(m)
-                for k, row in enumerate(tower, 1):
-                    _add_scaled(out, c * zpow[k], row)
-        return GradedElement._make(out, V.wmax)
-
-    return flow
-
-
-def _powers(s: Scalar, n: int) -> list:
-    """[s^0, s^1, ..., s^n]."""
-    out = [ONE]
-    for _ in range(n):
-        out.append(out[-1] * s)
-    return out
-
-
 def completion_rotation(q: Scalar, a: GradedElement, V: VertexAlgebra) -> GradedElement:
     """Scale the weight-d component by q**d; q must be an exact unit."""
-    return completion_flow(q, ZERO, V)(a)
+    return V.presentation.flow(q, ZERO)(a)
 
 
 def completion_translation(z: Scalar, a: GradedElement, V: VertexAlgebra) -> GradedElement:
@@ -181,10 +135,10 @@ def completion_translation(z: Scalar, a: GradedElement, V: VertexAlgebra) -> Gra
     This is an algebra morphism up to the truncation bound because the
     translation is a derivation.
     """
-    return completion_flow(ONE, z, V)(a)
+    return V.presentation.flow(ONE, z)(a)
 
 
-def translation_identity_failures(a, b, table: ModeTable, V: VertexAlgebra, tb: ModeTable):
+def translation_identity_failures(table: ModeTable, V: VertexAlgebra, tb: ModeTable):
     """Indices where T(a_(n) b) != -n a_(n-1) b + a_(n) (T b), with table
     the mode table of (a, b) and tb that of (a, T b)."""
     bad = []
@@ -266,7 +220,7 @@ def check_vertex_axioms(
         # [T, Y(a, z)] = d/dz Y(a, z) as the mode identity.
         table = tables(a, b)
         tb = tables(a, V.translate(b))
-        bad = translation_identity_failures(a, b, table, V, tb)
+        bad = translation_identity_failures(table, V, tb)
 
         def translation_detail():
             detail = {"a": str(a), "b": str(b), "bad_n": bad}

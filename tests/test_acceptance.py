@@ -72,7 +72,7 @@ def test_acceptance_02_vertex_axiom_suite():
 
 def test_acceptance_03_prefactorization_axioms():
     V = VertexAlgebra(AlgebraPresentation(["x"], [], 6))
-    report = check_pfa_axioms(V, samples=100, seed=0)
+    report = check_pfa_axioms(V.presentation, samples=100, seed=0)
     counts = {
         c["name"]: c["detail"]["passed"] for c in report["checks"]
     }

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import jetfact.diskgeom as diskgeom
 from jetfact.diskgeom import (
     BasisElement,
     _canonical_order,
@@ -260,6 +261,31 @@ def test_act_on_a_basis_element_matches_the_checked_constructor():
             assert moved.order == checked.order
             reordered += moved.order != tuple(range(len(L)))
     assert reordered
+
+
+def test_moved_disks_keep_their_checked_radius(monkeypatch):
+    # act builds each image from the checked center and radius of its
+    # source: equal to the checked constructor's disk, and no radius is
+    # read through frac again.
+    s = Sampler(47)
+    cases = []
+    for q in (Scalar(1), I, Scalar(Fraction(3, 5), Fraction(4, 5))):
+        for _ in range(6):
+            L = s.disjoint_disks(s.rng.randint(1, 4))
+            cases.append((GroupElement(q, s.translation()), L))
+    plane = Disk(Scalar(Fraction(1, 2)), None)
+    for g, L in cases:
+        for d in (*L, plane):
+            moved = act(g, d)
+            checked = Disk(g.apply(d.center), d.radius)
+            assert moved == checked and hash(moved) == hash(checked)
+            assert type(moved.radius) is type(checked.radius)
+    calls = []
+    frac = diskgeom.frac
+    monkeypatch.setattr(diskgeom, "frac", lambda x: calls.append(x) or frac(x))
+    for g, L in cases:
+        act(g, L)
+    assert calls == []
 
 
 def test_canonical_order_matches_a_sort_by_fraction_keys():

@@ -1,6 +1,7 @@
-"""Every name a jetfact module exports resolves, and every definition in
+"""Every name a jetfact module exports resolves, every definition in
 src/jetfact is reached from a command, a benchmark workload or a kept
-entry point."""
+entry point, and the modules import only each other's public names, the
+section layer nothing of the vertex layer."""
 
 import ast
 import importlib
@@ -141,3 +142,35 @@ def test_every_definition_is_reached():
     kept = {q for q in defs if q in KEPT or q.rsplit(".", 1)[0] in KEPT}
     reached = _reached(defs, roots | kept, names, attrs)
     assert sorted(set(defs) - reached) == []
+
+
+def _imports():
+    """{module: [(imported module, name), ...]} for every from-import of a
+    src/jetfact module from within the package; module names are relative
+    to the package, as in ("_kernels", "mono_weight")."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        found = out[path.stem] = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0:
+                if module != "jetfact" and not module.startswith("jetfact."):
+                    continue
+                module = module.removeprefix("jetfact").removeprefix(".")
+            found += [(module, alias.name) for alias in node.names]
+    return out
+
+
+def test_modules_import_only_public_names_and_sections_not_the_vertex_layer():
+    imports = _imports()
+    # The flow e^{zT} q^{L0} is the presentation's: sections need no vertex layer.
+    assert [i for i in imports["factalg"] if "vertex" in i] == []
+    private = [
+        (module, i)
+        for module, found in imports.items()
+        for i in found
+        if i[1].startswith("_") and not i[1].endswith("__")
+    ]
+    assert private == []

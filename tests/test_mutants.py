@@ -51,8 +51,8 @@ def test_group_product_dropping_a_factor_fails(monkeypatch, free_x):
 
 def test_identity_rotation_fails_equivariance_compose(monkeypatch, free_x):
     # The flow keeps its translation and ignores the rotation q.
-    flow = factalg.completion_flow
-    monkeypatch.setattr(factalg, "completion_flow", lambda q, z, V: flow(1, z, V))
+    flow = AlgebraPresentation.flow
+    monkeypatch.setattr(AlgebraPresentation, "flow", lambda P, q, z: flow(P, 1, z))
     assert "equivariance_compose" in failing(check_pfa_axioms(free_x, samples=5, seed=0))
 
 
@@ -188,9 +188,7 @@ def test_every_failure_names_a_counterexample(monkeypatch, free_x):
     # equivariance checks; each failure must carry its counterexample.
     corestrict, act = factalg.corestrict, factalg.equivariant_act
     monkeypatch.setattr(factalg, "corestrict", lambda s, M: corestrict(s, M).scale(Scalar(-1)))
-    monkeypatch.setattr(
-        factalg, "equivariant_act", lambda g, s, V: act(g, s, V).scale(Scalar(-1))
-    )
+    monkeypatch.setattr(factalg, "equivariant_act", lambda g, s: act(g, s).scale(Scalar(-1)))
     report = check_pfa_axioms(free_x, samples=2, seed=0, corrupt=True)
     assert {"unit", "equivariance_identity", "equivariance_unit"} <= failing(report)
     for c in report["checks"]:

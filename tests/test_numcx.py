@@ -11,6 +11,7 @@ from jetfact.numcx import (
     Curve,
     Line,
     QuadratureError,
+    _circle_nodes,
     _locality_weight,
     cauchy_coeff,
     coefficient_tensor,
@@ -137,6 +138,33 @@ def test_trapezoid_routines_refuse_fewer_than_one_node(nodes, radius, refusal):
     C = np.ones((3, 3, 1), dtype=complex)
     with pytest.raises(ValueError, match=refusal):
         double_residue(C, {(-2, -2): 1}, radius, 0.5, nodes)
+
+
+def test_circle_nodes_are_shared_read_only_per_node_count():
+    for nodes in (1, 7, 128):
+        fresh = 2 * np.pi * np.arange(nodes) / nodes
+        for radius in (0.5, 1.5, 0.5):
+            theta, z = _circle_nodes(radius, nodes)
+            assert np.array_equal(theta, fresh)
+            assert np.array_equal(z, radius * np.exp(1j * fresh))
+            with pytest.raises(ValueError):
+                theta[0] = 1.0
+        # The checks still run on every call, also for a node count seen.
+        with pytest.raises(ValueError, match="positive finite number"):
+            _circle_nodes(0.0, nodes)
+    assert _circle_nodes(1.0, 128)[0] is _circle_nodes(2.0, 128)[0]
+
+
+def test_element_vector_converts_the_dense_coordinates_bit_for_bit():
+    P = AlgebraPresentation(["x", "y"], ["x*y"], 5)
+    basis = P.basis_monomials()
+    s = Sampler(53)
+    for elem in [P.zero(), P.unit()] + [s.element(P) for _ in range(20)]:
+        nf = P.normal_form(elem).data
+        dense = np.array([complex(nf.get(m, Scalar(0))) for m in basis], dtype=complex)
+        got = element_vector(elem, P)
+        assert got.dtype == dense.dtype and got.shape == dense.shape
+        assert got.tobytes() == dense.tobytes()
 
 
 def test_cauchy_coeff_radius_independence():
