@@ -14,9 +14,11 @@ moves the disks, with no pair re-checked, and builds one
 translation-rotation flow e^{tT} q^{L0} per group element, applied once
 to each distinct factor; the flow is the section presentation's own
 (AlgebraPresentation.flow), so no vertex structure is involved.
-Equality is decided on the expansion over monomial tensors (data),
+Equality reads the terms first: two sections on the same disks whose term
+lists hold the same (coefficient, factors) terms in any order are equal.
+Otherwise it is decided on the expansion over monomial tensors (data),
 computed once per section when first read, from prefix products of each
-term's factors.
+term's factors; hashing and truth always read the expansion.
 
 TensorSection() puts outside keys in canonical form (factors sorted and
 read in normal form, keys with a factor above the bound dropped as zero,
@@ -37,6 +39,7 @@ sufficient condition consistent with the rest of the exact geometry.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -84,10 +87,12 @@ class TensorSection:
     empty union factors is ().  Outside keys enter with each monomial read
     through P.reduce_monomial, so y0*x0 on x,y | x*y is zero.  data is the
     expansion of the terms, a map from tuples of monomials to nonzero
-    scalars.  Equality and hashing read L and data, not the presentation P:
-    like GradedElement's, they compare the section's terms, and every check
-    compares sections of one presentation.  Arithmetic across presentations
-    is still refused (see __add__).
+    scalars.  Equality and hashing read L and the terms, not the
+    presentation P: like GradedElement's, they compare the section's terms,
+    and every check compares sections of one presentation.  Equality first
+    compares the term lists as multisets and reads data only when they
+    differ; hashing reads data.  Arithmetic across presentations is still
+    refused (see __add__).
     """
 
     __slots__ = ("L", "P", "terms", "_data")
@@ -172,9 +177,17 @@ class TensorSection:
         return self + other.scale(Scalar(-1))
 
     def __eq__(self, other):
+        """Equal disks and equal expansions.  Term lists that hold the same
+        terms, in any order, have equal expansions, so they decide without
+        expanding; any other pair compares data."""
         if not isinstance(other, TensorSection):
             return NotImplemented
-        return self.L == other.L and self.data == other.data
+        if self.L != other.L:
+            return False
+        mine, theirs = self.terms, other.terms
+        if len(mine) == len(theirs) and (mine == theirs or Counter(mine) == Counter(theirs)):
+            return True
+        return self.data == other.data
 
     def __hash__(self):
         return hash((self.L, frozenset(self.data.items())))

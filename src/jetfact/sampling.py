@@ -5,12 +5,19 @@ integer seed, so every report is reproducible.  Disk configurations are
 generated on scaled integer lattices with radii small enough that the
 required disjointness and containment hold by construction; the exact
 predicates re-verify them anyway.
+
+Scalars are drawn as integers: each rational part is a numerator and a
+denominator from the generator, and a Gaussian rational is built from its
+integer triple (Scalar.from_triple), so no Fraction is made on the way.
+The calls on the generator and their order are those of drawing each part
+as Fraction(numerator, denominator), so a seed gives the same samples.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from .diskgeom import BasisElement, Disk, GroupElement
@@ -32,6 +39,16 @@ UNIT_SCALARS = [
     Scalar(Fraction(8, 17), Fraction(-15, 17)),
 ]
 
+_THIRD = Fraction(1, 3)
+_EIGHTH = Fraction(1, 8)
+_ONE = Fraction(1)
+
+
+@cache
+def _weight_triples(wmax: int) -> tuple:
+    """Every triple of weights summing to at most wmax, in a fixed order."""
+    return tuple(t for t in product(range(wmax + 1), repeat=3) if sum(t) <= wmax)
+
 
 class Sampler:
     def __init__(self, seed: int = 0):
@@ -39,13 +56,16 @@ class Sampler:
 
     # -- scalars ----------------------------------------------------------
 
-    def fraction(self, lo: int = -3, hi: int = 3) -> Fraction:
-        return Fraction(self.rng.randint(lo, hi), self.rng.choice((1, 1, 2, 3)))
+    def _ratio(self, lo: int = -3, hi: int = 3) -> tuple:
+        """A random rational as its integers (numerator, denominator)."""
+        return self.rng.randint(lo, hi), self.rng.choice((1, 1, 2, 3))
 
     def scalar(self) -> Scalar:
-        re = self.fraction()
-        im = self.fraction() if self.rng.random() < 0.25 else 0
-        return Scalar(re, im)
+        a, d = self._ratio()
+        if self.rng.random() < 0.25:
+            b, e = self._ratio()
+            return Scalar.from_triple(a * e, b * d, d * e)
+        return Scalar.from_triple(a, 0, d)
 
     def nonzero_scalar(self) -> Scalar:
         while True:
@@ -60,7 +80,9 @@ class Sampler:
         return q
 
     def translation(self) -> Scalar:
-        return Scalar(self.fraction(-2, 2), self.fraction(-2, 2))
+        a, d = self._ratio(-2, 2)
+        b, e = self._ratio(-2, 2)
+        return Scalar.from_triple(a * e, b * d, d * e)
 
     # -- algebra elements ----------------------------------------------------
 
@@ -82,8 +104,7 @@ class Sampler:
         """Three weights that sum to at most wmax, uniform over all such
         triples, so that the product of states of these weights survives
         truncation at wmax."""
-        triples = [t for t in product(range(wmax + 1), repeat=3) if sum(t) <= wmax]
-        return self.rng.choice(triples)
+        return self.rng.choice(_weight_triples(wmax))
 
     def element(self, P, max_terms: int = 3) -> GradedElement:
         out = P.zero()
@@ -105,7 +126,7 @@ class Sampler:
     def disjoint_disks(self, count: int) -> BasisElement:
         """count pairwise disjoint disks of radius 1/3 centered on the unit lattice."""
         pts = self.lattice_points(count)
-        return BasisElement([Disk(Scalar(x, y), Fraction(1, 3)) for x, y in pts])
+        return BasisElement([Disk(Scalar(x, y), _THIRD) for x, y in pts])
 
     def nested_config(self, outer_count: int, inner_per_outer):
         """(L, M) with L a union of small disks inside the disks of M.
@@ -115,13 +136,13 @@ class Sampler:
         radius 1, inner disks on a quarter lattice with radius 1/8.
         """
         pts = self.lattice_points(outer_count)
-        outers = [Disk(Scalar(4 * x, 4 * y), Fraction(1)) for x, y in pts]
+        outers = [Disk(Scalar(4 * x, 4 * y), _ONE) for x, y in pts]
         inners = []
         for disk, k in zip(outers, inner_per_outer):
             offsets = set()
             while len(offsets) < k:
                 offsets.add((self.rng.randint(-2, 2), self.rng.randint(-2, 2)))
             for dx, dy in sorted(offsets):
-                c = disk.center + Scalar(Fraction(dx, 4), Fraction(dy, 4))
-                inners.append(Disk(c, Fraction(1, 8)))
+                c = disk.center + Scalar.from_triple(dx, dy, 4)
+                inners.append(Disk(c, _EIGHTH))
         return BasisElement(inners), BasisElement(outers)

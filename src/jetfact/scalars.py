@@ -13,7 +13,8 @@ The field is closed under the four arithmetic operations and has decidable,
 exact equality, which is what makes the axiom checkers meaningful.  The
 real and imaginary parts are read as `Fraction`s (`re`, `im`, `abs2`), so
 reports and parsers see exact rationals; `triple` hands the integers
-themselves to exact comparisons elsewhere.  Floating-point coefficients
+themselves to exact comparisons elsewhere, and `from_triple` builds a value
+from integers with no `Fraction` on the way.  Floating-point coefficients
 never appear here; the numeric layer converts at its own boundary.
 """
 
@@ -108,6 +109,14 @@ class Scalar:
     # -- coercion ----------------------------------------------------------
 
     coerce = staticmethod(_coerce)
+
+    @staticmethod
+    def from_triple(a: int, b: int, d: int) -> "Scalar":
+        """The Scalar (a + b*i) / d of integers with d > 0, in canonical
+        form; the inverse of triple()."""
+        if d <= 0:
+            raise ValueError(f"denominator must be positive, got {d}")
+        return _make(a, b, d)
 
     # -- parts -------------------------------------------------------------
 

@@ -178,7 +178,8 @@ def check_vertex_axioms(
     """Sampled verification of the vacuum, translation, and locality axioms.
 
     table_fn(x, y) gives the mode table of (x, y) and vacuum the vacuum
-    state; they default to vertex_op and V.vacuum().  Every axiom reads
+    state; they default to the field vertex_ops(x, V), built once per state
+    in the call, applied to y, and V.vacuum().  Every axiom reads
     its modes through table_fn, with V.translate as the translation, so
     the reconstruction layer can pass its own to certify that an
     independently derived structure satisfies the same axioms.  The last
@@ -189,7 +190,9 @@ def check_vertex_axioms(
     """
     sampler = Sampler(seed)
     if table_fn is None:
-        table_fn = lambda x, y: vertex_op(x, y, V)
+        # One field per state for the whole call: each tower is summed once.
+        field = cache(lambda x: vertex_ops(x, V))
+        table_fn = lambda x, y: field(x)(y)
     if vacuum is None:
         vacuum = V.vacuum()
 

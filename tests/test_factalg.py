@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from jetfact import factalg
 from jetfact._kernels import mono_mul
 from jetfact.diskgeom import BasisElement, Disk, GroupElement, act, contains, decompose
 from jetfact.errors import InputError
@@ -625,3 +626,55 @@ def test_term_lists_with_equal_expansions_are_equal(free_x):
     assert len(one.terms) == 1 and len(two.terms) == 2
     assert one == two and hash(one) == hash(two)
     assert one.scale(Scalar(3)) == two + two.scale(Scalar(2))
+
+
+def test_permuted_terms_are_equal_with_equal_hashes(free_x):
+    L = small_disks(0, 1)
+    a, b, c = free_x.gen("x"), free_x.gen("x", 1), free_x.gen("x", 2)
+    s = TensorSection.simple(L, [a, b], free_x)
+    t = TensorSection.simple(L, [c, a], free_x, Scalar(2, 1))
+    u = TensorSection.simple(L, [b, c], free_x, Scalar(-1))
+    one, two = s + t + u, u + s + t
+    assert one.terms != two.terms
+    assert one == two and hash(one) == hash(two)
+    # s (x) t and t (x) s list the same terms in different orders.
+    far = small_disks(10, 11)
+    big = BasisElement([D(0, 4), D(10, 4)])
+    v = TensorSection.simple(far, [b, c], free_x) + TensorSection.simple(far, [a, a], free_x)
+    st, ts = multiply_sections(one, v, big), multiply_sections(v, one, big)
+    assert st.terms != ts.terms
+    assert st == ts and hash(st) == hash(ts)
+
+
+def test_same_length_terms_with_one_difference_are_unequal(free_x):
+    L = small_disks(0, 1)
+    a, b, c = free_x.gen("x"), free_x.gen("x", 1), free_x.gen("x", 2)
+    base = TensorSection.simple(L, [a, b], free_x) + TensorSection.simple(L, [c, a], free_x)
+    other_factor = TensorSection.simple(L, [a, b], free_x) + TensorSection.simple(
+        L, [c, b], free_x
+    )
+    other_coeff = TensorSection.simple(L, [a, b], free_x) + TensorSection.simple(
+        L, [c, a], free_x, Scalar(0, 1)
+    )
+    for other in (other_factor, other_coeff):
+        assert len(other.terms) == len(base.terms)
+        assert base != other and other != base
+    # Same terms on other disks.
+    moved = TensorSection._make(small_disks(0, 2), free_x, list(base.terms))
+    assert base != moved
+
+
+def test_passing_pfa_check_expands_at_most_once_per_sample(free_x, monkeypatch):
+    # Sections built from the same terms compare without expanding; the one
+    # expansion left reads the scalar of the moved unit section.
+    calls = []
+    expansion = factalg._expansion
+
+    def counted(terms):
+        calls.append(terms)
+        return expansion(terms)
+
+    monkeypatch.setattr(factalg, "_expansion", counted)
+    report = check_pfa_axioms(free_x, samples=5, seed=0)
+    assert all_pass(report["checks"])
+    assert len(calls) <= 5

@@ -144,3 +144,17 @@ def test_unit_power_stays_exactly_on_the_circle():
     assert p.is_unit()
     assert p.abs2() == 1
     assert p == q**20 * q**20
+
+
+def test_from_triple_is_canonical_and_refuses_a_nonpositive_denominator():
+    assert Scalar.from_triple(2, 4, 6).triple() == (1, 2, 3)
+    assert Scalar.from_triple(0, 0, 5) == Scalar(0)
+    assert Scalar.from_triple(-3, 6, 9) == Scalar(Fraction(-1, 3), Fraction(2, 3))
+    for d in (0, -2):
+        with pytest.raises(ValueError):
+            Scalar.from_triple(1, 0, d)
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 60))
+def test_from_triple_matches_the_fraction_parts(a, b, d):
+    assert Scalar.from_triple(a, b, d) == Scalar(Fraction(a, d), Fraction(b, d))

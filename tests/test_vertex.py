@@ -160,6 +160,22 @@ def test_axiom_suite_zero_samples(vx):
     assert all_pass(report["checks"])
 
 
+def test_axiom_suite_builds_one_field_per_state(vxy, monkeypatch):
+    # The default tables read one field per state for the whole call, so
+    # each distinct state's translation tower is summed once.
+    calls = []
+    tower = AlgebraPresentation.translation_tower
+
+    def counted(self, a):
+        calls.append(a)
+        return tower(self, a)
+
+    monkeypatch.setattr(AlgebraPresentation, "translation_tower", counted)
+    report = check_vertex_axioms(vxy, samples=40, seed=0)
+    assert all_pass(report["checks"])
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_corrupted_mode_table_fails_translation(vx, free_x):
     x = free_x.gen("x")
     table = vertex_op(x, x, vx)
