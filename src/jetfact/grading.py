@@ -46,10 +46,12 @@ class GradedElement:
     takes no part in equality or hashing.  The bound only records which
     weights were kept, so elements with the same terms are the same
     polynomial whatever their bounds.  The checks compare elements built
-    under one bound, and their reports rely on this equality.
+    under one bound, and their reports rely on this equality.  No code
+    writes to data after wrapping it, so the hash is computed on first use
+    and kept.
     """
 
-    __slots__ = ("data", "wmax")
+    __slots__ = ("data", "wmax", "_hash")
 
     def __init__(self, data, wmax: int):
         if wmax < 0:
@@ -149,7 +151,11 @@ class GradedElement:
         return self.data == other.data
 
     def __hash__(self):
-        return hash(frozenset(self.data.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash(frozenset(self.data.items()))
+            return h
 
     def __bool__(self):
         return bool(self.data)

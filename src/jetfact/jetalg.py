@@ -28,9 +28,13 @@ The normal form is linear, so the product and the derivation are linear
 maps on monomials.  Each presentation holds them as two lazily filled
 tables on monomials (the reduced product of a pair, the reduced
 derivative of one), and multiply and derive are sums over table rows.
-The translation tower T^k a / k! of an element and the flow e^{zT} q^{L0}
-that moves disk sections are summed in the same way from per-monomial
-towers built on the derivative table.
+A monomial's normal form starts from the shared ONE, so every row of a
+free presentation's product table is {m: ONE}, and the row sums skip
+each multiplication by ONE: a product on a free presentation makes one
+Scalar multiplication per pair of terms, and none where a coefficient
+is ONE, as on basis states.  The translation tower T^k a / k! of an
+element and the flow e^{zT} q^{L0} that moves disk sections are summed
+in the same way from per-monomial towers built on the derivative table.
 
 Presentations are immutable after construction.  The internal caches
 (free monomials, weight bases, the coordinate index, normal forms of
@@ -63,9 +67,10 @@ def _order_key(mono):
 
 
 def _add_scaled(out: dict, c, row: dict) -> None:
-    """out += c * row in place, zero sums dropped."""
+    """out += c * row in place, zero sums dropped; a factor that is ONE
+    costs no multiplication."""
     for m, v in row.items():
-        t = c * v
+        t = v if c is ONE else c if v is ONE else c * v
         acc = out.get(m)
         if acc is None:
             out[m] = t
@@ -197,9 +202,7 @@ class AlgebraPresentation:
             if mono_weight(mono) > self.wmax:
                 out = GradedElement.zero(self.wmax)
             else:
-                out = GradedElement._make(
-                    self._echelon.reduce({mono: Scalar(1)}), self.wmax
-                )
+                out = GradedElement._make(self._echelon.reduce({mono: ONE}), self.wmax)
             self._mono_nf[mono] = out
         return out
 
@@ -312,7 +315,8 @@ class AlgebraPresentation:
                 if row is None:
                     row = rows[m2] = self.reduce_monomial(mono_mul(m1, m2)).data
                 if row:
-                    _add_scaled(out, c1 * c2, row)
+                    c = c1 if c2 is ONE else c2 if c1 is ONE else c1 * c2
+                    _add_scaled(out, c, row)
         return out
 
     def _derivative(self, a: dict) -> dict:

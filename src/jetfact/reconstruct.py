@@ -19,8 +19,11 @@ and a's native field vertex_ops(a, V) once each, and shares the series
 between the translation and mode checks.  For every b, the modes of
 (a, b) are that series' rows times b placed at 0, by the same step
 insert takes at an exact point, compared in full with the field's table
-for b.  A deliberately slow second route through disk sections and
-corestriction is kept for cross-checking the series expansion.
+for b.  The rows are grouped by lowest weight: for each weight of b only
+the rows that can meet b are placed, since truncation kills the others'
+products, and every pair is still compared.  A deliberately slow second
+route through disk sections and corestriction is kept for cross-checking
+the series expansion.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from .diskgeom import BasisElement, Disk, GroupElement
 from .factalg import TensorSection, corestrict, equivariant_act, tensor_concat
 from .grading import GradedElement
 from .reports import check_entry
-from .scalars import ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar
+from ._kernels import mono_weight
 from .vertex import ModeTable, VertexAlgebra, completion_translation, vertex_ops
 
 __all__ = [
@@ -120,7 +124,7 @@ def _expansion_terms(a: GradedElement, V: VertexAlgebra):
 def _monomial_terms(m, V: VertexAlgebra):
     """[T^k m / k! for k >= 1] of one monomial m, while nonzero."""
     out = []
-    cur = V.translate(GradedElement._make({m: Scalar(1)}, V.wmax))
+    cur = V.translate(GradedElement._make({m: ONE}, V.wmax))
     while cur:
         out.append(cur.scale(Scalar(1) / factorial(len(out) + 1)))
         cur = V.translate(cur)
@@ -257,6 +261,12 @@ def insert_via_disks(points, elements, V: VertexAlgebra):
     return corestrict(combined, ambient).as_element()
 
 
+def _rows_within(rows, room: int) -> dict:
+    """The series rows {exps: row} of (lowest weight, exps, row) triples
+    whose lowest weight is at most room."""
+    return {e: row for low, e, row in rows if low <= room}
+
+
 def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
     """Certify that the reconstructed structure reproduces the source.
 
@@ -274,14 +284,18 @@ def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
     state too: y_a = vertex_ops(a, V) holds a's translation tower, and
     y_a(b) is the native mode table of (a, b).  Every pair is compared in
     full, the reconstructed side kept as its {-e-1: row} kernel rows and
-    compared with the rows of the native table.
+    compared with the rows of the native table.  The series rows are kept
+    with their lowest weights, and per weight d of b the rows that can
+    meet b, those of lowest weight at most W - d, are picked once; the
+    others times b are truncated away, so only the picked rows are placed.
     """
     P = V.presentation
-    basis = [
-        GradedElement._make({m: Scalar(1)}, P.wmax)
-        for delta in range(P.wmax + 1)
-        for m in P.weight_basis(delta)
+    wmax = P.wmax
+    by_weight = [
+        (delta, [GradedElement._make({m: ONE}, wmax) for m in P.weight_basis(delta)])
+        for delta in range(wmax + 1)
     ]
+    basis = [b for _, states in by_weight for b in states]
 
     checks = []
     checks.append(
@@ -295,14 +309,16 @@ def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
         s = insert(["z"], [a], V)
         if s.coefficient((1,)) != V.translate(a):
             bad_t.append(str(a))
-        rows = {e: c.data for e, c in s.coeffs.items()}
+        rows = [(min(map(mono_weight, c.data)), e, c.data) for e, c in s.coeffs.items()]
         y_a = vertex_ops(a, V)
-        for b in basis:
-            pairs += 1
-            # Both sides hold only the nonzero modes, as kernel rows.
-            modes = {-e[0] - 1: row for e, row in _place(rows, ZERO, b, V).items()}
-            if {n: e.data for n, e in y_a(b).modes.items()} != modes:
-                mode_fail = mode_fail or {"a": str(a), "b": str(b)}
+        for delta, states in by_weight:
+            meeting = _rows_within(rows, wmax - delta)
+            for b in states:
+                pairs += 1
+                # Both sides hold only the nonzero modes, as kernel rows.
+                modes = {-e[0] - 1: row for e, row in _place(meeting, ZERO, b, V).items()}
+                if {n: e.data for n, e in y_a(b).modes.items()} != modes:
+                    mode_fail = mode_fail or {"a": str(a), "b": str(b)}
     checks.append(
         check_entry(
             "translation",

@@ -29,6 +29,7 @@ from .jetalg import AlgebraPresentation
 from .reports import SampledChecks, check_entry
 from .sampling import Sampler
 from .scalars import ONE, ZERO, Scalar
+from ._kernels import mono_weight
 
 __all__ = [
     "VertexAlgebra",
@@ -68,8 +69,13 @@ class VertexAlgebra:
         return f"<VertexAlgebra over {self.presentation!r}>"
 
 
+# Elements are immutable, so every absent mode of a bound is the same zero.
+_zero = cache(GradedElement.zero)
+
+
 class ModeTable:
-    """Finite family of modes a_(n) b, indexed by n; absent modes are zero."""
+    """Finite family of modes a_(n) b, indexed by n; absent modes read one
+    shared zero of the bound."""
 
     __slots__ = ("modes", "wmax")
 
@@ -78,7 +84,8 @@ class ModeTable:
         self.wmax = wmax
 
     def __getitem__(self, n: int) -> GradedElement:
-        return self.modes.get(n, GradedElement.zero(self.wmax))
+        e = self.modes.get(n)
+        return _zero(self.wmax) if e is None else e
 
     def items(self):
         return sorted(self.modes.items())
@@ -99,24 +106,41 @@ class ModeTable:
 def vertex_ops(a: GradedElement, V: VertexAlgebra):
     """The field of a: the function b -> all modes of Y(a, z) b.
 
-    a is checked and its translation tower T^n a / n! built here, once;
-    the returned function checks its b on every call, also when a is
-    zero, and multiplies each tower term by b through the product table
-    rows.
+    a is checked and its translation tower T^n a / n! built here, once,
+    each term kept with its lowest monomial weight; the returned function
+    checks its b on every call, also when a is zero, and multiplies by b
+    through the product table rows only the terms that can meet b.  A
+    term whose lowest weight plus b's exceeds W is skipped: every free
+    product of their monomials weighs more than W, so it is truncated
+    before any reduction.  The lowest weight, not wt(a) + n, is the bound,
+    since reduction by a non-homogeneous relation lowers weights.  The
+    surviving terms are memoised per room W - low(b).
     """
     P = V.presentation
-    tower = [term.data for term in P.translation_tower(a)]
+    wmax = V.wmax
+    tower = [(min(map(mono_weight, t.data)), t.data) for t in P.translation_tower(a)]
+    within = {}  # room -> [(n, term)] of the terms with lowest weight <= room
 
     def table(b: GradedElement) -> ModeTable:
         P._check_element(b)
+        room = wmax - min(map(mono_weight, b.data), default=wmax + 1)
+        terms = within.get(room)
+        if terms is None:
+            terms = within[room] = _terms_within(tower, room)
         modes = {}
-        for n, term in enumerate(tower):
+        for n, term in terms:
             prod = P._product(term, b.data)
             if prod:
-                modes[-n - 1] = GradedElement._make(prod, V.wmax)
-        return ModeTable(modes, V.wmax)
+                modes[-n - 1] = GradedElement._make(prod, wmax)
+        return ModeTable(modes, wmax)
 
     return table
+
+
+def _terms_within(tower, room: int) -> list:
+    """The (n, term) of a tower of (lowest weight, term) pairs whose lowest
+    weight is at most room."""
+    return [(n, term) for n, (low, term) in enumerate(tower) if low <= room]
 
 
 def vertex_op(a: GradedElement, b: GradedElement, V: VertexAlgebra) -> ModeTable:

@@ -91,3 +91,18 @@ def test_equality_ignores_the_truncation_bound():
     assert a == b and hash(a) == hash(b)
     assert GradedElement.zero(6) == GradedElement.zero(2)
     assert x(0, wmax=6) != x(1, wmax=6)
+
+
+def test_hash_is_kept_and_agrees_across_constructors():
+    # The hash is computed on first use and kept; equal elements built by
+    # __init__, _make and arithmetic must still hash alike, in any order.
+    m1, m0 = (("x", 1),), (("x", 0),)
+    built = GradedElement({m1: 2, m0: Scalar(-1)}, 6)
+    made = GradedElement._make({m0: Scalar(-1), m1: Scalar(2)}, 6)
+    summed = x(1).scale(Scalar(3)) - x(0) - x(1)
+    first = hash(made)
+    for e in (built, summed, made):
+        assert e == made and hash(e) == first
+    assert hash(made) == first == hash(frozenset(made.data.items()))
+    zeros = [GradedElement.zero(6), GradedElement({}, 6), x(0) - x(0)]
+    assert len({hash(z) for z in zeros}) == 1

@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from jetfact import factalg, jetalg, numcx, reconstruct
+from jetfact import factalg, jetalg, numcx, reconstruct, vertex
 from jetfact._kernels import lc_scale
 from jetfact.cli import run
 from jetfact.jetalg import AlgebraHom, AlgebraPresentation
@@ -94,6 +94,27 @@ def test_doubled_placed_state_fails_the_roundtrip_modes(monkeypatch):
         "_place",
         lambda series, point, state, V: place(series, point, state.scale(Scalar(2)), V),
     )
+    V = VertexAlgebra(AlgebraPresentation(["x"], [], 6))
+    assert failing(eta_roundtrip_check(V)) == {"modes"}
+
+
+def test_field_skipping_at_the_bound_fails_axioms_and_roundtrip(monkeypatch):
+    # Off by one on the native side: the field also skips a tower term whose
+    # lowest weight plus b's equals W, so products of weight W go missing.
+    within = vertex._terms_within
+    monkeypatch.setattr(vertex, "_terms_within", lambda tower, room: within(tower, room - 1))
+    V = VertexAlgebra(AlgebraPresentation(["x"], [], 6))
+    assert {"vacuum_left", "vacuum_right", "translation"} <= failing(
+        check_vertex_axioms(V, samples=20, seed=0)
+    )
+    assert failing(eta_roundtrip_check(V)) == {"modes"}
+
+
+def test_series_skipping_at_the_bound_fails_the_roundtrip_modes(monkeypatch):
+    # The same off-by-one on the reconstructed side: the series rows whose
+    # lowest weight plus b's equals W are not placed.
+    within = reconstruct._rows_within
+    monkeypatch.setattr(reconstruct, "_rows_within", lambda rows, room: within(rows, room - 1))
     V = VertexAlgebra(AlgebraPresentation(["x"], [], 6))
     assert failing(eta_roundtrip_check(V)) == {"modes"}
 

@@ -311,6 +311,23 @@ def test_eta_roundtrip_builds_each_tower_once(vx, monkeypatch):
     assert len(calls) == size
 
 
+def test_eta_roundtrip_skips_products_that_truncation_kills(vx, monkeypatch):
+    # README case: only 139 of the 900 basis pairs have a nonzero mode, and
+    # a term and a state whose lowest weights sum past W reach no product.
+    calls = []
+    product = AlgebraPresentation._product
+
+    def counted(self, a, b):
+        calls.append(1)
+        return product(self, a, b)
+
+    monkeypatch.setattr(AlgebraPresentation, "_product", counted)
+    report = eta_roundtrip_check(vx, nmax=6)
+    assert all_pass(report["checks"])
+    assert report["checks"][-1]["detail"]["pairs"] == 900
+    assert len(calls) <= 600
+
+
 def test_reconstructed_structure_satisfies_axioms(v4):
     from jetfact.vertex import check_vertex_axioms
 

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from jetfact._kernels import mono_weight
+from jetfact._kernels import lc_mul, mono_weight
 from jetfact.grading import GradedElement
 from jetfact.jetalg import AlgebraPresentation
 from jetfact.reports import all_pass
@@ -267,6 +267,41 @@ def test_vertex_ops_against_derivatives_over_factorials(gens, relations, wmax):
         for b in basis:
             expected = ModeTable(
                 {-n - 1: P.multiply(t, b) for n, t in enumerate(terms)}, wmax
+            )
+            assert y_a(b) == expected, (str(a), str(b))
+
+
+@pytest.mark.parametrize(
+    "gens, relations, wmax",
+    [(["x"], [], 6), (["x", "y"], ["x*y"], 5), (["x", "y"], ["y - x*x"], 6)],
+    ids=["x-6", "xy|xy-5", "xy|y-xx-6"],
+)
+def test_field_weight_bound_is_exact(gens, relations, wmax):
+    # The field skips a tower term when its lowest weight plus b's exceeds
+    # W.  The oracle multiplies every term by b with the bare kernel and
+    # reduces, skipping no term and reading no table; the roundtrip cannot
+    # see a wrong bound, since its two sides share the weight argument.
+    # y - x*x is not homogeneous: a product's normal form can weigh less
+    # than its factors, which the bound, read before reduction, must allow.
+    P = AlgebraPresentation(gens, relations, wmax)
+    V = VertexAlgebra(P)
+    basis = [
+        GradedElement({m: 1}, wmax)
+        for delta in range(wmax + 1)
+        for m in P.weight_basis(delta)
+    ]
+    for a in basis:
+        tower = P.translation_tower(a)
+        y_a = vertex_ops(a, V)
+        for b in basis:
+            expected = ModeTable(
+                {
+                    -n - 1: GradedElement._make(
+                        P._echelon.reduce(lc_mul(term.data, b.data, wmax)), wmax
+                    )
+                    for n, term in enumerate(tower)
+                },
+                wmax,
             )
             assert y_a(b) == expected, (str(a), str(b))
 
