@@ -131,13 +131,14 @@ def lc_mul(a, b, wmax):
 
 
 def lc_derive(a, wmax):
-    """Leibniz derivative of a linear combination, truncated at wmax."""
+    """Leibniz derivative of a linear combination, truncated at wmax; a
+    term of multiplicity one keeps its coefficient object."""
     out = {}
     for mono, c in a.items():
         if mono_weight(mono) + 1 > wmax:
             continue
         for key, mult in mono_derive(mono):
-            term = c * mult
+            term = c if mult == 1 else c * mult
             acc = out.get(key)
             nc = term if acc is None else acc + term
             if nc:

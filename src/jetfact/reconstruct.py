@@ -18,12 +18,14 @@ roundtrip check works per basis state a: it builds a's one-point series
 and a's native field vertex_ops(a, V) once each, and shares the series
 between the translation and mode checks.  For every b, the modes of
 (a, b) are that series' rows times b placed at 0, by the same step
-insert takes at an exact point, compared in full with the field's table
-for b.  The rows are grouped by lowest weight: for each weight of b only
-the rows that can meet b are placed, since truncation kills the others'
-products, and every pair is still compared.  A deliberately slow second
-route through disk sections and corestriction is kept for cross-checking
-the series expansion.
+insert takes at an exact point, compared as kernel rows with the field's
+rows for b.  The basis is walked by (a, weight of b) blocks, and for each
+weight only the rows that can meet b are placed, since truncation kills
+the others' products.  A block that both sides' own weight bounds leave
+empty, no series row and no field term that can meet that weight, is
+counted as agreeing with no product; every other pair is compared.  A
+deliberately slow second route through disk sections and corestriction
+is kept for cross-checking the series expansion.
 """
 
 from __future__ import annotations
@@ -282,12 +284,16 @@ def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
     reconstructed translation of a, and for every b its rows times b at 0
     are the reconstructed modes of (a, b).  The native side is built per
     state too: y_a = vertex_ops(a, V) holds a's translation tower, and
-    y_a(b) is the native mode table of (a, b).  Every pair is compared in
-    full, the reconstructed side kept as its {-e-1: row} kernel rows and
-    compared with the rows of the native table.  The series rows are kept
-    with their lowest weights, and per weight d of b the rows that can
-    meet b, those of lowest weight at most W - d, are picked once; the
-    others times b are truncated away, so only the picked rows are placed.
+    y_a.rows(b) gives the native modes of (a, b) as kernel rows.  The
+    series rows are kept with their lowest weights, and per weight d of b
+    the rows that can meet b, those of lowest weight at most W - d, are
+    picked once; the others times b are truncated away.  When no row is
+    picked and the field's own bound y_a.low exceeds W - d too, every
+    product on both sides is truncated before any reduction, so the
+    block's pairs are counted as agreeing with no product.  Every other
+    pair is compared in full: the picked rows times b at 0, as {-e-1: row}
+    kernel rows, against y_a.rows(b).  Each side's bound is read from that
+    side, so an off-by-one in either still reaches a compared pair.
     """
     P = V.presentation
     wmax = P.wmax
@@ -312,12 +318,16 @@ def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
         rows = [(min(map(mono_weight, c.data)), e, c.data) for e, c in s.coeffs.items()]
         y_a = vertex_ops(a, V)
         for delta, states in by_weight:
-            meeting = _rows_within(rows, wmax - delta)
+            room = wmax - delta
+            meeting = _rows_within(rows, room)
+            pairs += len(states)
+            if not meeting and y_a.low > room:
+                # Both sides' own bounds: every product is truncated away.
+                continue
             for b in states:
-                pairs += 1
                 # Both sides hold only the nonzero modes, as kernel rows.
                 modes = {-e[0] - 1: row for e, row in _place(meeting, ZERO, b, V).items()}
-                if {n: e.data for n, e in y_a(b).modes.items()} != modes:
+                if y_a.rows(b) != modes:
                     mode_fail = mode_fail or {"a": str(a), "b": str(b)}
     checks.append(
         check_entry(

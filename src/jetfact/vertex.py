@@ -8,15 +8,19 @@ attached to a state acts by
 
 so the mode a_(n) b is the z^(-n-1) coefficient: modes with n >= 0 vanish
 and a_(-n-1) b = (T^n a) * b / n!.  The tower T^n a / n! depends on a
-alone, so vertex_ops builds it once per state and vertex_op is its form
-for one pair.  The flow a -> e^{zT} q^{L0} a of an isometry needs only
-the presentation's derivation and grading, so it is the presentation's
-flow(q, z); completion_rotation and completion_translation are its forms
-for the rotation and the translation alone.  The axiom checker verifies the
-vacuum, translation, and locality identities on seeded samples; locality
-is run as the finite binomial mode identity at orders N = 0, 1, 2, which
-is the form the residue calculus reduces it to.  It also checks, once,
-that translation sends each jet variable g^(k) to g^(k+1).
+alone, so vertex_ops(a, V) builds it once, as a Field: field.rows(b) gives
+the nonzero modes of (a, b) as kernel rows {n: row}, field(b) the same
+modes as a ModeTable, and field.low is the least lowest weight of the
+tower, so that no b of lowest weight above W - low meets the field.
+vertex_op is the field's form for one pair.  The flow a -> e^{zT} q^{L0} a
+of an isometry needs only the presentation's derivation and grading, so it
+is the presentation's flow(q, z); completion_rotation and
+completion_translation are its forms for the rotation and the translation
+alone.  The axiom checker verifies the vacuum, translation, and locality
+identities on seeded samples; locality is run as the finite binomial mode
+identity at orders N = 0, 1, 2, which is the form the residue calculus
+reduces it to.  It also checks, once, that translation sends each jet
+variable g^(k) to g^(k+1).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from ._kernels import mono_weight
 __all__ = [
     "VertexAlgebra",
     "ModeTable",
+    "Field",
     "vertex_ops",
     "vertex_op",
     "completion_rotation",
@@ -83,6 +88,15 @@ class ModeTable:
         self.modes = {n: e for n, e in modes.items() if e}
         self.wmax = wmax
 
+    @classmethod
+    def _of_rows(cls, rows: dict, wmax: int) -> "ModeTable":
+        """The table of kernel rows {n: row}, all nonzero, so none is
+        filtered out again."""
+        self = object.__new__(cls)
+        self.modes = {n: GradedElement._make(row, wmax) for n, row in rows.items()}
+        self.wmax = wmax
+        return self
+
     def __getitem__(self, n: int) -> GradedElement:
         e = self.modes.get(n)
         return _zero(self.wmax) if e is None else e
@@ -103,38 +117,54 @@ class ModeTable:
         return f"ModeTable({{{body}}})"
 
 
-def vertex_ops(a: GradedElement, V: VertexAlgebra):
-    """The field of a: the function b -> all modes of Y(a, z) b.
+class Field:
+    """The field Y(a, z) of one state a, for any b.
 
-    a is checked and its translation tower T^n a / n! built here, once,
-    each term kept with its lowest monomial weight; the returned function
-    checks its b on every call, also when a is zero, and multiplies by b
-    through the product table rows only the terms that can meet b.  A
-    term whose lowest weight plus b's exceeds W is skipped: every free
-    product of their monomials weighs more than W, so it is truncated
-    before any reduction.  The lowest weight, not wt(a) + n, is the bound,
-    since reduction by a non-homogeneous relation lowers weights.  The
-    surviving terms are memoised per room W - low(b).
+    a is checked and its translation tower T^n a / n! built once, each
+    term kept with its lowest monomial weight; low is the least of these
+    (W + 1 when a is zero), so no product of the field with a state of
+    lowest weight above W - low survives truncation.  rows(b) checks b,
+    also when a is zero, and returns {n: kernel row} of the nonzero modes
+    a_(n) b, multiplying by b through the product table rows only the
+    terms that can meet b.  A term whose lowest weight plus b's exceeds W
+    is skipped: every free product of their monomials weighs more than W,
+    so it is truncated before any reduction.  The lowest weight, not
+    wt(a) + n, is the bound, since reduction by a non-homogeneous relation
+    lowers weights.  The surviving terms are memoised per room W - low(b).
+    Calling the field on b gives the same modes as a ModeTable.
     """
-    P = V.presentation
-    wmax = V.wmax
-    tower = [(min(map(mono_weight, t.data)), t.data) for t in P.translation_tower(a)]
-    within = {}  # room -> [(n, term)] of the terms with lowest weight <= room
 
-    def table(b: GradedElement) -> ModeTable:
+    __slots__ = ("presentation", "wmax", "low", "_tower", "_within")
+
+    def __init__(self, a: GradedElement, V: VertexAlgebra):
+        P = self.presentation = V.presentation
+        self.wmax = V.wmax
+        self._tower = [(min(map(mono_weight, t.data)), t.data) for t in P.translation_tower(a)]
+        self.low = min((low for low, _ in self._tower), default=V.wmax + 1)
+        self._within = {}  # room -> [(n, term)] of the terms with lowest weight <= room
+
+    def rows(self, b: GradedElement) -> dict:
+        P = self.presentation
         P._check_element(b)
-        room = wmax - min(map(mono_weight, b.data), default=wmax + 1)
-        terms = within.get(room)
+        room = self.wmax - min(map(mono_weight, b.data), default=self.wmax + 1)
+        terms = self._within.get(room)
         if terms is None:
-            terms = within[room] = _terms_within(tower, room)
+            terms = self._within[room] = _terms_within(self._tower, room)
         modes = {}
         for n, term in terms:
             prod = P._product(term, b.data)
             if prod:
-                modes[-n - 1] = GradedElement._make(prod, wmax)
-        return ModeTable(modes, wmax)
+                modes[-n - 1] = prod
+        return modes
 
-    return table
+    def __call__(self, b: GradedElement) -> ModeTable:
+        return ModeTable._of_rows(self.rows(b), self.wmax)
+
+
+def vertex_ops(a: GradedElement, V: VertexAlgebra) -> Field:
+    """The field of a: its modes against any b, as kernel rows or as a
+    ModeTable (see Field)."""
+    return Field(a, V)
 
 
 def _terms_within(tower, room: int) -> list:

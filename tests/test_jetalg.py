@@ -6,6 +6,7 @@ import pytest
 
 from jetfact._kernels import lc_derive, lc_mul, lc_scale, mono_weight
 
+from jetfact import jetalg
 from jetfact.grading import GradedElement
 from jetfact.jetalg import (
     AlgebraHom,
@@ -15,7 +16,7 @@ from jetfact.jetalg import (
     lift_hom,
 )
 from jetfact.sampling import Sampler
-from jetfact.scalars import Scalar
+from jetfact.scalars import ONE, Scalar
 
 
 def brute_force_partitions(n: int, max_part=None) -> int:
@@ -256,6 +257,42 @@ def test_saturation_matches_generic_products(gens, rels, W):
             jet = lc_derive(jet, W)
     assert rows.pivots == P._echelon.pivots
     assert list(rows.pivots) == list(P._echelon.pivots)
+
+
+@pytest.mark.parametrize(
+    "gens, rels", [(["x"], []), (["x", "y"], ["x*y"])], ids=["free x", "x,y | x*y"]
+)
+def test_derivative_rows_hold_one_and_keep_their_values(monkeypatch, gens, rels):
+    # A multiplicity-one derivative term keeps its coefficient object, so
+    # the rows of x0 and of x0*x1 hold the shared ONE itself and the
+    # products by them make no Scalar multiplication.
+    W = 6
+    P = AlgebraPresentation(gens, rels, W)
+    x0, x0x1 = (("x", 0),), (("x", 1), ("x", 0))
+    for mono in (x0, x0x1):
+        row = P._derivative({mono: ONE})
+        assert row and all(v is ONE for v in row.values())
+    # The same values as a presentation whose derivative coefficients are
+    # all fresh Scalar(1) multiples, as before.  The tables fill lazily:
+    # P's are read before the patch and Q's under it.
+    s = Sampler(11)
+    states = [P.gen(g, k) for g in gens for k in range(3)]
+    states += [s.element(P) for _ in range(20)]
+    q, z = Scalar(0, 1), Scalar(Fraction(1, 2), 1)
+
+    def values(R):
+        flow = R.flow(q, z)
+        return [(R.derive(a, times=3), R.translation_tower(a), flow(a)) for a in states]
+
+    expected = values(P)
+    derive = jetalg.lc_derive
+    monkeypatch.setattr(
+        jetalg, "lc_derive", lambda data, wmax: lc_scale(derive(data, wmax), Scalar(1))
+    )
+    Q = AlgebraPresentation(gens, rels, W)
+    for mono in (x0, x0x1):
+        assert not any(v is ONE for v in Q._derivative({mono: ONE}).values())
+    assert values(Q) == expected
 
 
 def test_derive_examples(free_x):

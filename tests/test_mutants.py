@@ -22,6 +22,12 @@ def failing(report) -> set:
     return {c["name"] for c in report["checks"] if c["status"] != "pass"}
 
 
+def first_mode_counterexample(report):
+    return next(c for c in report["checks"] if c["name"] == "modes")["detail"][
+        "first_counterexample"
+    ]
+
+
 def test_negated_corestriction_fails_both_harnesses(monkeypatch, free_x):
     corestrict = factalg.corestrict
     monkeypatch.setattr(
@@ -98,25 +104,47 @@ def test_doubled_placed_state_fails_the_roundtrip_modes(monkeypatch):
     assert failing(eta_roundtrip_check(V)) == {"modes"}
 
 
-def test_field_skipping_at_the_bound_fails_axioms_and_roundtrip(monkeypatch):
+# The presentations of the roundtrip benchmark workload.
+ROUNDTRIP_FAMILY = [
+    (["x"], [], 6),
+    (["x"], [], 5),
+    (["x"], ["x*x"], 6),
+    (["x", "y"], ["x*y"], 4),
+]
+ROUNDTRIP_IDS = ["free x W=6", "free x W=5", "x | x*x W=6", "x,y | x*y W=4"]
+
+
+@pytest.mark.parametrize("gens, rels, W", ROUNDTRIP_FAMILY, ids=ROUNDTRIP_IDS)
+def test_field_skipping_at_the_bound_fails_axioms_and_roundtrip(monkeypatch, gens, rels, W):
     # Off by one on the native side: the field also skips a tower term whose
     # lowest weight plus b's equals W, so products of weight W go missing.
+    # The roundtrip's block skip reads the field's own low, which the
+    # mutant leaves alone, so the pairs it loses are still compared.
     within = vertex._terms_within
     monkeypatch.setattr(vertex, "_terms_within", lambda tower, room: within(tower, room - 1))
-    V = VertexAlgebra(AlgebraPresentation(["x"], [], 6))
+    V = VertexAlgebra(AlgebraPresentation(gens, rels, W))
     assert {"vacuum_left", "vacuum_right", "translation"} <= failing(
         check_vertex_axioms(V, samples=20, seed=0)
     )
-    assert failing(eta_roundtrip_check(V)) == {"modes"}
+    report = eta_roundtrip_check(V)
+    assert failing(report) == {"modes"}
+    # The first pair lost: the vacuum times the first state of weight W.
+    assert first_mode_counterexample(report) == {"a": "1", "b": f"x{W - 1}"}
 
 
-def test_series_skipping_at_the_bound_fails_the_roundtrip_modes(monkeypatch):
+@pytest.mark.parametrize("gens, rels, W", ROUNDTRIP_FAMILY, ids=ROUNDTRIP_IDS)
+def test_series_skipping_at_the_bound_fails_the_roundtrip_modes(monkeypatch, gens, rels, W):
     # The same off-by-one on the reconstructed side: the series rows whose
-    # lowest weight plus b's equals W are not placed.
+    # lowest weight plus b's equals W are not placed, and a block they
+    # leave empty is still compared, since the field's low meets it.
     within = reconstruct._rows_within
     monkeypatch.setattr(reconstruct, "_rows_within", lambda rows, room: within(rows, room - 1))
-    V = VertexAlgebra(AlgebraPresentation(["x"], [], 6))
-    assert failing(eta_roundtrip_check(V)) == {"modes"}
+    V = VertexAlgebra(AlgebraPresentation(gens, rels, W))
+    report = eta_roundtrip_check(V)
+    assert failing(report) == {"modes"}
+    # The vacuum's only row is lost in the block of weight W; the field's
+    # bound, low 0, still has that block compared.
+    assert first_mode_counterexample(report) == {"a": "1", "b": f"x{W - 1}"}
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetfact._kernels import lc_scale
 from jetfact.grading import GradedElement
 from jetfact.jetalg import AlgebraPresentation
 from jetfact.reports import all_pass
@@ -18,7 +19,6 @@ from jetfact.reconstruct import (
 from jetfact.sampling import Sampler
 from jetfact.scalars import Scalar
 from jetfact.vertex import (
-    ModeTable,
     VertexAlgebra,
     completion_rotation,
     completion_translation,
@@ -272,25 +272,63 @@ def test_eta_roundtrip_catches_a_wrong_mode(v4, monkeypatch):
 
     x = v4.presentation.gen("x")
 
-    def perturbed(a, V):
-        y_a = vertex_ops(a, V)
+    class Perturbed:
+        """The field of a with its (x, x) mode a_(-1) b doubled; low is
+        forwarded, so the block skip reads the true bound."""
 
-        def table_of(b):
-            table = y_a(b)
-            if a == x and b == x:
-                modes = dict(table.modes)
-                modes[-1] = modes[-1].scale(Scalar(2))
-                return ModeTable(modes, table.wmax)
-            return table
+        def __init__(self, a, V):
+            self.a = a
+            self.field = vertex_ops(a, V)
+            self.low = self.field.low
 
-        return table_of
+        def rows(self, b):
+            rows = self.field.rows(b)
+            if self.a == x and b == x:
+                rows[-1] = lc_scale(rows[-1], Scalar(2))
+            return rows
 
-    monkeypatch.setattr(reconstruct, "vertex_ops", perturbed)
+    monkeypatch.setattr(reconstruct, "vertex_ops", Perturbed)
     report = eta_roundtrip_check(v4, nmax=6)
     status = {c["name"]: c["status"] for c in report["checks"]}
     assert status == {"vacuum": "pass", "translation": "pass", "modes": "fail"}
     modes = report["checks"][-1]
     assert modes["detail"]["first_counterexample"] == {"a": str(x), "b": str(x)}
+
+
+def test_eta_roundtrip_reads_the_field_bound_from_the_field(v4, monkeypatch):
+    # A field that claims to meet every weight (low 0) and gives a spurious
+    # mode wherever its true rows are empty: the blocks that the series
+    # leaves empty must still be compared, since the field's bound says
+    # they can meet.
+    import jetfact.reconstruct as reconstruct
+
+    class Spurious:
+        def __init__(self, a, V):
+            self.field = vertex_ops(a, V)
+            self.low = 0
+
+        def rows(self, b):
+            return self.field.rows(b) or {-1: b.data}
+
+    monkeypatch.setattr(reconstruct, "vertex_ops", Spurious)
+    status = {c["name"]: c["status"] for c in eta_roundtrip_check(v4)["checks"]}
+    assert status == {"vacuum": "pass", "translation": "pass", "modes": "fail"}
+
+
+def test_eta_roundtrip_reads_the_series_bound_from_the_series(v4, monkeypatch):
+    # The same on the reconstructed side: where no series row can meet b,
+    # a spurious unit row is picked; the field's bound says nothing meets
+    # there, and the block must still be compared.
+    import jetfact.reconstruct as reconstruct
+
+    within = reconstruct._rows_within
+    monkeypatch.setattr(
+        reconstruct,
+        "_rows_within",
+        lambda rows, room: within(rows, room) or {(9,): GradedElement.one(4).data},
+    )
+    status = {c["name"]: c["status"] for c in eta_roundtrip_check(v4)["checks"]}
+    assert status == {"vacuum": "pass", "translation": "pass", "modes": "fail"}
 
 
 def test_eta_roundtrip_builds_each_tower_once(vx, monkeypatch):
@@ -325,7 +363,38 @@ def test_eta_roundtrip_skips_products_that_truncation_kills(vx, monkeypatch):
     report = eta_roundtrip_check(vx, nmax=6)
     assert all_pass(report["checks"])
     assert report["checks"][-1]["detail"]["pairs"] == 900
-    assert len(calls) <= 600
+    assert len(calls) == 541
+
+
+@pytest.mark.parametrize(
+    "gens, rels, W, pairs, placed",
+    [
+        (["x"], [], 6, 900, 139),
+        (["x"], [], 5, 361, 74),
+        (["x"], ["x*x"], 6, 121, 42),
+        (["x", "y"], ["x*y"], 4, 676, 115),
+    ],
+    ids=["free x W=6", "free x W=5", "x | x*x W=6", "x,y | x*y W=4"],
+)
+def test_eta_roundtrip_compares_only_blocks_that_can_meet(
+    monkeypatch, gens, rels, W, pairs, placed
+):
+    # The roundtrip benchmark family: every pair is counted, but a (state,
+    # weight) block that both sides' bounds leave empty reaches no _place.
+    import jetfact.reconstruct as reconstruct
+
+    calls = []
+    place = reconstruct._place
+
+    def counted(*args):
+        calls.append(1)
+        return place(*args)
+
+    monkeypatch.setattr(reconstruct, "_place", counted)
+    report = eta_roundtrip_check(VertexAlgebra(AlgebraPresentation(gens, rels, W)))
+    assert all_pass(report["checks"])
+    assert report["checks"][-1]["detail"]["pairs"] == pairs
+    assert len(calls) == placed
 
 
 def test_reconstructed_structure_satisfies_axioms(v4):

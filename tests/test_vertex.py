@@ -279,8 +279,8 @@ def test_vertex_ops_against_derivatives_over_factorials(gens, relations, wmax):
 def test_field_weight_bound_is_exact(gens, relations, wmax):
     # The field skips a tower term when its lowest weight plus b's exceeds
     # W.  The oracle multiplies every term by b with the bare kernel and
-    # reduces, skipping no term and reading no table; the roundtrip cannot
-    # see a wrong bound, since its two sides share the weight argument.
+    # reduces, skipping no term and reading no table, so it checks the
+    # bound itself, not its agreement with the series' bound.
     # y - x*x is not homogeneous: a product's normal form can weigh less
     # than its factors, which the bound, read before reduction, must allow.
     P = AlgebraPresentation(gens, relations, wmax)
@@ -293,6 +293,9 @@ def test_field_weight_bound_is_exact(gens, relations, wmax):
     for a in basis:
         tower = P.translation_tower(a)
         y_a = vertex_ops(a, V)
+        # low is the least lowest weight of the tower: no state of lowest
+        # weight above W - low meets the field.
+        assert y_a.low == min(min(map(mono_weight, t.data)) for t in tower)
         for b in basis:
             expected = ModeTable(
                 {
@@ -304,6 +307,14 @@ def test_field_weight_bound_is_exact(gens, relations, wmax):
                 wmax,
             )
             assert y_a(b) == expected, (str(a), str(b))
+            rows = y_a.rows(b)
+            assert rows == {n: e.data for n, e in expected.modes.items()}
+            assert all(rows.values())
+            if y_a.low + b.weight() > wmax:
+                assert not rows
+    zero = vertex_ops(V.zero(), V)
+    assert zero.low == wmax + 1
+    assert zero.rows(basis[0]) == {}
 
 
 def test_report_structure(vx):
