@@ -249,7 +249,7 @@ def _group_product(P, factors, index_lists) -> tuple:
             continue
         f = factors[idxs[0]]
         for i in idxs[1:]:
-            f = GradedElement._make(P._product(f.data, factors[i].data), P.wmax)
+            f = GradedElement._make(P.product_rows(f.data, factors[i].data), P.wmax)
         out.append(f)
     return tuple(out)
 

@@ -28,6 +28,8 @@ The normal form is linear, so the product and the derivation are linear
 maps on monomials.  Each presentation holds them as two lazily filled
 tables on monomials (the reduced product of a pair, the reduced
 derivative of one), and multiply and derive are sums over table rows.
+Other layers reach the product table only through the public pair
+check(elem) and product_rows(a, b) on kernel dicts, checking each state once.
 A monomial's normal form starts from the shared ONE, so every row of a
 free presentation's product table is {m: ONE}, and the row sums skip
 each multiplication by ONE: a product on a free presentation makes one
@@ -188,7 +190,7 @@ class AlgebraPresentation:
     # -- normal forms ----------------------------------------------------------
 
     def normal_form(self, elem: GradedElement) -> GradedElement:
-        self._check_element(elem)
+        self.check(elem)
         return GradedElement._make(self._echelon.reduce(elem.data), self.wmax)
 
     def reduce_monomial(self, mono) -> GradedElement:
@@ -222,7 +224,8 @@ class AlgebraPresentation:
     def parse(self, text: str) -> GradedElement:
         return self.normal_form(parse_element(text, self.generators, self.wmax))
 
-    def _check_element(self, elem: GradedElement):
+    def check(self, elem: GradedElement):
+        """Raise ValueError unless elem has this bound and these generators."""
         if elem.wmax != self.wmax:
             raise ValueError(
                 f"element truncation {elem.wmax} does not match presentation {self.wmax}"
@@ -237,9 +240,9 @@ class AlgebraPresentation:
     # -- ring operations ---------------------------------------------------------
 
     def multiply(self, a: GradedElement, b: GradedElement) -> GradedElement:
-        self._check_element(a)
-        self._check_element(b)
-        return GradedElement._make(self._product(a.data, b.data), self.wmax)
+        self.check(a)
+        self.check(b)
+        return GradedElement._make(self.product_rows(a.data, b.data), self.wmax)
 
     def product(self, elements) -> GradedElement:
         out = self.unit()
@@ -248,7 +251,7 @@ class AlgebraPresentation:
         return out
 
     def derive(self, a: GradedElement, times: int = 1) -> GradedElement:
-        self._check_element(a)
+        self.check(a)
         data = a.data
         for _ in range(times):
             data = self._derivative(data)
@@ -260,7 +263,7 @@ class AlgebraPresentation:
         The k = 0 term is a itself, unreduced; the others are normal forms.
         T^k a = 0 forces T^(k+1) a = 0, so the list stops at the first zero.
         """
-        self._check_element(a)
+        self.check(a)
         if not a:
             return []
         towers = [(c, self._monomial_tower(m)) for m, c in a.data.items()]
@@ -291,7 +294,7 @@ class AlgebraPresentation:
         zpow = _powers(z, self.wmax) if z else None
 
         def flow(a: GradedElement) -> GradedElement:
-            self._check_element(a)
+            self.check(a)
             rotated = {m: c * qpow[mono_weight(m)] for m, c in a.data.items()}
             out = dict(rotated)
             if zpow:
@@ -302,8 +305,9 @@ class AlgebraPresentation:
 
         return flow
 
-    def _product(self, a: dict, b: dict) -> dict:
-        """Normal form of the product of two kernel dicts, by table rows."""
+    def product_rows(self, a: dict, b: dict) -> dict:
+        """Normal form of the product of two kernel dicts, by table rows;
+        the operands are not checked (see check)."""
         out = {}
         table = self._products
         for m1, c1 in a.items():
@@ -464,7 +468,7 @@ class AlgebraHom:
         return out
 
     def apply(self, elem: GradedElement) -> GradedElement:
-        self.source._check_element(elem)
+        self.source.check(elem)
         out = self.target.zero()
         for mono, coeff in elem.data.items():
             out = out + self._image_of_monomial(mono).scale(coeff)

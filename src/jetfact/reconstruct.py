@@ -12,18 +12,16 @@ into the disk, translation is the z-derivative of a one-point insertion
 at z = 0, and the modes of a two-point insertion at (z, 0) are its
 Laurent coefficients.  Locally constant structures give series with no
 pole, so all non-negative modes vanish and requests for them answer
-zero.  insert checks each state once; the series is then kept as kernel
-rows, multiplied through the presentation's product table.  The
-roundtrip check works per basis state a: it builds a's one-point series
-and a's native field vertex_ops(a, V) once each, and shares the series
-between the translation and mode checks.  For every b, the modes of
-(a, b) are that series' rows times b placed at 0, by the same step
-insert takes at an exact point, compared as kernel rows with the field's
-rows for b.  The basis is walked by (a, weight of b) blocks, and for each
-weight only the rows that can meet b are placed, since truncation kills
-the others' products.  A block that both sides' own weight bounds leave
-empty, no series row and no field term that can meet that weight, is
-counted as agreeing with no product; every other pair is compared.  A
+zero.  insert checks each state once (P.check); the series is then kept
+as kernel rows, multiplied through P.product_rows, and a state placed at
+an exact point is moved there by P.flow.  The roundtrip check builds each
+basis state a's one-point series and native field Field(a, V) once, and
+compares, for every b, the series' rows times b placed at 0 with the
+field's rows for b, skipping the (a, weight of b) blocks that both sides'
+own weight bounds leave empty.  Both sides multiply through the same
+product and derivative tables, so the roundtrip sees a fault in the
+series expansion, the placement or the translation tower, not a wrong
+table entry or a lost pivot (tests/test_fault_matrix.py).  A
 deliberately slow second route through disk sections and corestriction
 is kept for cross-checking the series expansion.
 """
@@ -39,7 +37,7 @@ from .grading import GradedElement
 from .reports import check_entry
 from .scalars import ONE, ZERO, Scalar
 from ._kernels import mono_weight
-from .vertex import ModeTable, VertexAlgebra, completion_translation, vertex_ops
+from .vertex import Field, ModeTable, VertexAlgebra
 
 __all__ = [
     "InsertionSeries",
@@ -157,7 +155,7 @@ def insert(points, elements, V: VertexAlgebra) -> InsertionSeries:
 
     P = V.presentation
     for state in elements:
-        P._check_element(state)
+        P.check(state)
 
     # Symbolic names are distinct, so the v-th variable's exponent is still
     # 0 in every key when its point is reached: no two products share a key.
@@ -171,7 +169,7 @@ def insert(points, elements, V: VertexAlgebra) -> InsertionSeries:
                 exps[:v] + (k,) + exps[v + 1 :]: prod
                 for exps, row in series.items()
                 for k, term in enumerate(terms)
-                if (prod := P._product(row, term.data))
+                if (prod := P.product_rows(row, term.data))
             }
             v += 1
         else:
@@ -187,11 +185,11 @@ def _place(series: dict, point: Scalar, state: GradedElement, V: VertexAlgebra) 
     """Multiply every row of a series by a checked state placed at an exact
     point: the state moved by e^{point T}, or the state itself at 0."""
     P = V.presentation
-    moved = completion_translation(point, state, V) if point else state
+    moved = P.flow(ONE, point)(state) if point else state
     return {
         exps: prod
         for exps, row in series.items()
-        if (prod := P._product(row, moved.data))
+        if (prod := P.product_rows(row, moved.data))
     }
 
 
@@ -270,7 +268,7 @@ def _rows_within(rows, room: int) -> dict:
 
 
 def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
-    """Certify that the reconstructed structure reproduces the source.
+    """Round trip: the reconstructed structure against the native one.
 
     Compares the reconstructed vacuum, translation, and mode table against
     the native structure on the full monomial basis up to the bound.  Mode
@@ -283,7 +281,7 @@ def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
     Each state a is inserted once, at z: the series' z-coefficient is the
     reconstructed translation of a, and for every b its rows times b at 0
     are the reconstructed modes of (a, b).  The native side is built per
-    state too: y_a = vertex_ops(a, V) holds a's translation tower, and
+    state too: y_a = Field(a, V) holds a's translation tower, and
     y_a.rows(b) gives the native modes of (a, b) as kernel rows.  The
     series rows are kept with their lowest weights, and per weight d of b
     the rows that can meet b, those of lowest weight at most W - d, are
@@ -316,7 +314,7 @@ def eta_roundtrip_check(V: VertexAlgebra, nmax: int = 6, seed: int = 0) -> dict:
         if s.coefficient((1,)) != V.translate(a):
             bad_t.append(str(a))
         rows = [(min(map(mono_weight, c.data)), e, c.data) for e, c in s.coeffs.items()]
-        y_a = vertex_ops(a, V)
+        y_a = Field(a, V)
         for delta, states in by_weight:
             room = wmax - delta
             meeting = _rows_within(rows, room)

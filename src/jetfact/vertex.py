@@ -8,19 +8,19 @@ attached to a state acts by
 
 so the mode a_(n) b is the z^(-n-1) coefficient: modes with n >= 0 vanish
 and a_(-n-1) b = (T^n a) * b / n!.  The tower T^n a / n! depends on a
-alone, so vertex_ops(a, V) builds it once, as a Field: field.rows(b) gives
-the nonzero modes of (a, b) as kernel rows {n: row}, field(b) the same
-modes as a ModeTable, and field.low is the least lowest weight of the
-tower, so that no b of lowest weight above W - low meets the field.
-vertex_op is the field's form for one pair.  The flow a -> e^{zT} q^{L0} a
-of an isometry needs only the presentation's derivation and grading, so it
-is the presentation's flow(q, z); completion_rotation and
-completion_translation are its forms for the rotation and the translation
-alone.  The axiom checker verifies the vacuum, translation, and locality
-identities on seeded samples; locality is run as the finite binomial mode
-identity at orders N = 0, 1, 2, which is the form the residue calculus
-reduces it to.  It also checks, once, that translation sends each jet
-variable g^(k) to g^(k+1).
+alone, so Field(a, V) builds it once: field.rows(b) gives the nonzero
+modes of (a, b) as kernel rows {n: row}, through the presentation's check
+and product_rows, field(b) the same modes as a ModeTable, and field.low
+is the least lowest weight of the tower, so that no b of lowest weight
+above W - low meets the field.  vertex_op is the field's form for one
+pair.  The flow a -> e^{zT} q^{L0} a of an isometry is the presentation's
+flow(q, z); completion_rotation and completion_translation, its forms for
+q or z alone, stay only as benchmark trace targets and for tests.  The
+axiom checker verifies the vacuum, translation, and locality identities
+on seeded samples; locality is run as the finite binomial mode identity
+at orders N = 0, 1, 2, which is the form the residue calculus reduces it
+to.  It also checks, once, that translation sends each jet variable
+g^(k) to g^(k+1).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "VertexAlgebra",
     "ModeTable",
     "Field",
-    "vertex_ops",
     "vertex_op",
     "completion_rotation",
     "completion_translation",
@@ -145,26 +144,20 @@ class Field:
 
     def rows(self, b: GradedElement) -> dict:
         P = self.presentation
-        P._check_element(b)
+        P.check(b)
         room = self.wmax - min(map(mono_weight, b.data), default=self.wmax + 1)
         terms = self._within.get(room)
         if terms is None:
             terms = self._within[room] = _terms_within(self._tower, room)
         modes = {}
         for n, term in terms:
-            prod = P._product(term, b.data)
+            prod = P.product_rows(term, b.data)
             if prod:
                 modes[-n - 1] = prod
         return modes
 
     def __call__(self, b: GradedElement) -> ModeTable:
         return ModeTable._of_rows(self.rows(b), self.wmax)
-
-
-def vertex_ops(a: GradedElement, V: VertexAlgebra) -> Field:
-    """The field of a: its modes against any b, as kernel rows or as a
-    ModeTable (see Field)."""
-    return Field(a, V)
 
 
 def _terms_within(tower, room: int) -> list:
@@ -175,11 +168,12 @@ def _terms_within(tower, room: int) -> list:
 
 def vertex_op(a: GradedElement, b: GradedElement, V: VertexAlgebra) -> ModeTable:
     """All modes of Y(a, z) b up to the truncation bound."""
-    return vertex_ops(a, V)(b)
+    return Field(a, V)(b)
 
 
 def completion_rotation(q: Scalar, a: GradedElement, V: VertexAlgebra) -> GradedElement:
-    """Scale the weight-d component by q**d; q must be an exact unit."""
+    """Scale the weight-d component by q**d; q must be an exact unit.
+    P.flow(q, 0), kept only as a benchmark trace target and for tests."""
     return V.presentation.flow(q, ZERO)(a)
 
 
@@ -187,7 +181,8 @@ def completion_translation(z: Scalar, a: GradedElement, V: VertexAlgebra) -> Gra
     """Truncated exponential of the translation operator applied to a.
 
     This is an algebra morphism up to the truncation bound because the
-    translation is a derivation.
+    translation is a derivation.  P.flow(1, z), kept only as a benchmark
+    trace target (perfbench/catalog.py) and for tests.
     """
     return V.presentation.flow(ONE, z)(a)
 
@@ -232,7 +227,7 @@ def check_vertex_axioms(
     """Sampled verification of the vacuum, translation, and locality axioms.
 
     table_fn(x, y) gives the mode table of (x, y) and vacuum the vacuum
-    state; they default to the field vertex_ops(x, V), built once per state
+    state; they default to the field Field(x, V), built once per state
     in the call, applied to y, and V.vacuum().  Every axiom reads
     its modes through table_fn, with V.translate as the translation, so
     the reconstruction layer can pass its own to certify that an
@@ -245,7 +240,7 @@ def check_vertex_axioms(
     sampler = Sampler(seed)
     if table_fn is None:
         # One field per state for the whole call: each tower is summed once.
-        field = cache(lambda x: vertex_ops(x, V))
+        field = cache(lambda x: Field(x, V))
         table_fn = lambda x, y: field(x)(y)
     if vacuum is None:
         vacuum = V.vacuum()

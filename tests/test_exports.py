@@ -1,7 +1,7 @@
 """Every name a jetfact module exports resolves, every definition in
 src/jetfact is reached from a command, a benchmark workload or a kept
-entry point, and the modules import only each other's public names, the
-section layer nothing of the vertex layer."""
+entry point, and the modules import and read only each other's public
+names, the section layer nothing of the vertex layer."""
 
 import ast
 import importlib
@@ -39,6 +39,13 @@ KEPT = {
     "numcx.Curve": "the circles and polygons of acceptance 11",
     "numcx._integrate_line": "the line quadrature of acceptance 11's triangle",
     "numcx.QuadratureError": "a line quadrature of acceptance 11 that does not settle",
+}
+
+# The private attributes that any module may read of another, each with
+# the reason.
+SHARED_PRIVATE = {
+    "GradedElement._make": "the trusted wrapper of _kernels' dict format, which "
+    "every layer builds elements with",
 }
 
 _DEF = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -174,3 +181,44 @@ def test_modules_import_only_public_names_and_sections_not_the_vertex_layer():
         if i[1].startswith("_") and not i[1].endswith("__")
     ]
     assert private == []
+
+
+def _private_reads():
+    """[(module, line, "X._name")] for every read X._name in src/jetfact
+    where X is a plain name other than self or cls and the module does not
+    define _name itself: by a def, a __slots__ entry or an attribute
+    assignment."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, _DEF):
+                defined.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, ast.Assign) and "__slots__" in [
+                getattr(t, "id", None) for t in node.targets
+            ]:
+                defined.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id not in ("self", "cls")
+                and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+                and node.attr not in defined
+            ):
+                out.append((path.stem, node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(out)
+
+
+def test_modules_read_no_private_attribute_of_another():
+    # The import guard above sees only imported names; this one sees a
+    # private attribute read off another module's object, as in P._name.
+    reads = _private_reads()
+    assert [r for r in reads if r[2] not in SHARED_PRIVATE] == []
+    # An exception that no module reads any more needs no reason to stay.
+    assert sorted(set(SHARED_PRIVATE) - {r[2] for r in reads}) == []

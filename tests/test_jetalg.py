@@ -214,6 +214,7 @@ def test_tables_match_direct_reduction(gens, rels):
     for _ in range(30):
         a, b = free_element(), free_element()
         assert P.multiply(a, b).data == reduce(lc_mul(a.data, b.data, W))
+        assert P.product_rows(a.data, b.data) == reduce(lc_mul(a.data, b.data, W))
         once = reduce(lc_derive(a.data, W))
         assert P.derive(a).data == once
         assert P.derive(a, times=2).data == reduce(lc_derive(once, W))
@@ -357,8 +358,9 @@ def test_undeclared_generators_are_named_sorted(free_x):
         lambda P, e: P.multiply(P.unit(), e),
         lambda P, e: P.derive(e),
         lambda P, e: P.translation_tower(e),
+        lambda P, e: P.check(e),
     ],
-    ids=["multiply", "derive", "translation_tower"],
+    ids=["multiply", "derive", "translation_tower", "check"],
 )
 def test_operations_refuse_another_truncation_bound(free_x, op):
     with pytest.raises(ValueError, match="truncation 5 does not match presentation 6"):

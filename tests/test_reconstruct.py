@@ -19,11 +19,11 @@ from jetfact.reconstruct import (
 from jetfact.sampling import Sampler
 from jetfact.scalars import Scalar
 from jetfact.vertex import (
+    Field,
     VertexAlgebra,
     completion_rotation,
     completion_translation,
     vertex_op,
-    vertex_ops,
 )
 
 
@@ -278,7 +278,7 @@ def test_eta_roundtrip_catches_a_wrong_mode(v4, monkeypatch):
 
         def __init__(self, a, V):
             self.a = a
-            self.field = vertex_ops(a, V)
+            self.field = Field(a, V)
             self.low = self.field.low
 
         def rows(self, b):
@@ -287,7 +287,7 @@ def test_eta_roundtrip_catches_a_wrong_mode(v4, monkeypatch):
                 rows[-1] = lc_scale(rows[-1], Scalar(2))
             return rows
 
-    monkeypatch.setattr(reconstruct, "vertex_ops", Perturbed)
+    monkeypatch.setattr(reconstruct, "Field", Perturbed)
     report = eta_roundtrip_check(v4, nmax=6)
     status = {c["name"]: c["status"] for c in report["checks"]}
     assert status == {"vacuum": "pass", "translation": "pass", "modes": "fail"}
@@ -304,13 +304,13 @@ def test_eta_roundtrip_reads_the_field_bound_from_the_field(v4, monkeypatch):
 
     class Spurious:
         def __init__(self, a, V):
-            self.field = vertex_ops(a, V)
+            self.field = Field(a, V)
             self.low = 0
 
         def rows(self, b):
             return self.field.rows(b) or {-1: b.data}
 
-    monkeypatch.setattr(reconstruct, "vertex_ops", Spurious)
+    monkeypatch.setattr(reconstruct, "Field", Spurious)
     status = {c["name"]: c["status"] for c in eta_roundtrip_check(v4)["checks"]}
     assert status == {"vacuum": "pass", "translation": "pass", "modes": "fail"}
 
@@ -353,13 +353,13 @@ def test_eta_roundtrip_skips_products_that_truncation_kills(vx, monkeypatch):
     # README case: only 139 of the 900 basis pairs have a nonzero mode, and
     # a term and a state whose lowest weights sum past W reach no product.
     calls = []
-    product = AlgebraPresentation._product
+    product = AlgebraPresentation.product_rows
 
     def counted(self, a, b):
         calls.append(1)
         return product(self, a, b)
 
-    monkeypatch.setattr(AlgebraPresentation, "_product", counted)
+    monkeypatch.setattr(AlgebraPresentation, "product_rows", counted)
     report = eta_roundtrip_check(vx, nmax=6)
     assert all_pass(report["checks"])
     assert report["checks"][-1]["detail"]["pairs"] == 900

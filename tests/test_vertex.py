@@ -10,6 +10,7 @@ from jetfact.reports import all_pass
 from jetfact.sampling import Sampler
 from jetfact.scalars import I, Scalar
 from jetfact.vertex import (
+    Field,
     ModeTable,
     VertexAlgebra,
     check_vertex_axioms,
@@ -18,7 +19,6 @@ from jetfact.vertex import (
     locality_sides,
     translation_identity_failures,
     vertex_op,
-    vertex_ops,
 )
 
 
@@ -227,13 +227,13 @@ def test_vertex_op_checks_both_arguments(vx, a, b):
     # The per-state form checks a once, when the field is built, and b on
     # every call, also when a is zero.
     if a.wmax == vx.wmax and a.generators() <= {"x"}:
-        y_a = vertex_ops(a, vx)
+        y_a = Field(a, vx)
         for _ in range(2):
             with pytest.raises(ValueError):
                 y_a(b)
     else:
         with pytest.raises(ValueError):
-            vertex_ops(a, vx)
+            Field(a, vx)
 
 
 # The presentations of the roundtrip benchmark: (generators, relations, W).
@@ -263,7 +263,7 @@ def test_vertex_ops_against_derivatives_over_factorials(gens, relations, wmax):
             P.derive(a, times=n).scale(Scalar(Fraction(1, factorial(n))))
             for n in range(wmax + 1)
         ]
-        y_a = vertex_ops(a, V)
+        y_a = Field(a, V)
         for b in basis:
             expected = ModeTable(
                 {-n - 1: P.multiply(t, b) for n, t in enumerate(terms)}, wmax
@@ -292,7 +292,7 @@ def test_field_weight_bound_is_exact(gens, relations, wmax):
     ]
     for a in basis:
         tower = P.translation_tower(a)
-        y_a = vertex_ops(a, V)
+        y_a = Field(a, V)
         # low is the least lowest weight of the tower: no state of lowest
         # weight above W - low meets the field.
         assert y_a.low == min(min(map(mono_weight, t.data)) for t in tower)
@@ -312,7 +312,7 @@ def test_field_weight_bound_is_exact(gens, relations, wmax):
             assert all(rows.values())
             if y_a.low + b.weight() > wmax:
                 assert not rows
-    zero = vertex_ops(V.zero(), V)
+    zero = Field(V.zero(), V)
     assert zero.low == wmax + 1
     assert zero.rows(basis[0]) == {}
 
