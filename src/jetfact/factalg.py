@@ -25,8 +25,10 @@ read in normal form, keys with a factor above the bound dropped as zero,
 equal keys summed) and refuses factors naming a generator outside the
 presentation; TensorSection.simple refuses factors that are not elements
 of the presentation.  Internal results are wrapped by the trusted
-TensorSection._make.  The gluing check memoises each corestriction by
-(value, disk, disk).
+TensorSection._make.  The gluing check pushes each weight as whole
+blocks, one section with a term per basis unit, so it makes one
+corestriction per (weight, disk pair) route and reads the images term by
+term.
 
 evaluate(s, U) gives the value of a section on a more general supported
 open (finite unions of connected finite disk unions): each connected
@@ -58,7 +60,7 @@ from .grading import GradedElement, format_monomial, normalize_monomial
 from .jetalg import AlgebraHom, AlgebraPresentation, Echelon, lift_hom
 from .reports import SampledChecks, check_entry
 from .sampling import Sampler
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from ._kernels import mono_weight
 
 __all__ = [
@@ -604,6 +606,14 @@ def _exact_rank(rows) -> int:
     return sum(echelon.add(row) for row in rows)
 
 
+def _block_images(s: TensorSection, d: int):
+    """The images of a pushed block of d units, image k read from term k
+    of s as c * f; None when s has not d terms."""
+    if len(s.terms) != d:
+        return None
+    return [f if c is ONE else f.scale(c) for c, (f,) in s.terms]
+
+
 def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
     """Exact gluing check on a nested chain of concentric disks.
 
@@ -614,6 +624,13 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
     the basis.  Per weight component the cokernel of (p - q) must map
     isomorphically onto the value on the top disk; this is verified by
     exact rank computations.  Other radii raise InputError, naming them.
+
+    Each weight is pushed as whole blocks: one section per disk with one
+    term (1, (unit,)) per basis unit, corestricted once per target disk,
+    its images read term by term.  Per disk i that is the block onto the
+    top disk, into disk i itself and from there onto the top; per pair
+    i < j, into disk j and from there onto the top.  A pushed block with
+    a different term count fails the weight.
     """
     radii = list(radii)
     if not radii or radii[0] <= 0 or any(a >= b for a, b in zip(radii, radii[1:])):
@@ -622,37 +639,48 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
     wmax = P.wmax if wmax is None else wmax
     n = len(radii)
     opens = [BasisElement([Disk(Scalar(0), r)]) for r in radii]
-
-    @cache
-    def push(elem, i, j):
-        """The corestriction of elem from disk i into disk j, computed
-        through the section machinery; each (elem, i, j) is pushed once."""
-        return corestrict(TensorSection.simple(opens[i], [elem], P), opens[j]).as_element()
+    top = opens[-1]
 
     checks = []
     for delta in range(wmax + 1):
         basis = P.weight_basis(delta)
         d = len(basis)
         index = {m: k for k, m in enumerate(basis)}
-        units = [GradedElement._make({m: Scalar(1)}, P.wmax) for m in basis]
-        # pi is onto: composed with each inclusion it fixes every basis monomial.
-        maps_ok = all(push(e, i, n - 1) == e for i in range(n) for e in units)
+        units = [GradedElement._make({m: ONE}, P.wmax) for m in basis]
+        for e in units:
+            P.check(e)
+        terms = [(ONE, (e,)) for e in units]
+        blocks = [TensorSection._make(U, P, terms) for U in opens]
+        own, own_top = [], []
+        maps_ok = True
+        for i, block in enumerate(blocks):
+            onto = _block_images(corestrict(block, top), d)
+            p = corestrict(block, opens[i])
+            own.append(_block_images(p, d))
+            own_top.append(_block_images(corestrict(p, top), d))
+            # pi is onto: composed with each inclusion it fixes every basis
+            # unit, and the route through disk i itself changes nothing.
+            maps_ok = maps_ok and onto == units and own_top[i] == onto
         # Disk i is the intersection of disks i < j, and the pair (j, i)
         # gives the negated row of (i, j): unordered pairs suffice.
         rows = []
         for i, j in combinations(range(n), 2):
-            for e in units:
-                p, q = push(e, i, i), push(e, i, j)
-                # pi kills (p - q): both routes into the top disk agree.
-                if push(p, i, n - 1) != push(q, j, n - 1):
-                    maps_ok = False
+            pushed = corestrict(blocks[i], opens[j])
+            p, q = own[i], _block_images(pushed, d)
+            q_top = _block_images(corestrict(pushed, top), d)
+            # pi kills (p - q): both routes into the top disk agree.
+            if None in (p, q, q_top) or own_top[i] != q_top:
+                maps_ok = False
+            if p is None or q is None:
+                continue
+            for pk, qk in zip(p, q):
                 # The row of p - q; blocks i and j are disjoint column
                 # ranges.  An image outside the weight-delta basis has none.
-                if not p.data.keys() | q.data.keys() <= index.keys():
+                if not pk.data.keys() | qk.data.keys() <= index.keys():
                     maps_ok = False
                     continue
-                row = {i * d + index[m]: c for m, c in p.data.items()}
-                row.update((j * d + index[m], -c) for m, c in q.data.items())
+                row = {i * d + index[m]: c for m, c in pk.data.items()}
+                row.update((j * d + index[m], -c) for m, c in qk.data.items())
                 rows.append(row)
 
         rank = _exact_rank(rows)
@@ -667,4 +695,3 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
             )
         )
     return {"checks": checks}
-

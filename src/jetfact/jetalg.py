@@ -14,7 +14,10 @@ resulting span is put in row-echelon form under a fixed monomial order,
 enumerating the free monomials of each weight once.  The rows are not
 reduced against each other, yet normal forms are canonical: the set of
 leading monomials and the remainder of an element after full reduction
-depend only on the span, not on the echelon basis chosen for it.
+depend only on the span, not on the echelon basis chosen for it.  Pivot
+rows are kept unscaled, each with its lead coefficient in the row: a
+reduction step divides once, by the lead it cancels, and a row that
+meets no pivot is returned as it is.
 
 The truncated model of a presentation F / I is F / (I + F_{>W}), the
 jets of the germ at the origin truncated at weight W.  Its total
@@ -96,9 +99,10 @@ class Echelon:
     """Sparse rows over the Gaussian rationals in row-echelon form.
 
     pivots maps the leading key of each row, its largest key under the
-    sort key given (natural order by default), to that row scaled to a
-    leading coefficient of one, and order maps it to its sort key.  The
-    rows are not reduced against later pivots.
+    sort key given (natural order by default), to that row as reduced,
+    unscaled: its lead coefficient stays in the row, and reduce divides
+    by it once per elimination step.  order maps each leading key to its
+    sort key.  The rows are not reduced against later pivots.
     """
 
     __slots__ = ("pivots", "order", "key")
@@ -110,18 +114,21 @@ class Echelon:
 
     def reduce(self, row: dict) -> dict:
         """The remainder of row after full reduction: no key of it is a
-        pivot.  It depends only on the span of the rows added."""
+        pivot.  It depends only on the span of the rows added.  A row that
+        meets no pivot is returned as it is, not copied."""
         pivots = self.pivots
-        if not pivots:
+        if pivots.keys().isdisjoint(row):
             return row
+        order = self.order
         row = dict(row)
         while True:
             hits = [m for m in row if m in pivots]
             if not hits:
                 return row
-            m = max(hits, key=self.order.__getitem__)
-            c = row.pop(m)
-            for pm, pv in pivots[m].items():
+            m = hits[0] if len(hits) == 1 else max(hits, key=order.__getitem__)
+            prow = pivots[m]
+            c = row.pop(m) / prow[m]
+            for pm, pv in prow.items():
                 if pm == m:
                     continue
                 acc = row.get(pm)
@@ -132,13 +139,15 @@ class Echelon:
                     row.pop(pm, None)
 
     def add(self, row: dict) -> bool:
-        """Add row to the span; True if it was independent of the rows before."""
-        row = self.reduce(row)
-        if not row:
+        """Add row to the span; True if it was independent of the rows
+        before.  The stored pivot row is never the caller's dict."""
+        reduced = self.reduce(row)
+        if not reduced:
             return False
-        lead = max(row, key=self.key)
-        inv = Scalar(1) / row[lead]
-        self.pivots[lead] = {m: c * inv for m, c in row.items()}
+        if reduced is row:
+            reduced = dict(row)
+        lead = next(iter(reduced)) if len(reduced) == 1 else max(reduced, key=self.key)
+        self.pivots[lead] = reduced
         self.order[lead] = lead if self.key is None else self.key(lead)
         return True
 

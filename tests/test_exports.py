@@ -183,35 +183,56 @@ def test_modules_import_only_public_names_and_sections_not_the_vertex_layer():
     assert private == []
 
 
-def _private_reads():
-    """[(module, line, "X._name")] for every read X._name in src/jetfact
-    where X is a plain name other than self or cls and the module does not
-    define _name itself: by a def, a __slots__ entry or an attribute
-    assignment."""
+def _defined_names(nodes) -> set:
+    """The attribute names defined anywhere in the nodes: by a def, a
+    __slots__ entry or an attribute assignment."""
+    defined = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, _DEF):
+            defined.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        elif isinstance(node, ast.Assign) and "__slots__" in [
+            getattr(t, "id", None) for t in node.targets
+        ]:
+            defined.update(ast.literal_eval(node.value))
+    return defined
+
+
+def _private_reads(src=SRC):
+    """[(module, line, "X._name")] for every read X._name in the modules
+    of src (src/jetfact by default) where X is a plain name other than self
+    or cls that the module does not own.  A read through a class of those
+    modules, Cls._name, is the module's own only if the module defines
+    _name on Cls; a read through any other name only if the module defines
+    _name anywhere.  Defining is by a def, a __slots__ entry or an
+    attribute assignment."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    classes = {
+        node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)
+    }
     out = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        defined = set()
+    for module, tree in trees.items():
+        defined = _defined_names([tree])
+        on_class = {
+            node.name: _defined_names([node])
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+        }
         for node in ast.walk(tree):
-            if isinstance(node, _DEF):
-                defined.add(node.name)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-                defined.add(node.attr)
-            elif isinstance(node, ast.Assign) and "__slots__" in [
-                getattr(t, "id", None) for t in node.targets
-            ]:
-                defined.update(ast.literal_eval(node.value))
-        for node in ast.walk(tree):
-            if (
+            if not (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.ctx, ast.Load)
                 and isinstance(node.value, ast.Name)
                 and node.value.id not in ("self", "cls")
                 and node.attr.startswith("_")
                 and not node.attr.endswith("__")
-                and node.attr not in defined
             ):
-                out.append((path.stem, node.lineno, f"{node.value.id}.{node.attr}"))
+                continue
+            owner = node.value.id
+            own = on_class.get(owner, ()) if owner in classes else defined
+            if node.attr not in own:
+                out.append((module, node.lineno, f"{owner}.{node.attr}"))
     return sorted(out)
 
 
@@ -222,3 +243,15 @@ def test_modules_read_no_private_attribute_of_another():
     assert [r for r in reads if r[2] not in SHARED_PRIVATE] == []
     # An exception that no module reads any more needs no reason to stay.
     assert sorted(set(SHARED_PRIVATE) - {r[2] for r in reads}) == []
+
+
+def test_private_reads_through_a_class_are_keyed_by_the_class(tmp_path):
+    # A module that defines _make on its own class may read its own
+    # A._make, and _make through a plain instance, but not B._make.
+    (tmp_path / "a.py").write_text(
+        "class A:\n"
+        "    def _make(self):\n"
+        "        return A._make(self), B._make(), obj._make()\n"
+    )
+    (tmp_path / "b.py").write_text("class B:\n    def _make(self):\n        pass\n")
+    assert _private_reads(tmp_path) == [("a", 3, "B._make")]

@@ -493,6 +493,28 @@ def test_coequalizer_chain_on_quotients(gens, relations):
         assert check["detail"]["rank"] == 2 * dim
 
 
+@pytest.mark.parametrize(
+    "gens, relations", [("x", []), ("xyz", ["x*y", "y*z"])], ids=["free x", "x,y,z | xy; yz"]
+)
+def test_coequalizer_chain_pushes_each_block_once(monkeypatch, gens, relations):
+    # Three radii make 15 block routes per weight: onto the top disk, into
+    # the disk itself and on to the top from each of the three disks, and
+    # into the larger disk and on to the top for each of the three pairs.
+    # Each is one corestriction of the weight's whole block.
+    calls = []
+
+    def counted(s, M):
+        calls.append(len(s.terms))
+        return corestrict(s, M)
+
+    monkeypatch.setattr(factalg, "corestrict", counted)
+    P = AlgebraPresentation(list(gens), relations, 5)
+    report = check_coequalizer_chain(P, [1, 2, 4])
+    assert all_pass(report["checks"])
+    assert len(calls) == 90
+    assert sorted(calls) == sorted(d for d in P.dims() for _ in range(15))
+
+
 # -- the factored structure maps against a key-by-key expansion ---------------
 #
 # The reference keeps a section as its expanded monomial-tensor data and

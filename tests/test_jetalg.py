@@ -237,27 +237,106 @@ SATURATION_PRESENTATIONS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "gens, rels, W",
-    SATURATION_PRESENTATIONS,
-    ids=["xy", "uv-vz", "aa-bb", "xdy-ydx", "xz-yy", "xx", "xx+yy"],
-)
-def test_saturation_matches_generic_products(gens, rels, W):
-    # The saturation rebuilt with generic products: every relation jet times
-    # every free monomial that keeps a term within the bound, through
-    # lc_mul.  Its echelon must be the construction's, pivot for pivot.
-    P = AlgebraPresentation(gens, rels, W)
-    rows = Echelon(lambda m: (mono_weight(m), m))
+def generic_saturation(P):
+    """The saturation rows of P rebuilt with generic products: every
+    relation jet times every free monomial that keeps a term within the
+    bound, through lc_mul, in the construction's order."""
+    W = P.wmax
     for rel in P.relations:
         jet = rel.data
         while jet:
             low = min(mono_weight(m) for m in jet)
             for delta in range(W - low + 1):
                 for mono in P._free_monomials(delta):
-                    rows.add(lc_mul({mono: Scalar(1)}, jet, W))
+                    yield lc_mul({mono: Scalar(1)}, jet, W)
             jet = lc_derive(jet, W)
+
+
+@pytest.mark.parametrize(
+    "gens, rels, W",
+    SATURATION_PRESENTATIONS,
+    ids=["xy", "uv-vz", "aa-bb", "xdy-ydx", "xz-yy", "xx", "xx+yy"],
+)
+def test_saturation_matches_generic_products(gens, rels, W):
+    # The echelon of the generic saturation must be the construction's,
+    # pivot for pivot.
+    P = AlgebraPresentation(gens, rels, W)
+    rows = Echelon(lambda m: (mono_weight(m), m))
+    for row in generic_saturation(P):
+        rows.add(row)
     assert rows.pivots == P._echelon.pivots
     assert list(rows.pivots) == list(P._echelon.pivots)
+
+
+class ScaledEchelon:
+    """Reference echelon that scales each pivot row to a leading
+    coefficient of one when it is added."""
+
+    def __init__(self, key):
+        self.pivots = {}
+        self.key = key
+
+    def reduce(self, row):
+        row = dict(row)
+        while True:
+            hits = [m for m in row if m in self.pivots]
+            if not hits:
+                return row
+            m = max(hits, key=self.key)
+            c = row.pop(m)
+            for pm, pv in self.pivots[m].items():
+                if pm != m:
+                    row[pm] = row.get(pm, Scalar(0)) - c * pv
+                    if not row[pm]:
+                        del row[pm]
+
+    def add(self, row):
+        row = self.reduce(row)
+        if row:
+            lead = max(row, key=self.key)
+            inv = Scalar(1) / row[lead]
+            self.pivots[lead] = {m: c * inv for m, c in row.items()}
+
+
+@pytest.mark.parametrize(
+    "gens, rels, W",
+    SATURATION_PRESENTATIONS[:5],
+    ids=["xy", "uv-vz", "aa-bb", "xdy-ydx", "xz-yy"],
+)
+def test_unscaled_pivots_give_the_scaled_normal_forms(gens, rels, W):
+    # On the five elimination templates, every free monomial up to the
+    # bound has the normal form that the scaled reference echelon gives.
+    P = AlgebraPresentation(gens, rels, W)
+    ref = ScaledEchelon(lambda m: (mono_weight(m), m))
+    for row in generic_saturation(P):
+        ref.add(row)
+    assert list(ref.pivots) == list(P._echelon.pivots)
+    for delta in range(W + 1):
+        for mono in P._free_monomials(delta):
+            assert P.normal_form(GradedElement({mono: 1}, W)).data == ref.reduce({mono: ONE})
+
+
+def test_echelon_keeps_unscaled_copies_of_its_rows():
+    rows = Echelon()
+    first, second, third = {1: Scalar(2), 0: ONE}, {5: Scalar(3)}, {1: ONE, 4: Scalar(-1)}
+    # The first row meets no pivot, the second is a lone term and the third
+    # reduces against the first: each pivot is a row of its own.
+    assert rows.add(first) and rows.add(second) and rows.add(third)
+    kept = {lead: dict(row) for lead, row in rows.pivots.items()}
+    assert kept == {
+        1: {1: Scalar(2), 0: ONE},
+        5: {5: Scalar(3)},
+        4: {4: Scalar(-1), 0: Scalar(Fraction(-1, 2))},
+    }
+    first[1] = Scalar(7)
+    first[3] = ONE
+    second.clear()
+    third.clear()
+    assert rows.pivots == kept
+    # A row that meets no pivot is its own remainder.
+    free = {2: Scalar(5)}
+    assert rows.reduce(free) is free
+    assert rows.reduce({1: Scalar(4), 5: ONE}) == {0: Scalar(-2)}
 
 
 @pytest.mark.parametrize(

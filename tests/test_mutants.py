@@ -34,7 +34,9 @@ def test_negated_corestriction_fails_both_harnesses(monkeypatch, free_x):
         factalg, "corestrict", lambda s, M, *args: corestrict(s, M, *args).scale(Scalar(-1))
     )
     assert failing(check_pfa_axioms(free_x, samples=5, seed=0))
-    assert failing(check_coequalizer_chain(free_x, [1, 2, 4], wmax=4))
+    # Every image comes back negated, so no weight maps onto the top disk.
+    report = check_coequalizer_chain(free_x, [1, 2, 4], wmax=4)
+    assert failing(report) == {f"weight_{delta}" for delta in range(5)}
 
 
 def test_group_product_dropping_a_factor_fails(monkeypatch, free_x):
@@ -53,6 +55,27 @@ def test_group_product_dropping_a_factor_fails(monkeypatch, free_x):
     )
     report = check_coequalizer_chain(free_x, [1, 2, 4], wmax=4)
     assert failing(report) == {f"weight_{delta}" for delta in range(1, 5)}
+
+
+@pytest.mark.parametrize(
+    "gens, relations", [("x", []), ("xyz", ["x*y", "y*z"])], ids=["free x", "x,y,z | xy; yz"]
+)
+def test_corestriction_dropping_a_term_fails_the_gluing_check(monkeypatch, gens, relations):
+    # A pushed section loses its last term once it has two or more, so the
+    # gluing check's blocks come back one image short at every weight of
+    # dimension two or more; the weights of dimension one are untouched.
+    corestrict = factalg.corestrict
+
+    def dropping(s, M):
+        out = corestrict(s, M)
+        if len(out.terms) < 2:
+            return out
+        return factalg.TensorSection._make(out.L, out.P, out.terms[:-1])
+
+    monkeypatch.setattr(factalg, "corestrict", dropping)
+    P = AlgebraPresentation(list(gens), relations, 5)
+    report = check_coequalizer_chain(P, [1, 2, 4])
+    assert failing(report) == {f"weight_{d}" for d, dim in enumerate(P.dims()) if dim >= 2}
 
 
 def test_identity_rotation_fails_equivariance_compose(monkeypatch, free_x):
