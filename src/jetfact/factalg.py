@@ -627,10 +627,10 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
 
     Each weight is pushed as whole blocks: one section per disk with one
     term (1, (unit,)) per basis unit, corestricted once per target disk,
-    its images read term by term.  Per disk i that is the block onto the
-    top disk, into disk i itself and from there onto the top; per pair
-    i < j, into disk j and from there onto the top.  A pushed block with
-    a different term count fails the weight.
+    its images read term by term.  Block i goes into each disk j >= i and
+    from there onto the top: j = i is the route through disk i itself,
+    j = n - 1 the block onto the top disk, and j > i the pair (i, j).  A
+    pushed block with a different term count fails the weight.
     """
     radii = list(radii)
     if not radii or radii[0] <= 0 or any(a >= b for a, b in zip(radii, radii[1:])):
@@ -650,26 +650,27 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
         for e in units:
             P.check(e)
         terms = [(ONE, (e,)) for e in units]
-        blocks = [TensorSection._make(U, P, terms) for U in opens]
-        own, own_top = [], []
+        # pushed[i, j]: the images of block i in disk j >= i, and in the
+        # top disk by way of disk j.
+        pushed = {}
+        for i, U in enumerate(opens):
+            block = TensorSection._make(U, P, terms)
+            for j in range(i, n):
+                into = corestrict(block, opens[j])
+                pushed[i, j] = _block_images(into, d), _block_images(corestrict(into, top), d)
         maps_ok = True
-        for i, block in enumerate(blocks):
-            onto = _block_images(corestrict(block, top), d)
-            p = corestrict(block, opens[i])
-            own.append(_block_images(p, d))
-            own_top.append(_block_images(corestrict(p, top), d))
+        for i in range(n):
+            onto = pushed[i, n - 1][0]
             # pi is onto: composed with each inclusion it fixes every basis
             # unit, and the route through disk i itself changes nothing.
-            maps_ok = maps_ok and onto == units and own_top[i] == onto
+            maps_ok = maps_ok and onto == units and pushed[i, i][1] == onto
         # Disk i is the intersection of disks i < j, and the pair (j, i)
         # gives the negated row of (i, j): unordered pairs suffice.
         rows = []
         for i, j in combinations(range(n), 2):
-            pushed = corestrict(blocks[i], opens[j])
-            p, q = own[i], _block_images(pushed, d)
-            q_top = _block_images(corestrict(pushed, top), d)
+            (p, own_top), (q, q_top) = pushed[i, i], pushed[i, j]
             # pi kills (p - q): both routes into the top disk agree.
-            if None in (p, q, q_top) or own_top[i] != q_top:
+            if None in (p, q, q_top) or own_top != q_top:
                 maps_ok = False
             if p is None or q is None:
                 continue

@@ -17,15 +17,17 @@ On a finite node set exponents that differ by a multiple of the node
 count alias onto each other, so both numeric checks compute the smallest
 node count from which their series reads no other exponent and refuse
 fewer nodes with an AliasingError that carries it.
+
+numpy is imported on the first numeric call, not with this module: the
+module global np is a stand-in until then.  So the exact commands of the
+CLI, which imports this module for its num commands, run without loading
+numpy; perfbench reads this module from the CLI's import graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from math import comb, gcd, inf, pi
-
-import numpy as np
 
 from .errors import InputError
 from .jetalg import AlgebraPresentation
@@ -52,6 +54,22 @@ __all__ = [
     "QuadratureError",
     "AliasingError",
 ]
+
+
+class _DeferredNumpy:
+    """Stands in for numpy until the first numeric call reads an attribute;
+    that read imports numpy and rebinds the module global np to it, so
+    every later read is numpy's own attribute."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _DeferredNumpy()
 
 
 class QuadratureError(ArithmeticError):
@@ -81,13 +99,11 @@ def max_norm(v) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-@dataclass(frozen=True)
 class Circle:
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        _check_radius(self.radius)
+    def __init__(self, center: complex, radius: float):
+        _check_radius(radius)
+        self.center = center
+        self.radius = radius
 
     @property
     def start(self) -> complex:
@@ -98,10 +114,10 @@ class Circle:
         return self.center + self.radius
 
 
-@dataclass(frozen=True)
 class Line:
-    z0: complex
-    z1: complex
+    def __init__(self, z0: complex, z1: complex):
+        self.z0 = z0
+        self.z1 = z1
 
     @property
     def start(self) -> complex:
@@ -112,14 +128,11 @@ class Line:
         return self.z1
 
 
-@dataclass(frozen=True)
 class Curve:
     """Piecewise path: circles and line segments with matching endpoints."""
 
-    segments: tuple = field(default_factory=tuple)
-
     def __init__(self, segments):
-        object.__setattr__(self, "segments", tuple(segments))
+        self.segments = tuple(segments)
         for a, b in zip(self.segments, self.segments[1:]):
             if abs(a.end - b.start) > 1e-12:
                 raise ValueError("consecutive segments do not share endpoints")

@@ -497,10 +497,12 @@ def test_coequalizer_chain_on_quotients(gens, relations):
     "gens, relations", [("x", []), ("xyz", ["x*y", "y*z"])], ids=["free x", "x,y,z | xy; yz"]
 )
 def test_coequalizer_chain_pushes_each_block_once(monkeypatch, gens, relations):
-    # Three radii make 15 block routes per weight: onto the top disk, into
-    # the disk itself and on to the top from each of the three disks, and
-    # into the larger disk and on to the top for each of the three pairs.
-    # Each is one corestriction of the weight's whole block.
+    # Three radii make 12 block routes per weight: each disk's block into
+    # every disk that holds it (6: itself, and the larger disk of each of
+    # its pairs, the top disk among them), and each of those on to the
+    # top.  Each is one corestriction of the weight's whole block; the
+    # onto block of a lower disk is its pair block with the top disk, and
+    # the top disk's own block is its onto block, so neither is repeated.
     calls = []
 
     def counted(s, M):
@@ -511,8 +513,8 @@ def test_coequalizer_chain_pushes_each_block_once(monkeypatch, gens, relations):
     P = AlgebraPresentation(list(gens), relations, 5)
     report = check_coequalizer_chain(P, [1, 2, 4])
     assert all_pass(report["checks"])
-    assert len(calls) == 90
-    assert sorted(calls) == sorted(d for d in P.dims() for _ in range(15))
+    assert len(calls) == 72
+    assert sorted(calls) == sorted(d for d in P.dims() for _ in range(12))
 
 
 # -- the factored structure maps against a key-by-key expansion ---------------

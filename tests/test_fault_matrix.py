@@ -10,6 +10,7 @@ of the tables, a route to the modes that reads none) shows as a new fail
 cell.  The five rows together take a few seconds in-process.
 """
 
+import json
 import shlex
 
 import pytest
@@ -93,3 +94,17 @@ def test_fault_fails_exactly_these_commands(monkeypatch, tmp_path, apply, failin
     assert len(codes) == 9
     # A failing cell is a failed check (1), not an internal error (3).
     assert codes == {c: 1 if c in failing else 0 for c in codes}
+
+
+@pytest.mark.parametrize("modes", [["--n", "-1"], []], ids=["one mode", "all modes"])
+def test_vertex_modes_sees_a_wrong_product_entry_that_it_reads(monkeypatch, tmp_path, modes):
+    # vertex modes reads each reported mode a second way, through no
+    # product table.  x_(-1) d(x) is the product x0*x1, which reads the
+    # seeded entry; at README parameters (--b x --n -2) the mode x1*x0
+    # does not, so the product-entry row of MATRIX leaves vertex modes out.
+    seeded(wrong_product_entry)(monkeypatch)
+    out = tmp_path / "report.json"
+    assert cli.run(["vertex", "modes", "--a", "x", "--b", "d(x)", *modes, "--out", str(out)]) == 1
+    detail = json.loads(out.read_text())["checks"][0]["detail"]
+    assert detail.get("mode", detail.get("modes", {}).get("-1")) == "2*x1*x0"
+    assert detail["free_product_modes"] == {"-1": "x1*x0"}
