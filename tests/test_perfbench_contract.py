@@ -61,3 +61,28 @@ def test_one_op_of_every_workload_passes(perfbench):
         wl.setup()
         ok, _, _ = wl.run_op(wl.make_round()[0])
         assert ok, name
+
+
+# The round-0 digest of every workload at seed 7, as perfbench/child.py
+# computes it for a run: the digest of the per-op digests of the first
+# round.  A change that moves a digested field (a status, a pass count, a
+# dimension, a rank, a basis pair) moves it; to see the new value, print
+# round0_digest(perfbench, name, 7) for each workload.
+ROUND0_DIGESTS = {
+    "sections": "516b78a9f670af0e1860c6a668e4d762717e2a7c66132426daa1885fbbfe6637",
+    "roundtrip": "8ff6d18c301977c128caf876678fb76ed63114dd451b50bebf40fe1a24c9158e",
+    "elimination": "32c41ab8027f3c279851bba5f74c529bfaf995b8d82a6397584cbb4626d1f693",
+    "contour": "56e7c44079ae2034fcad0406a0c529af32fa94fb29f0118193eb3f342a24a523",
+}
+
+
+def round0_digest(perfbench, name, seed):
+    digest = perfbench.workloads.digest
+    wl = perfbench.workloads.WORKLOAD_CLASSES[name](perfbench.child.load_jetfact(), seed)
+    wl.setup()
+    return digest([digest(wl.run_op(inp)[1]) for inp in next(wl.rounds())])
+
+
+@pytest.mark.parametrize("name", sorted(ROUND0_DIGESTS))
+def test_round0_digest_is_pinned(perfbench, name):
+    assert round0_digest(perfbench, name, 7) == ROUND0_DIGESTS[name]
