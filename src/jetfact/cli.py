@@ -34,7 +34,13 @@ from .factalg import (
 )
 from .grading import GradedElement, format_element, format_monomial
 from .jetalg import AlgebraPresentation
-from .numcx import AliasingError, mode_agreement_check, residue_swap_check
+from .numcx import (
+    EXACT_SIDES,
+    SWAP_CHECKS,
+    AliasingError,
+    mode_agreement_check,
+    residue_swap_check,
+)
 from .reconstruct import eta_roundtrip_check
 from .reports import SampledChecks, all_pass, check_entry, make_report
 from .sampling import Sampler
@@ -213,12 +219,6 @@ def cmd_num_laurent(args, P, preset) -> list:
 
 def cmd_num_swap(args, P, preset) -> list:
     V = VertexAlgebra(P)
-    names = [
-        "iterated_orders_agree",
-        "matches_mode_sum_first_order",
-        "matches_mode_sum_second_order",
-        "exact_sides_equal",
-    ]
 
     def sample(sampler):
         weights = sampler.weight_triple(P.wmax)
@@ -230,10 +230,10 @@ def cmd_num_swap(args, P, preset) -> list:
         result = residue_swap_check(
             a, b, c, m, n, N, V, nodes=args.nodes, tolerance=args.tolerance
         )
-        exact = check_entry("exact_sides_equal", result["exact_sides_equal"], {})
+        exact = check_entry(EXACT_SIDES, result[EXACT_SIDES], {})
         return states, result["checks"] + [exact]
 
-    return _sampled(args, names, sample)
+    return _sampled(args, [*SWAP_CHECKS, EXACT_SIDES], sample)
 
 
 def vars_of(args) -> dict:

@@ -2,21 +2,23 @@
 
 Values live in a fixed finite-dimensional coordinate space (the weight
 truncation of the graded algebra in a fixed monomial basis); the working
-seminorm is the max-norm over coordinates.  One helper checks the radius
-and the node count and builds the uniform-angle trapezoid nodes of a
-circle; circle integrals, cauchy_coeff, laurent_coeffs (every coefficient
-from one FFT of the samples) and the double residues all read it.  The
-trapezoid rule is spectrally exact for the trigonometric-polynomial
-integrands this system produces.  Line segments refine a midpoint rule
-dyadically with one Richardson step and raise QuadratureError when it
-does not settle.  The two-variable residues of the locality check take
-their weight as a Laurent polynomial in (z, w); each of its terms is a z
-part times a w part, so the trapezoid double sum factors into one node
-average per circle and term, and no array over the node grid is formed.
-On a finite node set exponents that differ by a multiple of the node
-count alias onto each other, so both numeric checks compute the smallest
-node count from which their series reads no other exponent and refuse
-fewer nodes with an AliasingError that carries it.
+seminorm is the max-norm over coordinates.  A contour function maps an
+array of points to a (points, dim) array, one row of coordinates per
+point.  One helper checks the radius and the node count and builds the
+uniform-angle trapezoid nodes of a circle; cauchy_coeff, laurent_coeffs
+(every coefficient from one FFT of the samples) and the double residues
+all read it, and a circle integral is 2 pi i times cauchy_coeff at
+n = -1.  The trapezoid rule is spectrally exact for the
+trigonometric-polynomial integrands this system produces.  Line segments
+refine a midpoint rule dyadically with one Richardson step and raise
+QuadratureError when it does not settle.  The two-variable residues of
+the locality check take their weight as a Laurent polynomial in (z, w);
+each of its terms is a z part times a w part, so the trapezoid double sum
+factors into one node average per circle and term, and no array over the
+node grid is formed.  On a finite node set exponents that differ by a
+multiple of the node count alias onto each other, so both numeric checks
+compute the smallest node count from which their series reads no other
+exponent and refuse fewer nodes with an AliasingError that carries it.
 
 numpy is imported on the first numeric call, not with this module: the
 module global np is a stand-in until then.  So the exact commands of the
@@ -53,6 +55,8 @@ __all__ = [
     "max_norm",
     "QuadratureError",
     "AliasingError",
+    "SWAP_CHECKS",
+    "EXACT_SIDES",
 ]
 
 
@@ -154,16 +158,14 @@ class Curve:
 class ContourFunction:
     """Evaluation procedure from the plane to the coordinate space.
 
-    fn maps one complex point to an array; with vectorized=True it maps an
-    array of points to a (npoints, dim) array instead.  excluded lists
-    points where evaluation is undefined; quadrature nodes are checked
-    against it.
+    fn maps a one-dimensional array of points to a (points, dim) array,
+    one row of coordinates per point.  excluded lists points where
+    evaluation is undefined; quadrature nodes are checked against it.
     """
 
-    def __init__(self, fn, excluded=(), vectorized: bool = False):
+    def __init__(self, fn, excluded=()):
         self._fn = fn
         self.excluded = tuple(complex(e) for e in excluded)
-        self.vectorized = vectorized
 
     def check_nodes(self, zs):
         for e in self.excluded:
@@ -173,13 +175,14 @@ class ContourFunction:
     def eval_many(self, zs) -> np.ndarray:
         zs = np.asarray(zs, dtype=complex)
         self.check_nodes(zs)
-        if self.vectorized:
-            return np.asarray(self._fn(zs), dtype=complex)
-        return np.stack([np.atleast_1d(np.asarray(self._fn(z), dtype=complex)) for z in zs])
-
-
-def _as_contour_function(f) -> ContourFunction:
-    return f if isinstance(f, ContourFunction) else ContourFunction(f)
+        values = np.asarray(self._fn(zs), dtype=complex)
+        # A (dim, points) array would broadcast into a wrong integral.
+        if values.ndim != 2 or len(values) != len(zs):
+            raise ValueError(
+                f"contour function must map {len(zs)} points to ({len(zs)}, dim) "
+                f"rows, got shape {values.shape}"
+            )
+        return values
 
 
 def element_vector(elem, P: AlgebraPresentation) -> np.ndarray:
@@ -230,7 +233,9 @@ def coefficient_tensor(series: InsertionSeries, P: AlgebraPresentation) -> np.nd
     shape = (series.total_degree() + 1,) * len(series.variables)
     C = np.zeros(shape + (len(P.basis_monomials()),), dtype=complex)
     for exps, elem in series.coeffs.items():
-        C[exps] = element_vector(elem, P)
+        row = C[exps]
+        for i, c in P.coordinates(elem).items():
+            row[i] = complex(c)
     return C
 
 
@@ -283,12 +288,6 @@ def _midpoint(f: ContourFunction, z0, z1, n: int) -> np.ndarray:
     return f.eval_many(z0 + (np.arange(n) + 0.5) * step).sum(axis=0) * step
 
 
-def _integrate_circle(f: ContourFunction, seg: Circle, nodes: int) -> np.ndarray:
-    theta, values = _sample_circle(f, seg.center, seg.radius, nodes)
-    dgamma = 1j * seg.radius * np.exp(1j * theta) * (2 * pi / nodes)
-    return (values * dgamma[:, None]).sum(axis=0)
-
-
 def _integrate_line(f: ContourFunction, seg: Line, nodes: int) -> np.ndarray:
     # The midpoint error is an even series in the step, so one Richardson
     # step removes its step**2 term; successive extrapolated values then
@@ -313,17 +312,18 @@ def _integrate_line(f: ContourFunction, seg: Line, nodes: int) -> np.ndarray:
         mid, prev = fine, cur
 
 
-def contour_integral(f, curve: Curve, nodes: int = 128) -> np.ndarray:
+def contour_integral(f: ContourFunction, curve: Curve, nodes: int = 128) -> np.ndarray:
     """Integral over a piecewise curve: trapezoid on circles (exact for
     trigonometric polynomials up to the node count), refined and
     Richardson-extrapolated midpoint on line segments.  Raises
     QuadratureError when a line segment has not converged to 1e-12
     after 2**21 nodes."""
-    f = _as_contour_function(f)
     total = None
     for seg in curve.segments:
         if isinstance(seg, Circle):
-            part = _integrate_circle(f, seg, nodes)
+            # dz = i (z - center) dtheta: the trapezoid sum is 2 pi i times
+            # the node average of f (z - center), the coefficient of n = -1.
+            part = 2j * pi * cauchy_coeff(f, seg.center, -1, seg.radius, nodes)
         elif isinstance(seg, Line):
             part = _integrate_line(f, seg, nodes)
         else:
@@ -334,7 +334,7 @@ def contour_integral(f, curve: Curve, nodes: int = 128) -> np.ndarray:
     return total
 
 
-def cauchy_coeff(f, center, n: int, radius, nodes: int = 128) -> np.ndarray:
+def cauchy_coeff(f: ContourFunction, center, n: int, radius, nodes: int = 128) -> np.ndarray:
     """The n-th Laurent coefficient estimate on a circle of the given radius.
 
     Computes 1/(2 pi i) times the integral of f(z) / (z - center)^(n + 1)
@@ -343,12 +343,12 @@ def cauchy_coeff(f, center, n: int, radius, nodes: int = 128) -> np.ndarray:
     enough nodes.
     """
     radius = float(radius)
-    theta, values = _sample_circle(_as_contour_function(f), complex(center), radius, nodes)
+    theta, values = _sample_circle(f, complex(center), radius, nodes)
     weights = np.exp(-1j * n * theta) * radius ** (-n)
     return (values * weights[:, None]).sum(axis=0) / nodes
 
 
-def laurent_coeffs(f, center, ns, radius, nodes: int = 128) -> np.ndarray:
+def laurent_coeffs(f: ContourFunction, center, ns, radius, nodes: int = 128) -> np.ndarray:
     """The Laurent coefficient estimates of cauchy_coeff for every n in ns.
 
     Samples the circle once; the trapezoid sums of all coefficients are
@@ -356,7 +356,7 @@ def laurent_coeffs(f, center, ns, radius, nodes: int = 128) -> np.ndarray:
     scaled by radius^-n.  Row i of the result belongs to ns[i].
     """
     radius = float(radius)
-    _, values = _sample_circle(_as_contour_function(f), complex(center), radius, nodes)
+    _, values = _sample_circle(f, complex(center), radius, nodes)
     ns = np.asarray(ns, dtype=int)
     spectrum = np.fft.fft(values, axis=0)[ns % nodes] / nodes
     return spectrum * (radius ** -ns.astype(float))[:, None]
@@ -415,7 +415,7 @@ def mode_agreement_check(
         f"the modes |n| <= {nmax} of a series of degree {series.total_degree()}",
     )
     C = coefficient_tensor(series, P)
-    f = ContourFunction(series_function(series, P, C), vectorized=True)
+    f = ContourFunction(series_function(series, P, C))
     numeric = laurent_coeffs(f, 0.0, powers, 0.75, nodes)
     # The series has no pole, so modes n >= 0 (k < 0) read zero from it,
     # and so do the powers above its degree.
@@ -438,6 +438,16 @@ def _locality_weight(m: int, n: int, N: int) -> dict:
     """z^m w^n (z - w)^N as the Laurent polynomial {(p, q): coefficient},
     by the binomial theorem: C(N, i) (-1)^(N-i) at (m + i, n + N - i)."""
     return {(m + i, n + N - i): comb(N, i) * (-1) ** (N - i) for i in range(N + 1)}
+
+
+# The numeric checks of residue_swap_check, in report order, and the key
+# of its result that says whether the two exact mode sums are equal.
+SWAP_CHECKS = (
+    "iterated_orders_agree",
+    "matches_mode_sum_first_order",
+    "matches_mode_sum_second_order",
+)
+EXACT_SIDES = "exact_sides_equal"
 
 
 def residue_swap_check(
@@ -484,27 +494,13 @@ def residue_swap_check(
     order_z_inner = double_residue(C, weight, 0.5, 1.5, nodes)
 
     lhs, rhs = locality_sides(a, b, c, m, n, N, V, cache(lambda x, y: vertex_op(x, y, V)))
-    lhs_vec = element_vector(lhs, P)
-    rhs_vec = element_vector(rhs, P)
-
-    gap_orders = max_norm(order_w_inner - order_z_inner)
-    gap_lhs = max_norm(order_w_inner - lhs_vec)
-    gap_rhs = max_norm(order_z_inner - rhs_vec)
-    checks = [
-        check_entry(
-            "iterated_orders_agree",
-            gap_orders <= tolerance,
-            {"max_gap": gap_orders, "tolerance": tolerance},
-        ),
-        check_entry(
-            "matches_mode_sum_first_order",
-            gap_lhs <= tolerance,
-            {"max_gap": gap_lhs, "tolerance": tolerance},
-        ),
-        check_entry(
-            "matches_mode_sum_second_order",
-            gap_rhs <= tolerance,
-            {"max_gap": gap_rhs, "tolerance": tolerance},
-        ),
-    ]
-    return {"checks": checks, "exact_sides_equal": lhs == rhs}
+    differences = (
+        order_w_inner - order_z_inner,
+        order_w_inner - element_vector(lhs, P),
+        order_z_inner - element_vector(rhs, P),
+    )
+    checks = []
+    for name, difference in zip(SWAP_CHECKS, differences):
+        gap = max_norm(difference)
+        checks.append(check_entry(name, gap <= tolerance, {"max_gap": gap, "tolerance": tolerance}))
+    return {"checks": checks, EXACT_SIDES: lhs == rhs}

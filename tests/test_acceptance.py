@@ -242,17 +242,13 @@ def test_acceptance_11_contour_calculus_sanity():
     ok = True
     # Monomial orthogonality at 1e-12.
     for n in range(-5, 6):
-        f = ContourFunction(
-            lambda z, n=n: np.array([z**n]), excluded=[0] if n < 0 else ()
-        )
+        f = ContourFunction(lambda zs, n=n: zs[:, None] ** n, excluded=[0] if n < 0 else ())
         val = contour_integral(f, Curve.circle(0, 1.0), nodes=64) / (2j * np.pi)
         expect = 1.0 if n == -1 else 0.0
         ok = ok and abs(val[0] - expect) < 1e-12
 
     # Triangle contour of polynomials at 1e-10.
-    poly = ContourFunction(
-        lambda zs: np.stack([zs**4 - zs, 3 * zs**2 + 1j], axis=-1), vectorized=True
-    )
+    poly = ContourFunction(lambda zs: np.stack([zs**4 - zs, 3 * zs**2 + 1j], axis=-1))
     tri = Curve.polygon([0, 2, 1 + 1j])
     ok = ok and max_norm(contour_integral(poly, tri)) < 1e-10
 
@@ -263,7 +259,7 @@ def test_acceptance_11_contour_calculus_sanity():
     b = sampler.homogeneous_element(V.presentation)
     series = insert(["z", Scalar(0)], [a, b], V)
     fn = series_function(series, V.presentation)
-    f = ContourFunction(lambda zs: fn(zs), vectorized=True)
+    f = ContourFunction(fn)
     for n in range(-3, 4):
         c1 = cauchy_coeff(f, 0.0, n, 0.5, 128)
         c2 = cauchy_coeff(f, 0.0, n, 1.25, 128)

@@ -41,7 +41,7 @@ def v5():
 
 def test_monomial_orthogonality():
     for n in range(-5, 6):
-        f = ContourFunction(lambda z, n=n: np.array([z**n]), excluded=[0] if n < 0 else ())
+        f = ContourFunction(lambda zs, n=n: zs[:, None] ** n, excluded=[0] if n < 0 else ())
         val = contour_integral(f, Curve.circle(0, 1.0), nodes=64) / (2j * np.pi)
         expect = 1.0 if n == -1 else 0.0
         assert abs(val[0] - expect) < 1e-12
@@ -49,21 +49,19 @@ def test_monomial_orthogonality():
 
 def test_closed_curve_of_primitive_vanishes():
     # A function with a primitive integrates to zero over a closed curve.
-    f = ContourFunction(lambda zs: np.stack([zs**2, np.cos(zs)], axis=-1), vectorized=True)
+    f = ContourFunction(lambda zs: np.stack([zs**2, np.cos(zs)], axis=-1))
     square = Curve.polygon([0, 1, 1 + 1j, 1j])
     assert max_norm(contour_integral(f, square)) < 1e-10
 
 
 def test_goursat_triangle():
-    f = ContourFunction(
-        lambda zs: np.stack([zs**3 + 2 * zs, zs**2 - 1], axis=-1), vectorized=True
-    )
+    f = ContourFunction(lambda zs: np.stack([zs**3 + 2 * zs, zs**2 - 1], axis=-1))
     tri = Curve.polygon([0, 2, 1 + 1j])
     assert max_norm(contour_integral(f, tri)) < 1e-10
 
 
 def test_open_path_matches_primitive_difference():
-    f = ContourFunction(lambda zs: zs[..., None] ** 2, vectorized=True)
+    f = ContourFunction(lambda zs: zs[:, None] ** 2)
     path = Curve([Line(0, 1 + 1j)])
     val = contour_integral(f, path)
     expect = (1 + 1j) ** 3 / 3
@@ -76,20 +74,45 @@ def test_curve_validation():
     with pytest.raises(ValueError):
         Circle(0, -1.0)
     with pytest.raises(ValueError):
-        contour_integral(ContourFunction(lambda z: np.array([z])), Curve([]))
+        contour_integral(ContourFunction(lambda zs: zs[:, None]), Curve([]))
 
 
 def test_node_on_excluded_point_rejected():
-    f = ContourFunction(lambda z: np.array([1 / (z - 1)]), excluded=[1.0])
+    f = ContourFunction(lambda zs: 1 / (zs[:, None] - 1), excluded=[1.0])
     with pytest.raises(ValueError):
         contour_integral(f, Curve.circle(0, 1.0), nodes=64)  # node at z = 1
+
+
+def test_contour_functions_must_return_one_row_per_point():
+    # On an array of points a scalar-style fn returns (1, points), which
+    # would broadcast against the (points,) node weights into a wrong sum.
+    f = ContourFunction(lambda zs: np.array([zs**2]))
+    refusal = r"must map 16 points to \(16, dim\) rows, got shape \(1, 16\)"
+    with pytest.raises(ValueError, match=refusal):
+        cauchy_coeff(f, 0, 2, 1.0, 16)
+    with pytest.raises(ValueError, match=refusal):
+        laurent_coeffs(f, 0, [2], 1.0, 16)
+    with pytest.raises(ValueError, match=refusal):
+        contour_integral(f, Curve.circle(0, 1.0), nodes=16)
+    with pytest.raises(ValueError, match=r"got shape \(16,\)"):
+        contour_integral(ContourFunction(lambda zs: zs**2), Curve.circle(0, 1.0), nodes=16)
+
+
+def test_circle_integral_is_the_cauchy_average_off_the_origin():
+    # 1/((z - p)(z - q)) with p inside the circle and q outside has the
+    # residue 1/(p - q) inside; exp has none.
+    center, radius, p, q = 1 - 0.5j, 0.7, 1.2 - 0.4j, 3 + 1j
+    f = ContourFunction(lambda zs: np.stack([1 / ((zs - p) * (zs - q)), np.exp(zs)], axis=-1))
+    val = contour_integral(f, Curve.circle(center, radius), nodes=128)
+    assert np.array_equal(val, 2j * np.pi * cauchy_coeff(f, center, -1, radius, 128))
+    assert max_norm(val - [2j * np.pi / (p - q), 0]) < 1e-12
 
 
 # -- Laurent coefficients -------------------------------------------------------
 
 
 def test_cauchy_coeff_polynomial():
-    f = ContourFunction(lambda z: np.array([3 + 2 * z**2]))
+    f = ContourFunction(lambda zs: 3 + 2 * zs[:, None] ** 2)
     assert abs(cauchy_coeff(f, 0, 2, 1.0, 64)[0] - 2) < 1e-12
     assert abs(cauchy_coeff(f, 0, 0, 1.0, 64)[0] - 3) < 1e-12
     assert abs(cauchy_coeff(f, 0, 1, 1.0, 64)[0]) < 1e-12
@@ -97,9 +120,7 @@ def test_cauchy_coeff_polynomial():
 
 def test_cauchy_coeff_recovers_all_polynomial_coefficients():
     coeffs = np.array([1.0, -2.5, 0.0, 3.25, 0.5])
-    f = ContourFunction(
-        lambda z: np.array([sum(c * z**k for k, c in enumerate(coeffs))])
-    )
+    f = ContourFunction(lambda zs: sum(c * zs[:, None] ** k for k, c in enumerate(coeffs)))
     for k, c in enumerate(coeffs):
         got = cauchy_coeff(f, 0, k, 1.0, 128)[0]
         assert abs(got - c) < 1e-10
@@ -107,7 +128,7 @@ def test_cauchy_coeff_recovers_all_polynomial_coefficients():
 
 def test_cauchy_coeff_partial_fractions():
     # 1/(z(z-2)) = -1/(2z) + 1/(2(z-2)): residue -1/2 at the origin.
-    f = ContourFunction(lambda z: np.array([1 / (z * (z - 2))]), excluded=[0, 2])
+    f = ContourFunction(lambda zs: 1 / (zs * (zs - 2))[:, None], excluded=[0, 2])
     assert abs(cauchy_coeff(f, 0, -1, 1.0, 128)[0] + 0.5) < 1e-10
 
 
@@ -128,7 +149,7 @@ def test_trapezoid_routines_refuse_fewer_than_one_node(nodes, radius, refusal):
     # Without the radius check, radius 0 read a nan (laurent_coeffs,
     # double_residue) or divided by zero (cauchy_coeff), and a nan radius
     # read a nan.
-    f = ContourFunction(lambda z: z[:, None] ** 2, vectorized=True)
+    f = ContourFunction(lambda zs: zs[:, None] ** 2)
     with pytest.raises(ValueError, match=refusal):
         cauchy_coeff(f, 0, 2, radius, nodes)
     with pytest.raises(ValueError, match=refusal):
@@ -168,7 +189,9 @@ def test_element_vector_converts_the_dense_coordinates_bit_for_bit():
 
 
 def test_cauchy_coeff_radius_independence():
-    f = ContourFunction(lambda z: np.array([1 / (z * (z - 2)), z**2]), excluded=[0, 2])
+    f = ContourFunction(
+        lambda zs: np.stack([1 / (zs * (zs - 2)), zs**2], axis=-1), excluded=[0, 2]
+    )
     for n in (-1, 0, 1, 2):
         a = cauchy_coeff(f, 0, n, 0.5, 128)
         b = cauchy_coeff(f, 0, n, 1.5, 128)
@@ -178,7 +201,7 @@ def test_cauchy_coeff_radius_independence():
 def test_trapezoid_exactness_on_laurent_polynomials():
     # Exponent range well below the node count: error at rounding level.
     f = ContourFunction(
-        lambda z: np.array([5 * z**-7 + z**-1 - 3 + 2 * z**9]), excluded=[0]
+        lambda zs: (5 * zs**-7 + zs**-1 - 3 + 2 * zs**9)[:, None], excluded=[0]
     )
     val = contour_integral(f, Curve.circle(0, 1.0), nodes=64) / (2j * np.pi)
     assert abs(val[0] - 1.0) < 1e-12
@@ -222,8 +245,8 @@ def test_mode_agreement(v5):
 
 
 def test_mode_agreement_converts_each_coefficient_once(vx, monkeypatch):
-    import jetfact.numcx as numcx
-
+    # One coordinate read per series coefficient, and one basis list per
+    # tensor: the list is built only to read the dimension.
     s = Sampler(37)
     P = vx.presentation
     pairs = [
@@ -232,17 +255,31 @@ def test_mode_agreement_converts_each_coefficient_once(vx, monkeypatch):
     ]
     coefficients = sum(len(insert(["z", Scalar(0)], ab, vx).coeffs) for ab in pairs)
     assert coefficients
-    calls = []
-    convert = numcx.element_vector
+    calls = {"coordinates": 0, "basis_monomials": 0}
+    for name in calls:
+        method = getattr(AlgebraPresentation, name)
 
-    def counted(elem, P):
-        calls.append(elem)
-        return convert(elem, P)
+        def counted(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
 
-    monkeypatch.setattr(numcx, "element_vector", counted)
+        monkeypatch.setattr(AlgebraPresentation, name, counted)
     for a, b in pairs:
         assert all_pass(mode_agreement_check(a, b, vx)["checks"])
-    assert len(calls) == coefficients
+    assert calls == {"coordinates": coefficients, "basis_monomials": len(pairs)}
+
+
+def test_coefficient_tensor_rows_are_element_vectors(v5):
+    P = v5.presentation
+    s = Sampler(43)
+    for weights in ((1, 1, 0), (2, 1, 1), (0, 0, 3)):
+        a, b, c = (s.homogeneous_element(P, delta=d) for d in weights)
+        series = insert(["z", "w", Scalar(0)], [a, b, c], v5)
+        C = coefficient_tensor(series, P)
+        assert C.shape == (series.total_degree() + 1,) * 2 + (len(P.basis_monomials()),)
+        for exps in itertools.product(range(len(C)), repeat=2):
+            expect = element_vector(series.coefficient(exps), P)
+            assert C[exps].tobytes() == expect.tobytes()
 
 
 def test_residue_swap_orders_and_mode_sums(v5):
@@ -360,7 +397,7 @@ def test_laurent_coeffs_match_cauchy_coeff(v5):
     for weights in ((1, 0), (1, 1), (2, 1), (1, 3), (0, 2)):
         a, b = (s.homogeneous_element(P, delta=d) for d in weights)
         series = insert(["z", Scalar(0)], [a, b], v5)
-        f = ContourFunction(series_function(series, P), vectorized=True)
+        f = ContourFunction(series_function(series, P))
         for nodes in (32, 128):
             got = laurent_coeffs(f, 0, ks, 0.75, nodes)
             for k, row in zip(ks, got):
@@ -376,7 +413,7 @@ def test_mode_agreement_refuses_aliasing_node_counts(v5):
         mode_agreement_check(x, x, v5, nmax=6, nodes=10)
     assert all_pass(mode_agreement_check(x, x, v5, nmax=6, nodes=11)["checks"])
     series = insert(["z", Scalar(0)], [x, x], v5)
-    f = ContourFunction(series_function(series, P), vectorized=True)
+    f = ContourFunction(series_function(series, P))
     aliased = laurent_coeffs(f, 0, [-7], 0.75, 10)[0]
     assert max_norm(aliased - element_vector(series.coefficient((-7,)), P)) > 1e-3
 
@@ -394,7 +431,7 @@ def test_residue_swap_refuses_aliasing_node_counts(v5):
 def test_unconverged_line_quadrature_raises():
     # The midpoint rule on z**-1/2 from 0 errs by O(n**-1/2), so no two
     # estimates up to 2**21 nodes agree to 1e-12.
-    f = ContourFunction(lambda zs: 1 / np.sqrt(zs)[..., None], vectorized=True)
+    f = ContourFunction(lambda zs: 1 / np.sqrt(zs)[:, None])
     with pytest.raises(QuadratureError, match=r"2097152 nodes, last difference") as exc:
         contour_integral(f, Curve([Line(0, 1)]))
     assert not isinstance(exc.value, ValueError)
@@ -402,6 +439,6 @@ def test_unconverged_line_quadrature_raises():
 
 def test_line_quadrature_meets_its_tolerance_on_a_quartic():
     # Plain midpoint refinement stops short of 1e-12 here at 2**21 nodes.
-    f = ContourFunction(lambda zs: (zs**4 - zs)[..., None], vectorized=True)
+    f = ContourFunction(lambda zs: (zs**4 - zs)[:, None])
     val = contour_integral(f, Curve([Line(0, 2)]))
     assert abs(val[0] - (2**5 / 5 - 2)) < 1e-12
