@@ -6,6 +6,7 @@ import pytest
 import jetfact
 from jetfact import cli, factalg
 from jetfact.cli import build_parser, run
+from jetfact.jetalg import AlgebraPresentation
 
 
 def run_json(argv, tmp_path, name="report.json"):
@@ -21,6 +22,41 @@ def test_jet_build_dims(tmp_path):
     assert code == 0
     assert report["command"] == "jet build"
     assert report["checks"][0]["detail"]["dims"] == [1, 1, 2, 3, 5, 7, 11]
+    assert report["checks"][0]["detail"]["dims_closed_form"] == [1, 1, 2, 3, 5, 7, 11]
+
+
+@pytest.mark.parametrize(
+    "gens, closed_form",
+    [
+        ("x", [1, 1, 2, 3, 5, 7, 11]),
+        ("x,y", [1, 2, 5, 10, 20, 36, 65]),
+        ("x,y,u", [1, 3, 9, 22, 51, 108, 221]),
+    ],
+)
+def test_jet_build_dims_match_the_free_closed_form(gens, closed_form, tmp_path):
+    code, report = run_json(
+        ["jet", "build", "--gens", gens, "--max-weight", "6", "--dims"], tmp_path
+    )
+    detail = report["checks"][0]["detail"]
+    assert code == 0
+    assert detail["dims"] == detail["dims_closed_form"] == closed_form
+
+
+def test_jet_build_fails_on_a_lost_basis_monomial(tmp_path, monkeypatch):
+    weight_basis = AlgebraPresentation.weight_basis
+
+    def dropping(P, delta):
+        basis = weight_basis(P, delta)
+        return basis[1:] if delta == 3 else basis
+
+    monkeypatch.setattr(AlgebraPresentation, "weight_basis", dropping)
+    code, report = run_json(
+        ["jet", "build", "--gens", "x", "--max-weight", "6", "--dims"], tmp_path
+    )
+    assert code == 1
+    detail = report["checks"][0]["detail"]
+    assert detail["dims"] == [1, 1, 2, 2, 5, 7, 11]
+    assert detail["dims_closed_form"] == [1, 1, 2, 3, 5, 7, 11]
 
 
 def test_jet_build_with_relations(tmp_path):
@@ -30,6 +66,8 @@ def test_jet_build_with_relations(tmp_path):
     )
     assert code == 0
     assert report["checks"][0]["detail"]["dims"] == [1, 2, 4, 7, 12, 19, 30]
+    # No closed form applies to a quotient.
+    assert "dims_closed_form" not in report["checks"][0]["detail"]
 
 
 def test_vertex_modes_example(tmp_path):
