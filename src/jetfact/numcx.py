@@ -502,5 +502,6 @@ def residue_swap_check(
     checks = []
     for name, difference in zip(SWAP_CHECKS, differences):
         gap = max_norm(difference)
-        checks.append(check_entry(name, gap <= tolerance, {"max_gap": gap, "tolerance": tolerance}))
+        detail = {"max_gap": gap, "tolerance": tolerance}
+        checks.append(check_entry(name, gap <= tolerance, detail))
     return {"checks": checks, EXACT_SIDES: lhs == rhs}
