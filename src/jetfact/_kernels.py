@@ -5,7 +5,12 @@ generator name ascending, then order descending.  A linear combination is
 a dict mapping monomials to coefficients.  Coefficients are opaque ring
 elements: the kernels only use +, *, unary truthiness, and integer
 scaling, so the same code serves the exact scalar field.
+
+Every sum into a linear combination is made by lc_add_scaled: in place,
+zero sums dropped, and no multiplication by the shared ONE of scalars.
 """
+
+from .scalars import ONE
 
 # The one implementation; every report envelope names it.
 BACKEND = "python"
@@ -16,6 +21,7 @@ __all__ = [
     "mono_weight",
     "mono_mul",
     "mono_derive",
+    "lc_add_scaled",
     "lc_add",
     "lc_scale",
     "lc_mul",
@@ -82,20 +88,27 @@ def mono_derive(mono):
     return list(seen.items())
 
 
-def lc_add(a, b):
-    """Sum of two linear combinations, zero terms pruned."""
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for mono, c in b.items():
+def lc_add_scaled(out, c, row):
+    """out += c * row in place, zero sums dropped; row is not changed.
+    With c the shared ONE the row's own values are kept, and a value that
+    is ONE gives c itself."""
+    for mono, v in row.items():
+        t = v if c is ONE else c if v is ONE else c * v
         acc = out.get(mono)
-        nc = c if acc is None else acc + c
-        if nc:
-            out[mono] = nc
-        elif acc is not None:
-            del out[mono]
+        if acc is None:
+            out[mono] = t
+        else:
+            t = acc + t
+            if t:
+                out[mono] = t
+            else:
+                del out[mono]
+
+
+def lc_add(a, b):
+    """Sum of two linear combinations in a new dict, zero terms pruned."""
+    out = dict(a)
+    lc_add_scaled(out, ONE, b)
     return out
 
 

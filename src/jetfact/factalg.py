@@ -61,7 +61,7 @@ from .jetalg import AlgebraHom, AlgebraPresentation, Echelon, lift_hom
 from .reports import SampledChecks, check_entry
 from .sampling import Sampler
 from .scalars import ONE, Scalar
-from ._kernels import mono_weight
+from ._kernels import lc_add_scaled, mono_weight
 
 __all__ = [
     "TensorSection",
@@ -222,21 +222,16 @@ def _expansion(terms) -> dict:
     of the simple tensor of the factors, zero sums dropped.
 
     A term's expansion is built factor by factor from prefix products, so
-    each partial coefficient is multiplied once.
+    each partial coefficient is multiplied once; its keys are distinct, and
+    it is added with lc_add_scaled.
     """
     data = {}
     for coeff, factors in terms:
-        partial = [((), coeff)]
+        partial = {(): coeff} if coeff else {}
         for f in factors:
             items = f.data.items()
-            partial = [(key + (m,), c * fc) for key, c in partial for m, fc in items]
-        for key, c in partial:
-            acc = data.get(key)
-            nc = c if acc is None else acc + c
-            if nc:
-                data[key] = nc
-            elif acc is not None:
-                del data[key]
+            partial = {key + (m,): c * fc for key, c in partial.items() for m, fc in items}
+        lc_add_scaled(data, ONE, partial)
     return data
 
 

@@ -16,7 +16,7 @@ a completed product of weight spaces.
 from __future__ import annotations
 
 from .scalars import ONE, Scalar
-from ._kernels import factor_key, lc_add, lc_scale, mono_weight
+from ._kernels import factor_key, lc_add, lc_add_scaled, lc_scale, mono_weight
 
 __all__ = [
     "GradedElement",
@@ -64,12 +64,7 @@ class GradedElement:
             mono = normalize_monomial(mono)
             if mono_weight(mono) > wmax:
                 continue
-            acc = clean.get(mono)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff:
-                clean[mono] = coeff
-            elif acc is not None:
-                del clean[mono]
+            lc_add_scaled(clean, ONE, {mono: coeff})
         self.data = clean
         self.wmax = wmax
 

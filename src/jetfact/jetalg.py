@@ -34,12 +34,13 @@ derivative of one), and multiply and derive are sums over table rows.
 Other layers reach the product table only through the public pair
 check(elem) and product_rows(a, b) on kernel dicts, checking each state once.
 A monomial's normal form starts from the shared ONE, so every row of a
-free presentation's product table is {m: ONE}, and the row sums skip
-each multiplication by ONE: a product on a free presentation makes one
-Scalar multiplication per pair of terms, and none where a coefficient
-is ONE, as on basis states.  The translation tower T^k a / k! of an
-element and the flow e^{zT} q^{L0} that moves disk sections are summed
-in the same way from per-monomial towers built on the derivative table.
+free presentation's product table is {m: ONE}.  Every row sum is made by
+_kernels.lc_add_scaled, which skips each multiplication by ONE: a product
+on a free presentation makes one Scalar multiplication per pair of
+terms, and none where a coefficient is ONE, as on basis states.  The
+translation tower T^k a / k! of an element and the flow e^{zT} q^{L0}
+that moves disk sections are summed in the same way from per-monomial
+towers built on the derivative table.
 
 Presentations are immutable after construction.  The internal caches
 (free monomials, weight bases, the coordinate index, normal forms of
@@ -56,7 +57,7 @@ from .errors import InputError
 from .exprs import parse_element
 from .grading import GradedElement, format_element
 from .scalars import ONE, Scalar
-from ._kernels import factor_key, lc_derive, lc_scale, mono_mul, mono_weight
+from ._kernels import factor_key, lc_add_scaled, lc_derive, lc_scale, mono_mul, mono_weight
 
 __all__ = [
     "Echelon",
@@ -69,22 +70,6 @@ __all__ = [
 
 def _order_key(mono):
     return (mono_weight(mono), mono)
-
-
-def _add_scaled(out: dict, c, row: dict) -> None:
-    """out += c * row in place, zero sums dropped; a factor that is ONE
-    costs no multiplication."""
-    for m, v in row.items():
-        t = v if c is ONE else c if v is ONE else c * v
-        acc = out.get(m)
-        if acc is None:
-            out[m] = t
-        else:
-            t = acc + t
-            if t:
-                out[m] = t
-            else:
-                del out[m]
 
 
 def _powers(s: Scalar, n: int) -> list:
@@ -115,7 +100,11 @@ class Echelon:
     def reduce(self, row: dict) -> dict:
         """The remainder of row after full reduction: no key of it is a
         pivot.  It depends only on the span of the rows added.  A row that
-        meets no pivot is returned as it is, not copied."""
+        meets no pivot is returned as it is, not copied.
+
+        The elimination step is inlined, not _kernels.lc_add_scaled: through
+        it, the elimination workload ran about 10% fewer ops per second
+        (seed 7, 2 cores: 44.8-45.2 down to 39.0-41.7)."""
         pivots = self.pivots
         if pivots.keys().isdisjoint(row):
             return row
@@ -282,7 +271,7 @@ class AlgebraPresentation:
             data = {}
             for c, tower in towers:
                 if k < len(tower):
-                    _add_scaled(data, c, tower[k])
+                    lc_add_scaled(data, c, tower[k])
             if not data:
                 return out
             out.append(GradedElement._make(data, self.wmax))
@@ -309,7 +298,7 @@ class AlgebraPresentation:
             if zpow:
                 for m, c in rotated.items():
                     for k, row in enumerate(self._monomial_tower(m), 1):
-                        _add_scaled(out, c * zpow[k], row)
+                        lc_add_scaled(out, c * zpow[k], row)
             return GradedElement._make(out, self.wmax)
 
         return flow
@@ -329,7 +318,7 @@ class AlgebraPresentation:
                     row = rows[m2] = self.reduce_monomial(mono_mul(m1, m2)).data
                 if row:
                     c = c1 if c2 is ONE else c2 if c1 is ONE else c1 * c2
-                    _add_scaled(out, c, row)
+                    lc_add_scaled(out, c, row)
         return out
 
     def _derivative(self, a: dict) -> dict:
@@ -341,18 +330,19 @@ class AlgebraPresentation:
             if row is None:
                 row = table[m] = self._echelon.reduce(lc_derive({m: ONE}, self.wmax))
             if row:
-                _add_scaled(out, c, row)
+                lc_add_scaled(out, c, row)
         return out
 
     def _monomial_tower(self, m) -> list:
-        """[T^k m / k! for k >= 1] while nonzero, memoised."""
+        """[T^k m / k! for k >= 1] while nonzero, memoised; the k = 1 row is
+        T m unscaled, so its values keep the shared ONE."""
         tower = self._towers.get(m)
         if tower is not None:
             return tower
         tower = []
         data = self._derivative({m: ONE})
         while data:
-            tower.append(lc_scale(data, ONE / factorial(len(tower) + 1)))
+            tower.append(lc_scale(data, ONE / factorial(len(tower) + 1)) if tower else data)
             data = self._derivative(data)
         self._towers[m] = tower
         return tower
@@ -400,6 +390,10 @@ class AlgebraPresentation:
             monos = [m for d in range(self.wmax + 1) for m in self.weight_basis(d)]
             self._index = {m: i for i, m in enumerate(monos)}
         return self._index
+
+    def dimension(self) -> int:
+        """The total dimension, the length of basis_monomials(), with no list."""
+        return len(self._coordinate_index())
 
     def basis_monomials(self):
         """Concatenated weight bases for all weights up to the bound."""

@@ -188,7 +188,7 @@ class ContourFunction:
 def element_vector(elem, P: AlgebraPresentation) -> np.ndarray:
     """Float coordinates of an exact element over the full monomial basis;
     only the nonzero ones are converted."""
-    vec = np.zeros(len(P.basis_monomials()), dtype=complex)
+    vec = np.zeros(P.dimension(), dtype=complex)
     for i, c in P.coordinates(elem).items():
         vec[i] = complex(c)
     return vec
@@ -231,7 +231,7 @@ def coefficient_tensor(series: InsertionSeries, P: AlgebraPresentation) -> np.nd
     e_1..e_k; every exponent axis runs over 0..total_degree.
     """
     shape = (series.total_degree() + 1,) * len(series.variables)
-    C = np.zeros(shape + (len(P.basis_monomials()),), dtype=complex)
+    C = np.zeros(shape + (P.dimension(),), dtype=complex)
     for exps, elem in series.coeffs.items():
         row = C[exps]
         for i, c in P.coordinates(elem).items():

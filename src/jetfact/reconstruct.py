@@ -36,7 +36,7 @@ from .factalg import TensorSection, corestrict, equivariant_act, tensor_concat
 from .grading import GradedElement
 from .reports import check_entry
 from .scalars import ONE, ZERO, Scalar
-from ._kernels import mono_weight
+from ._kernels import lc_add_scaled, lc_scale, mono_weight
 from .vertex import Field, ModeTable, VertexAlgebra
 
 __all__ = [
@@ -96,37 +96,38 @@ class InsertionSeries:
         return f"<InsertionSeries {body or '0'}>"
 
 
-def _expansion_terms(a: GradedElement, V: VertexAlgebra):
-    """The elements T^k a / k! until truncation kills them.
+def _expansion_terms(a: GradedElement, V: VertexAlgebra) -> list:
+    """The kernel rows of T^k a / k!, k = 0, 1, ..., to the last nonzero one.
 
-    The k = 0 term is a itself; the others are sums of per-monomial terms
-    that V memoises, so the translate loop runs once per monomial.
+    The k = 0 row is a's own data; the others are summed by lc_add_scaled
+    from the per-monomial rows that V memoises, so the translate loop runs
+    once per monomial and a basis state (coefficient ONE) multiplies nothing.
     """
     memo = V.insertion_terms
-    rows = []
+    towers = []
     for m, c in a.data.items():
-        terms = memo.get(m)
-        if terms is None:
-            terms = memo[m] = _monomial_terms(m, V)
-        rows.append((c, terms))
-    out = [a]
-    while True:
-        k = len(out) - 1
-        term = V.zero()
-        for c, terms in rows:
+        if m not in memo:
+            memo[m] = _monomial_terms(m, V)
+        towers.append((c, memo[m]))
+    rows = [a.data]
+    for k in range(max((len(terms) for _, terms in towers), default=0)):
+        row = {}
+        for c, terms in towers:
             if k < len(terms):
-                term = term + terms[k].scale(c)
-        if not term:
-            return out
-        out.append(term)
+                lc_add_scaled(row, c, terms[k])
+        rows.append(row)
+    while rows and not rows[-1]:
+        rows.pop()
+    return rows
 
 
-def _monomial_terms(m, V: VertexAlgebra):
-    """[T^k m / k! for k >= 1] of one monomial m, while nonzero."""
+def _monomial_terms(m, V: VertexAlgebra) -> list:
+    """The kernel rows [T^k m / k! for k >= 1] of one monomial m, while
+    nonzero, each T^k m from V.translate and scaled by 1 / k!."""
     out = []
     cur = V.translate(GradedElement._make({m: ONE}, V.wmax))
     while cur:
-        out.append(cur.scale(Scalar(1) / factorial(len(out) + 1)))
+        out.append(lc_scale(cur.data, Scalar(1) / factorial(len(out) + 1)))
         cur = V.translate(cur)
     return out
 
@@ -169,7 +170,7 @@ def insert(points, elements, V: VertexAlgebra) -> InsertionSeries:
                 exps[:v] + (k,) + exps[v + 1 :]: prod
                 for exps, row in series.items()
                 for k, term in enumerate(terms)
-                if (prod := P.product_rows(row, term.data))
+                if (prod := P.product_rows(row, term))
             }
             v += 1
         else:

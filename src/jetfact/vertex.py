@@ -63,8 +63,8 @@ class VertexAlgebra:
     def vacuum(self) -> GradedElement:
         return self.presentation.unit()
 
-    def translate(self, a: GradedElement, times: int = 1) -> GradedElement:
-        return self.presentation.derive(a, times=times)
+    def translate(self, a: GradedElement) -> GradedElement:
+        return self.presentation.derive(a)
 
     def zero(self) -> GradedElement:
         return self.presentation.zero()

@@ -28,6 +28,8 @@ KEPT = {
     "factalg.SupportedOpen.region_of": "evaluate's regions: local constancy, in README",
     "factalg.mu_l_via_placement": "placement independence (acceptance 04)",
     "jetalg.AlgebraPresentation.product": "the placement-free side of acceptance 04",
+    "jetalg.AlgebraPresentation.basis_monomials": "the monomial of each coordinate that "
+    "coordinates() and numcx's vectors index; the commands read only dimension()",
     "reconstruct.insert_via_disks": "the disk route of insertion (ROADMAP item 3)",
     "reconstruct.InsertionSeries.evaluate_exact": "the series side of the disk route",
     "scalars.Scalar.abs2": "the disk sizes of the disk route",
@@ -255,3 +257,19 @@ def test_private_reads_through_a_class_are_keyed_by_the_class(tmp_path):
     )
     (tmp_path / "b.py").write_text("class B:\n    def _make(self):\n        pass\n")
     assert _private_reads(tmp_path) == [("a", 3, "B._make")]
+
+
+def test_only_kernels_delete_from_a_dict():
+    # Every zero-dropping sum into a kernel dict is _kernels.lc_add_scaled,
+    # so a `del x[...]` elsewhere is a sum written out by hand.
+    # Echelon.reduce's inlined elimination step drops zeros with pop, and
+    # its docstring says why it stays inlined.
+    found = [
+        (path.stem, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "_kernels"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Delete)
+        and any(isinstance(t, ast.Subscript) for t in node.targets)
+    ]
+    assert found == []

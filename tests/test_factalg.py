@@ -110,6 +110,16 @@ def test_section_symmetry_normalization(free_x):
     assert s1 != s3
 
 
+def test_a_zero_coefficient_term_expands_to_nothing(free_x):
+    # A term scaled by zero keeps its factors but adds no key to the
+    # expansion, so the section is zero and equals the empty one.
+    a, b = free_x.gen("x"), free_x.gen("x", 1)
+    s = TensorSection.on_disks([D(0, Fraction(1, 4)), D(1, Fraction(1, 4))], [a, b], free_x)
+    for zero in (s.scale(0), TensorSection.simple(s.L, [a, b], free_x, 0)):
+        assert zero.terms and zero.data == {} and not zero
+        assert zero == TensorSection._make(s.L, free_x, [])
+
+
 def test_tensor_compatibility_over_disjoint_targets(free_x):
     s = Sampler(11)
     for _ in range(10):

@@ -375,6 +375,16 @@ def test_derivative_rows_hold_one_and_keep_their_values(monkeypatch, gens, rels)
     assert values(Q) == expected
 
 
+def test_first_tower_row_keeps_the_shared_one():
+    # T m / 1! is the derivative row itself, so its values are the shared
+    # ONE, and the flow, the translation tower and Field multiply by them
+    # at no cost.
+    P = AlgebraPresentation(["x"], [], 6)
+    row = P._monomial_tower((("x", 0),))[0]
+    assert row == {(("x", 1),): ONE} and all(v is ONE for v in row.values())
+    assert all(v is ONE for v in P.translation_tower(P.gen("x"))[1].data.values())
+
+
 def test_derive_examples(free_x):
     x = free_x.gen("x")
     assert free_x.derive(x) == free_x.gen("x", 1)

@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from jetfact import _kernels as k
-from jetfact.scalars import Scalar
+from jetfact.scalars import ONE, Scalar
 
 
 def test_mono_ops():
@@ -27,6 +27,34 @@ def test_lc_ops():
     assert k.lc_mul(x, x, 1) == {}
     assert k.lc_derive(x, 8) == {(("x", 1),): one}
     assert k.lc_add(x, k.lc_scale(x, Scalar(-1))) == {}
+
+
+X, Y = (("x", 0),), (("y", 0),)
+
+
+def test_lc_add_scaled_skips_one_and_drops_cancelling_sums():
+    two, three = Scalar(2), Scalar(3)
+    row = {X: two, Y: ONE}
+    # With c the shared ONE, the row's own value objects are kept.
+    out = {}
+    k.lc_add_scaled(out, ONE, row)
+    assert out == row and out[X] is two and out[Y] is ONE
+    # A value that is ONE gives c itself.
+    out = {}
+    k.lc_add_scaled(out, three, row)
+    assert out == {X: Scalar(6), Y: three} and out[Y] is three
+    # A sum that cancels is dropped, and the row is not changed.
+    out = {X: Scalar(-2), Y: Scalar(5)}
+    k.lc_add_scaled(out, ONE, row)
+    assert out == {Y: Scalar(6)}
+    assert row == {X: two, Y: ONE}
+
+
+def test_lc_add_leaves_its_operands():
+    a, b = {X: ONE}, {X: Scalar(-1), Y: ONE}
+    assert k.lc_add(a, b) == {Y: ONE}
+    assert a == {X: ONE} and b == {X: Scalar(-1), Y: ONE}
+    assert k.lc_add({}, b) == b and k.lc_add({}, b) is not b
 
 
 def test_selected_backend_reported():

@@ -245,8 +245,8 @@ def test_mode_agreement(v5):
 
 
 def test_mode_agreement_converts_each_coefficient_once(vx, monkeypatch):
-    # One coordinate read per series coefficient, and one basis list per
-    # tensor: the list is built only to read the dimension.
+    # One coordinate read per series coefficient, and no basis list: the
+    # tensor reads the dimension alone.
     s = Sampler(37)
     P = vx.presentation
     pairs = [
@@ -266,7 +266,22 @@ def test_mode_agreement_converts_each_coefficient_once(vx, monkeypatch):
         monkeypatch.setattr(AlgebraPresentation, name, counted)
     for a, b in pairs:
         assert all_pass(mode_agreement_check(a, b, vx)["checks"])
-    assert calls == {"coordinates": coefficients, "basis_monomials": len(pairs)}
+    assert calls == {"coordinates": coefficients, "basis_monomials": 0}
+
+
+def test_residue_swap_check_builds_no_basis_list(v5, monkeypatch):
+    # The tensor and both exact sides read the dimension without a list.
+    calls = []
+    method = AlgebraPresentation.basis_monomials
+    monkeypatch.setattr(
+        AlgebraPresentation, "basis_monomials", lambda P: calls.append(P) or method(P)
+    )
+    s = Sampler(47)
+    P = v5.presentation
+    for _ in range(3):
+        a, b, c = (s.homogeneous_element(P, delta=d) for d in s.weight_triple(P.wmax))
+        assert all_pass(residue_swap_check(a, b, c, -1, -1, 1, v5)["checks"])
+    assert calls == []
 
 
 def test_coefficient_tensor_rows_are_element_vectors(v5):

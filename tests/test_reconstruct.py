@@ -17,7 +17,7 @@ from jetfact.reconstruct import (
     vacuum_of,
 )
 from jetfact.sampling import Sampler
-from jetfact.scalars import Scalar
+from jetfact.scalars import ONE, Scalar
 from jetfact.vertex import (
     Field,
     VertexAlgebra,
@@ -347,6 +347,21 @@ def test_eta_roundtrip_builds_each_tower_once(vx, monkeypatch):
     assert size == 30
     assert report["checks"][-1]["detail"]["pairs"] == size * size
     assert len(calls) == size
+
+
+def test_warm_insert_of_a_basis_state_makes_no_multiplication(vx, monkeypatch):
+    # A basis state's one coefficient and every value of free x's vacuum
+    # row are the shared ONE: once the memos are warm, the expansion and
+    # the products by the vacuum row multiply nothing.
+    P = vx.presentation
+    basis = [GradedElement._make({m: ONE}, P.wmax) for m in P.basis_monomials()]
+    assert len(basis) == 30
+    cold = [insert(["z"], [a], vx) for a in basis]
+    calls = []
+    mul = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda s, o: calls.append(o) or mul(s, o))
+    assert [insert(["z"], [a], vx) for a in basis] == cold
+    assert calls == []
 
 
 def test_eta_roundtrip_skips_products_that_truncation_kills(vx, monkeypatch):

@@ -129,7 +129,7 @@ def test_skew_symmetry(vx):
             rhs = P.zero()
             for k in range(0, p + 1):
                 term = ba[-(p - k) - 1].scale(Scalar((-1) ** (p - k)))
-                rhs = rhs + vx.translate(term, times=k).scale(
+                rhs = rhs + vx.presentation.derive(term, times=k).scale(
                     Scalar(Fraction(1, factorial(k)))
                 )
             assert ab[-p - 1] == rhs
