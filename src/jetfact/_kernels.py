@@ -6,8 +6,10 @@ a dict mapping monomials to coefficients.  Coefficients are opaque ring
 elements: the kernels only use +, *, unary truthiness, and integer
 scaling, so the same code serves the exact scalar field.
 
-Every sum into a linear combination is made by lc_add_scaled: in place,
-zero sums dropped, and no multiplication by the shared ONE of scalars.
+Every sum into a linear combination is made by lc_add_scaled (in place,
+zero sums dropped, no multiplication by the shared ONE of scalars) but
+those of lc_mul and lc_derive, the free route that the product and
+derivative tables are checked against: a fault in a shared sum would hide.
 """
 
 from .scalars import ONE

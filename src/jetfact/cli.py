@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands build jet presentations, extract vertex modes, and run the
-check suites.  Each handler takes the parsed flags, the presentation and
-the preset and returns its check list; run() builds the presentation,
-times the handler and emits one JSON report of the form
+check suites.  COMMANDS declares each command once (its group, name,
+handler, help, default --samples and own flags), and build_parser builds
+every subparser from it.  Each handler takes the parsed flags, the
+presentation and the preset and returns its check list; run() builds the
+presentation, times the handler and emits one JSON report of the form
 {command, params, checks: [{name, status, detail}], timing_ms, elapsed_ms,
 version, backend, python} to stdout or --out.  A sampling command (one
 with --samples) reports each check once through reports.SampledChecks; the
@@ -266,77 +268,59 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def _add_common(p):
-    p.add_argument("--preset", help="scenario JSON file")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--gens", help="comma-separated generator names")
-    p.add_argument("--relations", help="semicolon-separated relation expressions")
-    p.add_argument("--max-weight", dest="max_weight", type=int)
+# The flags of every command: the presentation, the preset and the report.
+_COMMON = (
+    ("--preset", {"help": "scenario JSON file"}),
+    ("--out", {"help": "write the JSON report here instead of stdout"}),
+    ("--gens", {"help": "comma-separated generator names"}),
+    ("--relations", {"help": "semicolon-separated relation expressions"}),
+    ("--max-weight", {"type": int}),
+)
+_NODES = ("--nodes", {"type": int, "default": 128})
 
-
-def _add_sampling(p, samples: int):
-    p.add_argument("--samples", type=non_negative_int, default=samples)
-    p.add_argument("--seed", type=int, default=0)
+# Every command once: (group, name, handler, help, default --samples, own
+# flags), each flag a (name, add_argument keywords) pair.  A command with a
+# default --samples takes --samples and --seed after the common flags; one
+# with None takes neither.
+COMMANDS = (
+    ("jet", "build", cmd_jet_build, "build a presentation and list dimensions", None,
+     (("--dims", {"action": "store_true", "help": "list weight-space dimensions"}),
+      ("--basis", {"type": non_negative_int, "help": "list the basis of this weight"}))),
+    ("vertex", "modes", cmd_vertex_modes, "modes of the field of one state on another", None,
+     (("--a", {"required": True}), ("--b", {"required": True}), ("--n", {"type": int}))),
+    ("vertex", "check", cmd_vertex_check, "vacuum, translation, locality axiom suite", 50, ()),
+    ("fact", "check", cmd_fact_check, "structure-map and equivariance axiom suite", 30, ()),
+    ("fact", "coeq", cmd_fact_coeq, "gluing check on a nested disk chain", None,
+     (("--radii", {"default": "1,2,4"}),)),
+    ("fact", "adjunction", cmd_fact_adjunction, "round trips of the morphism correspondence",
+     20, ()),
+    ("reconstruct", "roundtrip", cmd_reconstruct_roundtrip,
+     "reconstructed structure against the source", None, ()),
+    ("num", "laurent", cmd_num_laurent, "numeric Laurent coefficients against exact modes", 3,
+     (("--nmax", {"type": non_negative_int, "default": 6}), _NODES,
+      ("--tolerance", {"type": float, "default": 1e-9}))),
+    ("num", "swap", cmd_num_swap, "iterated contour orders of the weighted insertion", 5,
+     (("--nmax", {"type": non_negative_int, "default": 2}), _NODES,
+      ("--tolerance", {"type": float, "default": 1e-8}))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per row of COMMANDS, under its group's; the groups
+    appear in the order of their first rows."""
     ap = argparse.ArgumentParser(prog="jetfact")
     sub = ap.add_subparsers(dest="group", required=True)
-
-    jet = sub.add_parser("jet").add_subparsers(dest="cmd", required=True)
-    b = jet.add_parser("build", help="build a presentation and list dimensions")
-    _add_common(b)
-    b.add_argument("--dims", action="store_true", help="list weight-space dimensions")
-    b.add_argument("--basis", type=non_negative_int, help="list the basis of this weight")
-    b.set_defaults(func=cmd_jet_build)
-
-    vx = sub.add_parser("vertex").add_subparsers(dest="cmd", required=True)
-    m = vx.add_parser("modes", help="modes of the field of one state on another")
-    _add_common(m)
-    m.add_argument("--a", required=True)
-    m.add_argument("--b", required=True)
-    m.add_argument("--n", type=int)
-    m.set_defaults(func=cmd_vertex_modes)
-    c = vx.add_parser("check", help="vacuum, translation, locality axiom suite")
-    _add_common(c)
-    _add_sampling(c, 50)
-    c.set_defaults(func=cmd_vertex_check)
-
-    fa = sub.add_parser("fact").add_subparsers(dest="cmd", required=True)
-    c = fa.add_parser("check", help="structure-map and equivariance axiom suite")
-    _add_common(c)
-    _add_sampling(c, 30)
-    c.set_defaults(func=cmd_fact_check)
-    c = fa.add_parser("coeq", help="gluing check on a nested disk chain")
-    _add_common(c)
-    c.add_argument("--radii", default="1,2,4")
-    c.set_defaults(func=cmd_fact_coeq)
-    c = fa.add_parser("adjunction", help="round trips of the morphism correspondence")
-    _add_common(c)
-    _add_sampling(c, 20)
-    c.set_defaults(func=cmd_fact_adjunction)
-
-    rc = sub.add_parser("reconstruct").add_subparsers(dest="cmd", required=True)
-    c = rc.add_parser("roundtrip", help="reconstructed structure against the source")
-    _add_common(c)
-    c.set_defaults(func=cmd_reconstruct_roundtrip)
-
-    nm = sub.add_parser("num").add_subparsers(dest="cmd", required=True)
-    c = nm.add_parser("laurent", help="numeric Laurent coefficients against exact modes")
-    _add_common(c)
-    _add_sampling(c, 3)
-    c.add_argument("--nmax", type=non_negative_int, default=6)
-    c.add_argument("--nodes", type=int, default=128)
-    c.add_argument("--tolerance", type=float, default=1e-9)
-    c.set_defaults(func=cmd_num_laurent)
-    c = nm.add_parser("swap", help="iterated contour orders of the weighted insertion")
-    _add_common(c)
-    _add_sampling(c, 5)
-    c.add_argument("--nmax", type=non_negative_int, default=2)
-    c.add_argument("--nodes", type=int, default=128)
-    c.add_argument("--tolerance", type=float, default=1e-8)
-    c.set_defaults(func=cmd_num_swap)
-
+    groups = {}
+    for group, name, func, text, samples, flags in COMMANDS:
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(dest="cmd", required=True)
+        p = groups[group].add_parser(name, help=text)
+        if samples is not None:
+            sampling = ("--samples", {"type": non_negative_int, "default": samples})
+            flags = (sampling, ("--seed", {"type": int, "default": 0}), *flags)
+        for flag, keywords in (*_COMMON, *flags):
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return ap
 
 

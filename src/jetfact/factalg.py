@@ -642,8 +642,6 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
         d = len(basis)
         index = {m: k for k, m in enumerate(basis)}
         units = [GradedElement._make({m: ONE}, P.wmax) for m in basis]
-        for e in units:
-            P.check(e)
         terms = [(ONE, (e,)) for e in units]
         # pushed[i, j]: the images of block i in disk j >= i, and in the
         # top disk by way of disk j.

@@ -35,7 +35,7 @@ from .errors import InputError
 from .jetalg import AlgebraPresentation
 from .reports import check_entry
 from .scalars import Scalar
-from .vertex import VertexAlgebra, locality_sides, vertex_op
+from .vertex import VertexAlgebra, field_tables, locality_sides
 from .reconstruct import InsertionSeries, insert
 
 __all__ = [
@@ -472,7 +472,8 @@ def residue_swap_check(
     the max-norm.  The weight is expanded once by the binomial theorem
     (_locality_weight); the aliasing guard reads its exponents, and
     double_residue integrates it term by term in each contour order
-    against the stacked series coefficients.
+    against the stacked series coefficients.  The exact sums read their
+    modes through check_vertex_axioms' table maker, vertex.field_tables.
     Raises ValueError when N is negative, and AliasingError when the node
     count is below the smallest one from which no monomial of the
     integrand aliases onto the residue.
@@ -493,7 +494,7 @@ def residue_swap_check(
     order_w_inner = double_residue(C, weight, 1.5, 0.5, nodes)
     order_z_inner = double_residue(C, weight, 0.5, 1.5, nodes)
 
-    lhs, rhs = locality_sides(a, b, c, m, n, N, V, cache(lambda x, y: vertex_op(x, y, V)))
+    lhs, rhs = locality_sides(a, b, c, m, n, N, V, field_tables(V))
     differences = (
         order_w_inner - order_z_inner,
         order_w_inner - element_vector(lhs, P),

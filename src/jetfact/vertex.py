@@ -13,9 +13,11 @@ modes of (a, b) as kernel rows {n: row}, through the presentation's check
 and product_rows, field(b) the same modes as a ModeTable, and field.low
 is the least lowest weight of the tower, so that no b of lowest weight
 above W - low meets the field.  vertex_op is the field's form for one
-pair.  The flow a -> e^{zT} q^{L0} a of an isometry is the presentation's
-flow(q, z); completion_rotation and completion_translation, its forms for
-q or z alone, stay only as benchmark trace targets and for tests.  The
+pair, and field_tables(V), one Field per distinct state, the table maker
+of both locality checks, the exact one here and numcx's.  The flow a ->
+e^{zT} q^{L0} a of an isometry is the presentation's flow(q, z);
+completion_rotation and completion_translation, its forms for q or z
+alone, stay only as benchmark trace targets and for tests.  The
 axiom checker verifies the vacuum, translation, and locality identities
 on seeded samples; locality is run as the finite binomial mode identity
 at orders N = 0, 1, 2, which is the form the residue calculus reduces it
@@ -40,6 +42,7 @@ __all__ = [
     "ModeTable",
     "Field",
     "vertex_op",
+    "field_tables",
     "completion_rotation",
     "completion_translation",
     "check_vertex_axioms",
@@ -171,6 +174,14 @@ def vertex_op(a: GradedElement, b: GradedElement, V: VertexAlgebra) -> ModeTable
     return Field(a, V)(b)
 
 
+def field_tables(V: VertexAlgebra):
+    """table_fn(x, y), the mode table of (x, y), from one Field per
+    distinct x, so each tower is summed once.  Make one per check call:
+    the fields live as long as table_fn."""
+    field = cache(lambda x: Field(x, V))
+    return lambda x, y: field(x)(y)
+
+
 def completion_rotation(q: Scalar, a: GradedElement, V: VertexAlgebra) -> GradedElement:
     """Scale the weight-d component by q**d; q must be an exact unit.
     P.flow(q, 0), kept only as a benchmark trace target and for tests."""
@@ -227,8 +238,8 @@ def check_vertex_axioms(
     """Sampled verification of the vacuum, translation, and locality axioms.
 
     table_fn(x, y) gives the mode table of (x, y) and vacuum the vacuum
-    state; they default to the field Field(x, V), built once per state
-    in the call, applied to y, and V.vacuum().  Every axiom reads
+    state; they default to field_tables(V), made for this call, which
+    residue_swap_check uses too, and V.vacuum().  Every axiom reads
     its modes through table_fn, with V.translate as the translation, so
     the reconstruction layer can pass its own to certify that an
     independently derived structure satisfies the same axioms.  The last
@@ -239,9 +250,7 @@ def check_vertex_axioms(
     """
     sampler = Sampler(seed)
     if table_fn is None:
-        # One field per state for the whole call: each tower is summed once.
-        field = cache(lambda x: Field(x, V))
-        table_fn = lambda x, y: field(x)(y)
+        table_fn = field_tables(V)
     if vacuum is None:
         vacuum = V.vacuum()
 

@@ -273,3 +273,19 @@ def test_only_kernels_delete_from_a_dict():
         and any(isinstance(t, ast.Subscript) for t in node.targets)
     ]
     assert found == []
+
+
+def test_only_the_kernel_sums_and_the_free_route_delete_in_kernels():
+    # Inside _kernels a `del` is a zero-dropping sum.  lc_add_scaled is the
+    # one the tables use; lc_mul and lc_derive keep their own, since the
+    # product and derivative tables are checked against them, and a fault
+    # in a shared sum would hide on both sides.
+    tree = ast.parse((SRC / "_kernels.py").read_text())
+    # The top-level statements that hold a del, by name; None is one that
+    # has no name.
+    deleting = {
+        getattr(node, "name", None)
+        for node in tree.body
+        if any(isinstance(sub, ast.Delete) for sub in ast.walk(node))
+    }
+    assert deleting == {"lc_add_scaled", "lc_mul", "lc_derive"}

@@ -239,13 +239,18 @@ def test_rescaled_variable_image_fails_extract_after_wrap(monkeypatch, free_x):
 def test_doubled_modes_fail_the_swap_mode_sums(monkeypatch, tmp_path):
     # Both exact binomial mode sums read the doubled modes; the two numeric
     # contour orders do not.
-    vertex_op = numcx.vertex_op
+    field_tables = numcx.field_tables
 
-    def doubled(a, b, V):
-        table = vertex_op(a, b, V)
-        return ModeTable({n: e.scale(Scalar(2)) for n, e in table.items()}, table.wmax)
+    def doubled(V):
+        tables = field_tables(V)
 
-    monkeypatch.setattr(numcx, "vertex_op", doubled)
+        def table_fn(a, b):
+            table = tables(a, b)
+            return ModeTable({n: e.scale(Scalar(2)) for n, e in table.items()}, table.wmax)
+
+        return table_fn
+
+    monkeypatch.setattr(numcx, "field_tables", doubled)
     out = tmp_path / "swap.json"
     assert run(["num", "swap", "--samples", "5", "--out", str(out)]) == 1
     report = json.loads(out.read_text())

@@ -284,6 +284,22 @@ def test_residue_swap_check_builds_no_basis_list(v5, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("N", [0, 1, 2])
+def test_residue_swap_check_builds_one_tower_per_state(vx, N, monkeypatch):
+    # a = c = x and b = T x: the exact sides read the fields of x and T x,
+    # each built once, however many pairs their mode sums read.
+    towers = []
+    method = AlgebraPresentation.translation_tower
+    monkeypatch.setattr(
+        AlgebraPresentation, "translation_tower", lambda P, a: towers.append(a) or method(P, a)
+    )
+    P = vx.presentation
+    x = P.parse("x")
+    result = residue_swap_check(x, P.derive(x), x, -1, -1, N, vx)
+    assert all_pass(result["checks"])
+    assert len(towers) == 2
+
+
 def test_coefficient_tensor_rows_are_element_vectors(v5):
     P = v5.presentation
     s = Sampler(43)

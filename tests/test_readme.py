@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from jetfact.cli import run
+from jetfact.cli import COMMANDS, run
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -20,6 +20,14 @@ def command_lines():
 
 def test_readme_lists_commands():
     assert len(command_lines()) == 9
+
+
+def test_command_table_matches_readme():
+    # Each command is one row of the table and one README line, so a
+    # command without a README line, and so without a golden report, fails.
+    pairs = [(group, name) for group, name, *_ in COMMANDS]
+    assert len(set(pairs)) == len(pairs)
+    assert sorted(pairs) == sorted(tuple(shlex.split(line)[1:3]) for line in command_lines())
 
 
 @pytest.mark.parametrize("line", command_lines())
