@@ -11,13 +11,19 @@ degree up to the truncation bound: each relation jet is shifted by every
 monomial that keeps some of its terms in range (each row is the fitting
 terms with the monomial multiplied in, no coefficient arithmetic) and the
 resulting span is put in row-echelon form under a fixed monomial order,
-enumerating the free monomials of each weight once.  The rows are not
-reduced against each other, yet normal forms are canonical: the set of
-leading monomials and the remainder of an element after full reduction
-depend only on the span, not on the echelon basis chosen for it.  Pivot
-rows are kept unscaled, each with its lead coefficient in the row: a
-reduction step divides once, by the lead it cancels, and a row that
-meets no pivot is returned as it is.
+weight first, then tuple order.  The build runs on integers.  One pass
+enumerates the free monomials of each weight and packs each into an int,
+a bit field per variable, so that a shift adds two ints; a second pass
+ranks them in the monomial order, and the rows are reduced on ranks, in
+natural int order.  When the build ends the pivots are turned back into
+monomials once, each keeping its rank as its order, so later reductions
+compare ints too.  The rows are not reduced against each other, yet
+normal forms are canonical: the set of leading monomials and the
+remainder of an element after full reduction depend only on the span,
+not on the echelon basis chosen for it.  Pivot rows are kept unscaled,
+each with its lead coefficient in the row: a reduction step divides
+once, by the lead it cancels, and a row that meets no pivot is returned
+as it is.
 
 The truncated model of a presentation F / I is F / (I + F_{>W}), the
 jets of the germ at the origin truncated at weight W.  Its total
@@ -51,13 +57,14 @@ synchronization is required.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import factorial
 
 from .errors import InputError
 from .exprs import parse_element
 from .grading import GradedElement, format_element
 from .scalars import ONE, Scalar
-from ._kernels import factor_key, lc_add_scaled, lc_derive, lc_scale, mono_mul, mono_weight
+from ._kernels import lc_add_scaled, lc_derive, lc_scale, mono_mul, mono_weight
 
 __all__ = [
     "Echelon",
@@ -66,10 +73,6 @@ __all__ = [
     "LiftError",
     "lift_hom",
 ]
-
-
-def _order_key(mono):
-    return (mono_weight(mono), mono)
 
 
 def _powers(s: Scalar, n: int) -> list:
@@ -88,6 +91,11 @@ class Echelon:
     unscaled: its lead coefficient stays in the row, and reduce divides
     by it once per elimination step.  order maps each leading key to its
     sort key.  The rows are not reduced against later pivots.
+
+    A presentation saturates its relations on int keys, the ranks of the
+    monomials, in natural order.  The echelon it keeps afterwards has
+    monomial keys, each pivot's order its rank; it is only reduced
+    against, never added to.
     """
 
     __slots__ = ("pivots", "order", "key")
@@ -157,33 +165,68 @@ class AlgebraPresentation:
         for r in relations:
             if isinstance(r, str):
                 r = parse_element(r, generators, max_weight)
+            if r.wmax != max_weight:
+                raise InputError(
+                    f"relation truncation {r.wmax} does not match presentation {max_weight}"
+                )
             if not r.generators() <= self._generator_set:
                 raise InputError("relation uses undeclared generators")
             if r:
                 rels.append(r)
         self.relations = tuple(rels)
-        self._free = {0: [()]}
+        self._free = None  # free monomials by weight, filled by _enumerate
         self._basis_cache = {}
         self._index = None
         self._mono_nf = {}
         self._products = {}  # m1 -> {m2: reduced row of m1 * m2}
         self._derivatives = {}  # m -> reduced row of T m
         self._towers = {}  # m -> [T^k m / k! for k = 1, 2, ...], nonzero
-        # Saturate the differential ideal: every jet of every relation
-        # times every monomial that keeps the weight within the bound.  A
-        # row is the jet's terms that fit, shifted by the monomial; the
-        # shift is injective, so no two terms of a row share a key.
-        self._echelon = Echelon(_order_key)
-        for rel in rels:
+        self._echelon = self._saturate() if rels else Echelon()
+
+    def _saturate(self) -> Echelon:
+        """Echelon of the differential ideal: every jet of every relation
+        times every monomial that keeps the weight within the bound.  A row
+        is the jet's terms that fit, shifted by the monomial; the shift is
+        injective, so no two terms of a row share a key.
+
+        The rows are built and reduced on the ranks of packed keys (see
+        _enumerate), whose natural order is the monomial order; the pivots
+        are turned back into monomials once, each keeping its rank as its
+        order."""
+        W = self.wmax
+        fields, keys = self._enumerate()
+        unit = {v: u for v, u, _ in fields}
+        # Rank by weight, then tuple order: weight delta puts each variable
+        # (g, m), m < delta, in ascending order, in front of the monomials
+        # of weight delta - m - 1 that do not start before it, in rank order.
+        ranked = [[0]]
+        ascending = sorted(fields)
+        for delta in range(1, W + 1):
+            out = []
+            for (_, m), u, ceiling in ascending:
+                if m < delta:
+                    out.extend([u + k for k in ranked[delta - m - 1] if k < ceiling])
+            ranked.append(out)
+        rank = {k: r for r, k in enumerate(chain.from_iterable(ranked))}
+        echelon = Echelon()
+        for rel in self.relations:
             jet = rel.data
             while jet:
-                terms = [(mono_weight(m), m, c) for m, c in jet.items()]
+                terms = [(mono_weight(m), sum(unit[v] for v in m), c) for m, c in jet.items()]
                 low = min(w for w, _, _ in terms)
-                for delta in range(max_weight - low + 1):
-                    fit = [(m, c) for w, m, c in terms if w + delta <= max_weight]
-                    for mono in self._free_monomials(delta):
-                        self._echelon.add({mono_mul(mono, m): c for m, c in fit})
-                jet = lc_derive(jet, max_weight)
+                for delta in range(W - low + 1):
+                    fit = [(k, c) for w, k, c in terms if w + delta <= W]
+                    for s in keys[delta]:
+                        echelon.add({rank[s + k]: c for k, c in fit})
+                jet = lc_derive(jet, W)
+        mono = dict(zip(chain.from_iterable(keys), chain.from_iterable(self._free)))
+        by_rank = [mono[k] for k in chain.from_iterable(ranked)]
+        out = Echelon()
+        for lead, row in echelon.pivots.items():
+            m = by_rank[lead]
+            out.pivots[m] = {by_rank[k]: c for k, c in row.items()}
+            out.order[m] = lead
+        return out
 
     # -- normal forms ----------------------------------------------------------
 
@@ -350,24 +393,51 @@ class AlgebraPresentation:
     # -- graded bases ---------------------------------------------------------
 
     def _free_monomials(self, delta: int):
-        """All free monomials of exact weight delta >= 0 in canonical factor
-        order, memoised; weight delta puts each factor (g, m), in that order,
+        """All free monomials of exact weight delta, 0 <= delta <= W, in
+        canonical factor order."""
+        if self._free is None:
+            self._enumerate()
+        return self._free[delta]
+
+    def _enumerate(self):
+        """Fill _free with the free monomials of every weight up to the
+        bound, in one pass; return the variables as (variable, unit,
+        ceiling) in canonical factor order, and the packed keys of each
+        weight, parallel to _free.
+
+        Weight delta puts each variable (g, m), m < delta, in factor order,
         in front of every monomial of weight delta - m - 1 not starting
-        before it."""
-        out = self._free.get(delta)
-        if out is None:
+        before it.  The packed key of a monomial gives each variable (g, m),
+        m < W, a field of W.bit_length() bits, the first in factor order at
+        the top.  No exponent of a monomial of weight at most W exceeds W,
+        so the key of a product within the bound is the sum of the keys,
+        and a monomial starts no earlier than a variable exactly when its
+        key is below that variable's ceiling, the top of its field."""
+        W = self.wmax
+        width = W.bit_length()
+        fields = []
+        top = width * len(self.generators) * W
+        for g in sorted(self.generators):
+            for m in range(W - 1, -1, -1):
+                top -= width
+                fields.append(((g, m), 1 << top, 1 << (top + width)))
+        free = [[()]]
+        keys = [[0]]
+        for delta in range(1, W + 1):
             out = []
-            for g in sorted(self.generators):
-                for m in range(delta - 1, -1, -1):
-                    head = (g, m)
-                    key = factor_key(head)
-                    out.extend(
-                        (head,) + rest
-                        for rest in self._free_monomials(delta - m - 1)
-                        if not rest or key <= factor_key(rest[0])
-                    )
-            self._free[delta] = out
-        return out
+            packed = []
+            for v, u, ceiling in fields:
+                rest = delta - v[1] - 1
+                if rest >= 0:
+                    head = (v,)
+                    for t, k in zip(free[rest], keys[rest]):
+                        if k < ceiling:
+                            out.append(head + t)
+                            packed.append(u + k)
+            free.append(out)
+            keys.append(packed)
+        self._free = free
+        return fields, keys
 
     def weight_basis(self, delta: int):
         """Monomial basis of the weight-delta component, modulo relations."""

@@ -7,6 +7,8 @@ import pytest
 from jetfact._kernels import lc_derive, lc_mul, lc_scale, mono_weight
 
 from jetfact import jetalg
+from jetfact.errors import InputError
+from jetfact.exprs import parse_element
 from jetfact.grading import GradedElement
 from jetfact.jetalg import (
     AlgebraHom,
@@ -234,6 +236,15 @@ SATURATION_PRESENTATIONS = [
     (["x", "y", "z"], ["1/2*x*z", "-3*y*y"], 8),
     (["x"], ["x*x"], 10),
     (["x", "y"], ["x*x + y*y"], 9),
+    # Edge cases of the packed keys: generators out of sorted order, a
+    # name that is a prefix of another, an inhomogeneous relation, the top
+    # jet d^(W-1), and the smallest bounds.
+    (["y", "x"], ["x*y - 2*y*d(y)"], 8),
+    (["x", "xx"], ["x*xx + d(x)*xx - d^2(xx)"], 7),
+    (["x", "y"], ["y - x*x + 2*x*y*y"], 8),
+    (["x", "y"], ["d^7(x) + x*y"], 8),
+    (["x", "y"], ["x - 2*y"], 1),
+    (["x", "y"], ["2 + x*y"], 0),
 ]
 
 
@@ -255,7 +266,10 @@ def generic_saturation(P):
 @pytest.mark.parametrize(
     "gens, rels, W",
     SATURATION_PRESENTATIONS,
-    ids=["xy", "uv-vz", "aa-bb", "xdy-ydx", "xz-yy", "xx", "xx+yy"],
+    ids=[
+        "xy", "uv-vz", "aa-bb", "xdy-ydx", "xz-yy", "xx", "xx+yy",
+        "unsorted", "prefix", "inhomogeneous", "top-jet", "W=1", "W=0",
+    ],
 )
 def test_saturation_matches_generic_products(gens, rels, W):
     # The echelon of the generic saturation must be the construction's,
@@ -266,6 +280,36 @@ def test_saturation_matches_generic_products(gens, rels, W):
         rows.add(row)
     assert rows.pivots == P._echelon.pivots
     assert list(rows.pivots) == list(P._echelon.pivots)
+
+
+def test_saturation_ranks_every_free_monomial_in_the_monomial_order():
+    # The relation 1 makes every free monomial a pivot, so the kept order
+    # holds the rank of each, from 0 in weight-then-tuple order.
+    W = 8
+    P = AlgebraPresentation(["y", "x", "xx"], ["1"], W)
+    order = P._echelon.order
+    monos = [m for d in range(W + 1) for m in P._free_monomials(d)]
+    assert list(order) == monos
+    ranked = sorted(monos, key=lambda m: (mono_weight(m), m))
+    assert sorted(order, key=order.__getitem__) == ranked
+    assert sorted(order.values()) == list(range(len(monos)))
+
+
+def test_saturation_makes_no_tuple_products(monkeypatch):
+    # The build shifts rows by adding packed keys, never by mono_mul.
+    calls = []
+    mono_mul = jetalg.mono_mul
+    monkeypatch.setattr(jetalg, "mono_mul", lambda a, b: calls.append(1) or mono_mul(a, b))
+    for gens, rels, W in SATURATION_PRESENTATIONS[:5]:
+        assert AlgebraPresentation(gens, rels, W)._echelon.pivots
+    assert calls == []
+
+
+def test_relation_with_another_truncation_bound_is_refused():
+    rel = parse_element("x*x + d^3(x)", ["x"], 3)
+    with pytest.raises(InputError, match="relation truncation 3 does not match presentation 6"):
+        AlgebraPresentation(["x"], [rel], 6)
+    assert AlgebraPresentation(["x"], [rel], 3).dims() == [1, 1, 1, 1]
 
 
 class ScaledEchelon:
