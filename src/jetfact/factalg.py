@@ -11,8 +11,8 @@ factor passes through, an empty group gives the unit); multiplication for
 a disjoint pair concatenates the terms, then corestricts; the union of
 the two disk lists checks only the pairs across them.  The isometry group
 moves the disks, with no pair re-checked, and builds one
-translation-rotation flow e^{tT} q^{L0} per group element, applied once
-to each distinct factor; the flow is the section presentation's own
+translation-rotation flow e^{tT} q^{L0} per group element, applied to
+every factor; the flow is the section presentation's own
 (AlgebraPresentation.flow), so no vertex structure is involved.
 Equality reads the terms first: two sections on the same disks whose term
 lists hold the same (coefficient, factors) terms in any order are equal.
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 
 from .diskgeom import (
@@ -353,9 +352,9 @@ def mu_l_via_placement(P, elements, placement: BasisElement, ambient: Disk) -> G
 def equivariant_act(g: GroupElement, s: TensorSection) -> TensorSection:
     """Move a section by an isometry: disks by the point action, factors by
     the translation-rotation flow e^{tT} q^{L0} of the section's own
-    presentation, made once for g and applied once to each distinct factor."""
+    presentation, made once for g."""
     newL = act(g, s.L)
-    move = cache(s.P.flow(g.q, g.t))
+    move = s.P.flow(g.q, g.t)
     terms = [(c, tuple(move(factors[i]) for i in newL.order)) for c, factors in s.terms]
     return TensorSection._make(newL, s.P, terms)
 
@@ -377,8 +376,7 @@ class FAMorphism:
     def apply(self, s: TensorSection) -> TensorSection:
         if s.P != self.source:
             raise ValueError("section is not over the morphism source")
-        image = cache(self.hom.apply)
-        terms = [(c, tuple(map(image, factors))) for c, factors in s.terms]
+        terms = [(c, tuple(map(self.hom.apply, factors))) for c, factors in s.terms]
         return TensorSection._make(s.L, self.target, terms)
 
 

@@ -86,24 +86,23 @@ def _powers(s: Scalar, n: int) -> list:
 class Echelon:
     """Sparse rows over the Gaussian rationals in row-echelon form.
 
-    pivots maps the leading key of each row, its largest key under the
-    sort key given (natural order by default), to that row as reduced,
-    unscaled: its lead coefficient stays in the row, and reduce divides
-    by it once per elimination step.  order maps each leading key to its
-    sort key.  The rows are not reduced against later pivots.
+    pivots maps the leading key of each row, its largest key in natural
+    order, to that row as reduced, unscaled: its lead coefficient stays
+    in the row, and reduce divides by it once per elimination step.  The
+    rows are not reduced against later pivots.
 
     A presentation saturates its relations on int keys, the ranks of the
-    monomials, in natural order.  The echelon it keeps afterwards has
-    monomial keys, each pivot's order its rank; it is only reduced
-    against, never added to.
+    monomials.  The echelon it keeps afterwards has monomial keys and an
+    order mapping each pivot to its rank, the order reduce then follows;
+    it is only reduced against, never added to.  Every other echelon has
+    no order (None).
     """
 
-    __slots__ = ("pivots", "order", "key")
+    __slots__ = ("pivots", "order")
 
-    def __init__(self, key=None):
+    def __init__(self):
         self.pivots = {}
-        self.order = {}
-        self.key = key
+        self.order = None
 
     def reduce(self, row: dict) -> dict:
         """The remainder of row after full reduction: no key of it is a
@@ -116,13 +115,13 @@ class Echelon:
         pivots = self.pivots
         if pivots.keys().isdisjoint(row):
             return row
-        order = self.order
+        key = None if self.order is None else self.order.__getitem__
         row = dict(row)
         while True:
             hits = [m for m in row if m in pivots]
             if not hits:
                 return row
-            m = hits[0] if len(hits) == 1 else max(hits, key=order.__getitem__)
+            m = hits[0] if len(hits) == 1 else max(hits, key=key)
             prow = pivots[m]
             c = row.pop(m) / prow[m]
             for pm, pv in prow.items():
@@ -143,9 +142,7 @@ class Echelon:
             return False
         if reduced is row:
             reduced = dict(row)
-        lead = next(iter(reduced)) if len(reduced) == 1 else max(reduced, key=self.key)
-        self.pivots[lead] = reduced
-        self.order[lead] = lead if self.key is None else self.key(lead)
+        self.pivots[max(reduced)] = reduced
         return True
 
 
@@ -222,6 +219,7 @@ class AlgebraPresentation:
         mono = dict(zip(chain.from_iterable(keys), chain.from_iterable(self._free)))
         by_rank = [mono[k] for k in chain.from_iterable(ranked)]
         out = Echelon()
+        out.order = {}
         for lead, row in echelon.pivots.items():
             m = by_rank[lead]
             out.pivots[m] = {by_rank[k]: c for k, c in row.items()}

@@ -5,17 +5,17 @@ truncation of the graded algebra in a fixed monomial basis); the working
 seminorm is the max-norm over coordinates.  A contour function maps an
 array of points to a (points, dim) array, one row of coordinates per
 point.  One helper checks the radius and the node count and builds the
-uniform-angle trapezoid nodes of a circle; cauchy_coeff, laurent_coeffs
-(every coefficient from one FFT of the samples) and the double residues
-all read it, and a circle integral is 2 pi i times cauchy_coeff at
-n = -1.  The trapezoid rule is spectrally exact for the
-trigonometric-polynomial integrands this system produces.  Line segments
-refine a midpoint rule dyadically with one Richardson step and raise
-QuadratureError when it does not settle.  The two-variable residues of
-the locality check take their weight as a Laurent polynomial in (z, w);
-each of its terms is a z part times a w part, so the trapezoid double sum
-factors into one node average per circle and term, and no array over the
-node grid is formed.  On a finite node set exponents that differ by a
+uniform-angle trapezoid nodes of a circle; laurent_coeffs (every
+coefficient from one FFT of the samples) and the double residues read
+it, cauchy_coeff is laurent_coeffs at one n, and a circle integral is
+2 pi i times cauchy_coeff at n = -1.  The trapezoid rule is spectrally
+exact for the trigonometric-polynomial integrands this system produces.
+Line segments refine a midpoint rule dyadically with one Richardson step
+and raise QuadratureError when it does not settle.  The two-variable
+residues of the locality check take their weight as a Laurent polynomial
+in (z, w); each of its terms is a z part times a w part, so the trapezoid
+double sum factors into one node average per circle and term, and no
+array over the node grid is formed.  On a finite node set exponents that differ by a
 multiple of the node count alias onto each other, so both numeric checks
 compute the smallest node count from which their series reads no other
 exponent and refuse fewer nodes with an AliasingError that carries it.
@@ -108,28 +108,13 @@ class Circle:
         _check_radius(radius)
         self.center = center
         self.radius = radius
-
-    @property
-    def start(self) -> complex:
-        return self.center + self.radius
-
-    @property
-    def end(self) -> complex:
-        return self.center + self.radius
+        self.start = self.end = center + radius
 
 
 class Line:
-    def __init__(self, z0: complex, z1: complex):
-        self.z0 = z0
-        self.z1 = z1
-
-    @property
-    def start(self) -> complex:
-        return self.z0
-
-    @property
-    def end(self) -> complex:
-        return self.z1
+    def __init__(self, start: complex, end: complex):
+        self.start = start
+        self.end = end
 
 
 class Curve:
@@ -167,14 +152,11 @@ class ContourFunction:
         self._fn = fn
         self.excluded = tuple(complex(e) for e in excluded)
 
-    def check_nodes(self, zs):
+    def eval_many(self, zs) -> np.ndarray:
+        zs = np.asarray(zs, dtype=complex)
         for e in self.excluded:
             if np.any(np.abs(zs - e) < 1e-12):
                 raise ValueError(f"quadrature node hits excluded point {e}")
-
-    def eval_many(self, zs) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        self.check_nodes(zs)
         values = np.asarray(self._fn(zs), dtype=complex)
         # A (dim, points) array would broadcast into a wrong integral.
         if values.ndim != 2 or len(values) != len(zs):
@@ -276,12 +258,6 @@ def _unit_circle(nodes: int):
     return theta, roots
 
 
-def _sample_circle(f: ContourFunction, center: complex, radius: float, nodes: int):
-    """The trapezoid angles of the circle about center and f at its nodes."""
-    theta, z = _circle_nodes(radius, nodes)
-    return theta, f.eval_many(center + z)
-
-
 def _midpoint(f: ContourFunction, z0, z1, n: int) -> np.ndarray:
     """Midpoint rule on n equal cells for the integral of f dz from z0 to z1."""
     step = (z1 - z0) / n
@@ -294,19 +270,19 @@ def _integrate_line(f: ContourFunction, seg: Line, nodes: int) -> np.ndarray:
     # differ by about 15 times the error of the later one.
     tol = 1e-12
     n = max(nodes, 8)
-    coarse, mid = _midpoint(f, seg.z0, seg.z1, n), _midpoint(f, seg.z0, seg.z1, 2 * n)
+    coarse, mid = _midpoint(f, seg.start, seg.end, n), _midpoint(f, seg.start, seg.end, 2 * n)
     n *= 2
     prev = (4.0 * mid - coarse) / 3.0
     while True:
         n *= 2
-        fine = _midpoint(f, seg.z0, seg.z1, n)
+        fine = _midpoint(f, seg.start, seg.end, n)
         cur = (4.0 * fine - mid) / 3.0
         diff = max_norm(cur - prev) / 15.0
         if diff <= tol:
             return cur
         if n >= (1 << 21):
             raise QuadratureError(
-                f"line quadrature from {seg.z0} to {seg.z1} did not converge: "
+                f"line quadrature from {seg.start} to {seg.end} did not converge: "
                 f"{n} nodes, last difference {diff:.3e} > tolerance {tol:.3e}"
             )
         mid, prev = fine, cur
@@ -340,12 +316,9 @@ def cauchy_coeff(f: ContourFunction, center, n: int, radius, nodes: int = 128) -
     Computes 1/(2 pi i) times the integral of f(z) / (z - center)^(n + 1)
     over the positively oriented circle; simplified to a plain average in
     the angle, the trapezoid rule is exact for polynomial sections with
-    enough nodes.
+    enough nodes.  It is laurent_coeffs at the one n.
     """
-    radius = float(radius)
-    theta, values = _sample_circle(f, complex(center), radius, nodes)
-    weights = np.exp(-1j * n * theta) * radius ** (-n)
-    return (values * weights[:, None]).sum(axis=0) / nodes
+    return laurent_coeffs(f, center, [n], radius, nodes)[0]
 
 
 def laurent_coeffs(f: ContourFunction, center, ns, radius, nodes: int = 128) -> np.ndarray:
@@ -356,7 +329,8 @@ def laurent_coeffs(f: ContourFunction, center, ns, radius, nodes: int = 128) -> 
     scaled by radius^-n.  Row i of the result belongs to ns[i].
     """
     radius = float(radius)
-    _, values = _sample_circle(f, complex(center), radius, nodes)
+    _, z = _circle_nodes(radius, nodes)
+    values = f.eval_many(complex(center) + z)
     ns = np.asarray(ns, dtype=int)
     spectrum = np.fft.fft(values, axis=0)[ns % nodes] / nodes
     return spectrum * (radius ** -ns.astype(float))[:, None]

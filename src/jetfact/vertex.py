@@ -132,28 +132,24 @@ class Field:
     is skipped: every free product of their monomials weighs more than W,
     so it is truncated before any reduction.  The lowest weight, not
     wt(a) + n, is the bound, since reduction by a non-homogeneous relation
-    lowers weights.  The surviving terms are memoised per room W - low(b).
-    Calling the field on b gives the same modes as a ModeTable.
+    lowers weights.  Calling the field on b gives the same modes as a
+    ModeTable.
     """
 
-    __slots__ = ("presentation", "wmax", "low", "_tower", "_within")
+    __slots__ = ("presentation", "wmax", "low", "_tower")
 
     def __init__(self, a: GradedElement, V: VertexAlgebra):
         P = self.presentation = V.presentation
         self.wmax = V.wmax
         self._tower = [(min(map(mono_weight, t.data)), t.data) for t in P.translation_tower(a)]
         self.low = min((low for low, _ in self._tower), default=V.wmax + 1)
-        self._within = {}  # room -> [(n, term)] of the terms with lowest weight <= room
 
     def rows(self, b: GradedElement) -> dict:
         P = self.presentation
         P.check(b)
         room = self.wmax - min(map(mono_weight, b.data), default=self.wmax + 1)
-        terms = self._within.get(room)
-        if terms is None:
-            terms = self._within[room] = _terms_within(self._tower, room)
         modes = {}
-        for n, term in terms:
+        for n, term in _terms_within(self._tower, room):
             prod = P.product_rows(term, b.data)
             if prod:
                 modes[-n - 1] = prod

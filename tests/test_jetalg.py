@@ -273,13 +273,22 @@ def generic_saturation(P):
 )
 def test_saturation_matches_generic_products(gens, rels, W):
     # The echelon of the generic saturation must be the construction's,
-    # pivot for pivot.
+    # pivot for pivot.  The reference ranks the free monomials itself, by
+    # weight and then tuple order, and reduces the rows on the ranks.
     P = AlgebraPresentation(gens, rels, W)
-    rows = Echelon(lambda m: (mono_weight(m), m))
+    monos = sorted(
+        (m for d in range(W + 1) for m in P._free_monomials(d)),
+        key=lambda m: (mono_weight(m), m),
+    )
+    rank = {m: r for r, m in enumerate(monos)}
+    rows = Echelon()
     for row in generic_saturation(P):
-        rows.add(row)
-    assert rows.pivots == P._echelon.pivots
-    assert list(rows.pivots) == list(P._echelon.pivots)
+        rows.add({rank[m]: c for m, c in row.items()})
+    pivots = {
+        monos[lead]: {monos[k]: c for k, c in row.items()} for lead, row in rows.pivots.items()
+    }
+    assert pivots == P._echelon.pivots
+    assert list(pivots) == list(P._echelon.pivots)
 
 
 def test_saturation_ranks_every_free_monomial_in_the_monomial_order():

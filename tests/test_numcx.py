@@ -130,6 +130,10 @@ def test_cauchy_coeff_partial_fractions():
     # 1/(z(z-2)) = -1/(2z) + 1/(2(z-2)): residue -1/2 at the origin.
     f = ContourFunction(lambda zs: 1 / (zs * (zs - 2))[:, None], excluded=[0, 2])
     assert abs(cauchy_coeff(f, 0, -1, 1.0, 128)[0] + 0.5) < 1e-10
+    # One trapezoid sum: cauchy_coeff is laurent_coeffs at one n, bit for bit.
+    for n in (-3, -1, 2, 130):
+        one = laurent_coeffs(f, 0, [n], 1.0, 128)[0]
+        assert np.array_equal(cauchy_coeff(f, 0, n, 1.0, 128), one)
 
 
 @pytest.mark.parametrize(
