@@ -14,15 +14,18 @@ from .grading import GradedElement
 from .scalars import I, Scalar
 from ._kernels import lc_mul
 
-__all__ = ["parse_element", "free_names", "ExprError"]
+__all__ = ["parse_element", "free_names", "ExprError", "IDENTIFIER"]
 
 
 class ExprError(InputError):
     pass
 
 
+# A generator name, as the grammar reads it.
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+    rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{IDENTIFIER.pattern})|(?P<op>[-+*^()]))"
 )
 
 

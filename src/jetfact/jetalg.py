@@ -15,15 +15,16 @@ weight first, then tuple order.  The build runs on integers.  One pass
 enumerates the free monomials of each weight and packs each into an int,
 a bit field per variable, so that a shift adds two ints; a second pass
 ranks them in the monomial order, and the rows are reduced on ranks, in
-natural int order.  When the build ends the pivots are turned back into
-monomials once, each keeping its rank as its order, so later reductions
-compare ints too.  The rows are not reduced against each other, yet
-normal forms are canonical: the set of leading monomials and the
-remainder of an element after full reduction depend only on the span,
-not on the echelon basis chosen for it.  Pivot rows are kept unscaled,
-each with its lead coefficient in the row: a reduction step divides
-once, by the lead it cancels, and a row that meets no pivot is returned
-as it is.
+natural int order.  The pivots stay on ranks: the weight bases read the
+lead ranks through the packed keys, and a later reduction translates its
+monomials to ranks and the remainder back, through two maps built when
+the first reduction needs them.  The rows are not reduced against each
+other, yet normal forms are canonical: the set of leading monomials and
+the remainder of an element after full reduction depend only on the
+span, not on the echelon basis chosen for it.  Pivot rows are kept
+unscaled, each with its lead coefficient in the row: a reduction step
+divides once, by the lead it cancels, a one-term pivot row only deletes
+its key, and a row that meets no pivot is returned as it is.
 
 The truncated model of a presentation F / I is F / (I + F_{>W}), the
 jets of the germ at the origin truncated at weight W.  Its total
@@ -49,10 +50,10 @@ that moves disk sections are summed in the same way from per-monomial
 towers built on the derivative table.
 
 Presentations are immutable after construction.  The internal caches
-(free monomials, weight bases, the coordinate index, normal forms of
-monomials, the product and derivative tables, the per-monomial towers)
-are idempotent, so concurrent readers at worst recompute a value; no
-synchronization is required.
+(free monomials, weight bases, the coordinate index, the monomial-rank
+maps, normal forms of monomials, the product and derivative tables, the
+per-monomial towers) are idempotent, so concurrent readers at worst
+recompute a value; no synchronization is required.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from itertools import chain
 from math import factorial
 
 from .errors import InputError
-from .exprs import parse_element
+from .exprs import IDENTIFIER, parse_element
 from .grading import GradedElement, format_element
 from .scalars import ONE, Scalar
 from ._kernels import lc_add_scaled, lc_derive, lc_scale, mono_mul, mono_weight
@@ -88,21 +89,17 @@ class Echelon:
 
     pivots maps the leading key of each row, its largest key in natural
     order, to that row as reduced, unscaled: its lead coefficient stays
-    in the row, and reduce divides by it once per elimination step.  The
-    rows are not reduced against later pivots.
-
-    A presentation saturates its relations on int keys, the ranks of the
-    monomials.  The echelon it keeps afterwards has monomial keys and an
-    order mapping each pivot to its rank, the order reduce then follows;
-    it is only reduced against, never added to.  Every other echelon has
-    no order (None).
+    in the row, and reduce divides by it once per elimination step, or
+    not at all when the row is that one term.  The rows are not reduced
+    against later pivots.  Every echelon has int keys: a presentation's
+    are the ranks of the monomials in the monomial order, kept after the
+    build.
     """
 
-    __slots__ = ("pivots", "order")
+    __slots__ = ("pivots",)
 
     def __init__(self):
         self.pivots = {}
-        self.order = None
 
     def reduce(self, row: dict) -> dict:
         """The remainder of row after full reduction: no key of it is a
@@ -115,15 +112,17 @@ class Echelon:
         pivots = self.pivots
         if pivots.keys().isdisjoint(row):
             return row
-        key = None if self.order is None else self.order.__getitem__
         row = dict(row)
         while True:
             hits = [m for m in row if m in pivots]
             if not hits:
                 return row
-            m = hits[0] if len(hits) == 1 else max(hits, key=key)
+            m = hits[0] if len(hits) == 1 else max(hits)
             prow = pivots[m]
-            c = row.pop(m) / prow[m]
+            c = row.pop(m)
+            if len(prow) == 1:
+                continue
+            c /= prow[m]
             for pm, pv in prow.items():
                 if pm == m:
                     continue
@@ -151,6 +150,9 @@ class AlgebraPresentation:
 
     def __init__(self, generators, relations=(), max_weight: int = 6):
         generators = tuple(generators)
+        for g in generators:
+            if not isinstance(g, str) or not IDENTIFIER.fullmatch(g):
+                raise InputError(f"generator name {g!r} is not an identifier")
         if len(set(generators)) != len(generators):
             raise InputError("generator names must be distinct")
         if max_weight < 0:
@@ -178,18 +180,21 @@ class AlgebraPresentation:
         self._products = {}  # m1 -> {m2: reduced row of m1 * m2}
         self._derivatives = {}  # m -> reduced row of T m
         self._towers = {}  # m -> [T^k m / k! for k = 1, 2, ...], nonzero
-        self._echelon = self._saturate() if rels else Echelon()
+        self._echelon = Echelon()  # on ranks; _saturate fills it
+        self._keys = self._rank = None  # packed keys by weight; packed key -> rank
+        self._maps = None  # ({monomial: rank}, [monomial of each rank]), by _rank_maps
+        if rels:
+            self._saturate()
 
-    def _saturate(self) -> Echelon:
-        """Echelon of the differential ideal: every jet of every relation
-        times every monomial that keeps the weight within the bound.  A row
-        is the jet's terms that fit, shifted by the monomial; the shift is
-        injective, so no two terms of a row share a key.
+    def _saturate(self):
+        """Fill the echelon of the differential ideal: every jet of every
+        relation times every monomial that keeps the weight within the
+        bound.  A row is the jet's terms that fit, shifted by the monomial;
+        the shift is injective, so no two terms of a row share a key.
 
         The rows are built and reduced on the ranks of packed keys (see
         _enumerate), whose natural order is the monomial order; the pivots
-        are turned back into monomials once, each keeping its rank as its
-        order."""
+        stay on ranks, and the packed keys and the rank map are kept."""
         W = self.wmax
         fields, keys = self._enumerate()
         unit = {v: u for v, u, _ in fields}
@@ -205,7 +210,8 @@ class AlgebraPresentation:
                     out.extend([u + k for k in ranked[delta - m - 1] if k < ceiling])
             ranked.append(out)
         rank = {k: r for r, k in enumerate(chain.from_iterable(ranked))}
-        echelon = Echelon()
+        self._keys, self._rank = keys, rank
+        echelon = self._echelon
         for rel in self.relations:
             jet = rel.data
             while jet:
@@ -216,21 +222,32 @@ class AlgebraPresentation:
                     for s in keys[delta]:
                         echelon.add({rank[s + k]: c for k, c in fit})
                 jet = lc_derive(jet, W)
-        mono = dict(zip(chain.from_iterable(keys), chain.from_iterable(self._free)))
-        by_rank = [mono[k] for k in chain.from_iterable(ranked)]
-        out = Echelon()
-        out.order = {}
-        for lead, row in echelon.pivots.items():
-            m = by_rank[lead]
-            out.pivots[m] = {by_rank[k]: c for k, c in row.items()}
-            out.order[m] = lead
-        return out
 
     # -- normal forms ----------------------------------------------------------
 
+    def _rank_maps(self):
+        """{monomial: rank} and [monomial of each rank] over the free
+        monomials up to the bound, built once."""
+        if self._maps is None:
+            rank, keys = self._rank, chain.from_iterable(self._keys)
+            to_rank = {m: rank[k] for m, k in zip(chain.from_iterable(self._free), keys)}
+            self._maps = to_rank, sorted(to_rank, key=to_rank.__getitem__)
+        return self._maps
+
+    def _reduce(self, row: dict) -> dict:
+        """The normal form of a kernel dict: its remainder against the
+        echelon, reduced on ranks.  A row that meets no pivot is returned
+        as it is, not copied."""
+        if not self._echelon.pivots:
+            return row
+        to_rank, by_rank = self._rank_maps()
+        ranked = {to_rank[m]: c for m, c in row.items()}
+        out = self._echelon.reduce(ranked)
+        return row if out is ranked else {by_rank[r]: c for r, c in out.items()}
+
     def normal_form(self, elem: GradedElement) -> GradedElement:
         self.check(elem)
-        return GradedElement._make(self._echelon.reduce(elem.data), self.wmax)
+        return GradedElement._make(self._reduce(elem.data), self.wmax)
 
     def reduce_monomial(self, mono) -> GradedElement:
         """Cached normal form of a single free monomial.
@@ -243,7 +260,7 @@ class AlgebraPresentation:
             if mono_weight(mono) > self.wmax:
                 out = GradedElement.zero(self.wmax)
             else:
-                out = GradedElement._make(self._echelon.reduce({mono: ONE}), self.wmax)
+                out = GradedElement._make(self._reduce({mono: ONE}), self.wmax)
             self._mono_nf[mono] = out
         return out
 
@@ -369,7 +386,7 @@ class AlgebraPresentation:
         for m, c in a.items():
             row = table.get(m)
             if row is None:
-                row = table[m] = self._echelon.reduce(lc_derive({m: ONE}, self.wmax))
+                row = table[m] = self._reduce(lc_derive({m: ONE}, self.wmax))
             if row:
                 lc_add_scaled(out, c, row)
         return out
@@ -444,9 +461,11 @@ class AlgebraPresentation:
         if delta > self.wmax:
             raise InputError(f"weight {delta} exceeds truncation bound {self.wmax}")
         if delta not in self._basis_cache:
-            self._basis_cache[delta] = [
-                m for m in self._free_monomials(delta) if m not in self._echelon.pivots
-            ]
+            basis = self._free_monomials(delta)
+            pivots, rank = self._echelon.pivots, self._rank
+            if pivots:
+                basis = [m for m, k in zip(basis, self._keys[delta]) if rank[k] not in pivots]
+            self._basis_cache[delta] = basis
         return list(self._basis_cache[delta])
 
     def dims(self):

@@ -240,22 +240,20 @@ def _refuse_aliasing(nodes: int, offsets, what: str):
 
 
 def _circle_nodes(radius: float, nodes: int):
-    """The trapezoid angles of the positively oriented circle |z| = radius
-    and its nodes, after checking the node count and the radius."""
+    """The trapezoid nodes of the positively oriented circle |z| = radius,
+    after checking the node count and the radius."""
     if nodes < 1:
         raise ValueError(f"need at least one trapezoid node, got {nodes}")
     _check_radius(radius)
-    theta, roots = _unit_circle(nodes)
-    return theta, radius * roots
+    return radius * _unit_circle(nodes)
 
 
 @cache
 def _unit_circle(nodes: int):
-    """The angles 2 pi k / nodes and the unit roots at them, read-only."""
-    theta = 2 * pi * np.arange(nodes) / nodes
-    roots = np.exp(1j * theta)
-    theta.flags.writeable = roots.flags.writeable = False
-    return theta, roots
+    """The unit roots at the angles 2 pi k / nodes, read-only."""
+    roots = np.exp(1j * (2 * pi * np.arange(nodes) / nodes))
+    roots.flags.writeable = False
+    return roots
 
 
 def _midpoint(f: ContourFunction, z0, z1, n: int) -> np.ndarray:
@@ -329,7 +327,7 @@ def laurent_coeffs(f: ContourFunction, center, ns, radius, nodes: int = 128) -> 
     scaled by radius^-n.  Row i of the result belongs to ns[i].
     """
     radius = float(radius)
-    _, z = _circle_nodes(radius, nodes)
+    z = _circle_nodes(radius, nodes)
     values = f.eval_many(complex(center) + z)
     ns = np.asarray(ns, dtype=int)
     spectrum = np.fft.fft(values, axis=0)[ns % nodes] / nodes
@@ -352,8 +350,8 @@ def double_residue(
     The sum is exact for Laurent polynomials that alias nothing at this
     node count; which radius is larger decides the expansion region.
     """
-    _, z = _circle_nodes(r_z, nodes)
-    _, w = _circle_nodes(r_w, nodes)
+    z = _circle_nodes(r_z, nodes)
+    w = _circle_nodes(r_w, nodes)
     shifts = np.array(list(weight), dtype=int).reshape(-1, 2) + 1
     c = np.array(list(weight.values()), dtype=complex)
     Az = np.vander(z, coeffs.shape[0], increasing=True).T @ z[:, None] ** shifts[:, 0]

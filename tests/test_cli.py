@@ -383,6 +383,21 @@ def test_bad_input_is_an_input_error(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["jet", "build", "--gens", "x y", "--dims"], "x y"),
+        (["jet", "build", "--gens", "1x,y"], "1x"),
+        (["vertex", "check", "--gens", "x y"], "x y"),
+    ],
+    ids=["space in a name", "leading digit", "vertex check"],
+)
+def test_generator_name_outside_the_grammar_is_an_input_error(argv, name, capsys):
+    # No relation or state could name such a generator.
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: generator name {name!r} is not an identifier\n"
+
+
 def test_reports_deterministic(tmp_path):
     _, r1 = run_json(
         ["vertex", "check", "--gens", "x", "--max-weight", "4", "--samples", "5", "--seed", "3"],

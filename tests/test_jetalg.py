@@ -9,6 +9,7 @@ from jetfact._kernels import lc_derive, lc_mul, lc_scale, mono_weight
 from jetfact import jetalg
 from jetfact.errors import InputError
 from jetfact.exprs import parse_element
+from jetfact.factalg import check_coequalizer_chain
 from jetfact.grading import GradedElement
 from jetfact.jetalg import (
     AlgebraHom,
@@ -17,6 +18,7 @@ from jetfact.jetalg import (
     LiftError,
     lift_hom,
 )
+from jetfact.reports import all_pass
 from jetfact.sampling import Sampler
 from jetfact.scalars import ONE, Scalar
 
@@ -203,8 +205,10 @@ def test_tables_match_direct_reduction(gens, rels):
     # directly, on seeded sums of free monomials (not in normal form).
     W = 6
     P = AlgebraPresentation(gens, rels, W)
-    reduce = P._echelon.reduce
     s = Sampler(17)
+
+    def reduce(data):
+        return P.normal_form(GradedElement._make(data, W)).data
 
     def free_element():
         data = {}
@@ -273,8 +277,9 @@ def generic_saturation(P):
 )
 def test_saturation_matches_generic_products(gens, rels, W):
     # The echelon of the generic saturation must be the construction's,
-    # pivot for pivot.  The reference ranks the free monomials itself, by
-    # weight and then tuple order, and reduces the rows on the ranks.
+    # pivot for pivot, on ranks.  The reference ranks the free monomials
+    # itself, by weight and then tuple order, and reduces the rows on the
+    # ranks.
     P = AlgebraPresentation(gens, rels, W)
     monos = sorted(
         (m for d in range(W + 1) for m in P._free_monomials(d)),
@@ -284,24 +289,21 @@ def test_saturation_matches_generic_products(gens, rels, W):
     rows = Echelon()
     for row in generic_saturation(P):
         rows.add({rank[m]: c for m, c in row.items()})
-    pivots = {
-        monos[lead]: {monos[k]: c for k, c in row.items()} for lead, row in rows.pivots.items()
-    }
-    assert pivots == P._echelon.pivots
-    assert list(pivots) == list(P._echelon.pivots)
+    assert rows.pivots == P._echelon.pivots
+    assert list(rows.pivots) == list(P._echelon.pivots)
 
 
 def test_saturation_ranks_every_free_monomial_in_the_monomial_order():
-    # The relation 1 makes every free monomial a pivot, so the kept order
+    # The relation 1 makes every free monomial a pivot, so the rank map
     # holds the rank of each, from 0 in weight-then-tuple order.
     W = 8
     P = AlgebraPresentation(["y", "x", "xx"], ["1"], W)
-    order = P._echelon.order
+    to_rank, by_rank = P._rank_maps()
     monos = [m for d in range(W + 1) for m in P._free_monomials(d)]
-    assert list(order) == monos
+    assert list(P._echelon.pivots) == [to_rank[m] for m in monos]
     ranked = sorted(monos, key=lambda m: (mono_weight(m), m))
-    assert sorted(order, key=order.__getitem__) == ranked
-    assert sorted(order.values()) == list(range(len(monos)))
+    assert sorted(to_rank, key=to_rank.__getitem__) == ranked == by_rank
+    assert sorted(P._echelon.pivots) == list(range(len(monos)))
 
 
 def test_saturation_makes_no_tuple_products(monkeypatch):
@@ -312,6 +314,32 @@ def test_saturation_makes_no_tuple_products(monkeypatch):
     for gens, rels, W in SATURATION_PRESENTATIONS[:5]:
         assert AlgebraPresentation(gens, rels, W)._echelon.pivots
     assert calls == []
+
+
+def test_one_term_pivot_is_deleted_without_a_division(monkeypatch):
+    # x0*y0 meets the pivot of the relation itself, one term long.
+    P = AlgebraPresentation(["x", "y"], ["x*y"], 4)
+    calls = []
+    div = Scalar.__truediv__
+    monkeypatch.setattr(Scalar, "__truediv__", lambda a, b: calls.append(1) or div(a, b))
+    assert not P.reduce_monomial((("x", 0), ("y", 0)))
+    assert calls == []
+
+
+def test_rank_maps_wait_for_the_first_reduction_that_needs_them():
+    # Building a template, its dims and its gluing check reduce nothing, so
+    # they build no monomial-rank map; the first normal form that meets a
+    # pivot builds both, and later ones reuse them.
+    for gens, rels, W in SATURATION_PRESENTATIONS[:5]:
+        P = AlgebraPresentation(gens, rels, W)
+        P.dims()
+        assert all_pass(check_coequalizer_chain(P, [1, 2, 4], wmax=5)["checks"])
+        assert P._maps is None
+        assert not P.normal_form(P.relations[0])
+        maps = P._maps
+        assert maps is not None
+        assert not P.normal_form(P.relations[-1])
+        assert P._maps is maps
 
 
 def test_relation_with_another_truncation_bound_is_refused():
@@ -363,7 +391,8 @@ def test_unscaled_pivots_give_the_scaled_normal_forms(gens, rels, W):
     ref = ScaledEchelon(lambda m: (mono_weight(m), m))
     for row in generic_saturation(P):
         ref.add(row)
-    assert list(ref.pivots) == list(P._echelon.pivots)
+    to_rank, _ = P._rank_maps()
+    assert [to_rank[m] for m in ref.pivots] == list(P._echelon.pivots)
     for delta in range(W + 1):
         for mono in P._free_monomials(delta):
             assert P.normal_form(GradedElement({mono: 1}, W)).data == ref.reduce({mono: ONE})

@@ -13,6 +13,7 @@ from jetfact.numcx import (
     QuadratureError,
     _circle_nodes,
     _locality_weight,
+    _unit_circle,
     cauchy_coeff,
     coefficient_tensor,
     contour_integral,
@@ -167,17 +168,23 @@ def test_trapezoid_routines_refuse_fewer_than_one_node(nodes, radius, refusal):
 
 def test_circle_nodes_are_shared_read_only_per_node_count():
     for nodes in (1, 7, 128):
-        fresh = 2 * np.pi * np.arange(nodes) / nodes
+        fresh = np.exp(1j * (2 * np.pi * np.arange(nodes) / nodes))
         for radius in (0.5, 1.5, 0.5):
-            theta, z = _circle_nodes(radius, nodes)
-            assert np.array_equal(theta, fresh)
-            assert np.array_equal(z, radius * np.exp(1j * fresh))
+            z = _circle_nodes(radius, nodes)
+            assert np.array_equal(z, radius * fresh)
+            roots = _unit_circle(nodes)
+            assert np.array_equal(roots, fresh)
             with pytest.raises(ValueError):
-                theta[0] = 1.0
+                roots[0] = 1.0
         # The checks still run on every call, also for a node count seen.
         with pytest.raises(ValueError, match="positive finite number"):
             _circle_nodes(0.0, nodes)
-    assert _circle_nodes(1.0, 128)[0] is _circle_nodes(2.0, 128)[0]
+    # One array of roots per node count, whatever the radius.
+    hits = _unit_circle.cache_info().hits
+    _circle_nodes(1.0, 128)
+    _circle_nodes(2.0, 128)
+    assert _unit_circle.cache_info().hits == hits + 2
+    assert _unit_circle(128) is _unit_circle(128)
 
 
 def test_element_vector_converts_the_dense_coordinates_bit_for_bit():
