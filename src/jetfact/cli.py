@@ -88,16 +88,34 @@ def build_presentation(args):
     return AlgebraPresentation.from_json(doc), preset
 
 
-def _free_dims(k: int, wmax: int) -> list:
-    """The coefficients of prod_{j >= 1} (1 - q^j)^-k up to q^wmax: the
-    weight dimensions of the jets of k free generators, whose factor
-    g_m weighs m + 1.  Each factor 1 / (1 - q^j) is a running sum."""
+def _euler_dims(multiplicity, wmax: int) -> list:
+    """The coefficients of prod_{j >= 1} (1 - q^j)^-multiplicity(j) up to
+    q^wmax.  Each factor 1 / (1 - q^j) is a running sum."""
     dims = [1] + [0] * wmax
     for j in range(1, wmax + 1):
-        for _ in range(k):
+        for _ in range(multiplicity(j)):
             for n in range(j, wmax + 1):
                 dims[n] += dims[n - j]
     return dims
+
+
+def _closed_form_dims(P):
+    """The weight dimensions of P by a closed form, or None when none
+    applies.  On k free generators, whose factor g_m weighs m + 1, they
+    are prod (1 - q^j)^-k.  On one generator with the one relation c x^k,
+    k = 2, 3, 4, they count the partitions with no part congruent to 0 or
+    +-k mod 2k + 1 (Andrews-Gordon; Rogers-Ramanujan for k = 2)."""
+    if not P.relations:
+        k = len(P.generators)
+        return _euler_dims(lambda j: k, P.wmax)
+    if len(P.generators) == 1 and len(P.relations) == 1:
+        (x,) = P.generators
+        rel = P.relations[0].data
+        mono = next(iter(rel))
+        k = len(mono)
+        if len(rel) == 1 and 2 <= k <= 4 and set(mono) == {(x, 0)}:
+            return _euler_dims(lambda j: 0 if j % (2 * k + 1) in (0, k, k + 1) else 1, P.wmax)
+    return None
 
 
 def cmd_jet_build(args, P, preset) -> list:
@@ -105,10 +123,11 @@ def cmd_jet_build(args, P, preset) -> list:
     ok = True
     if args.dims:
         detail["dims"] = P.dims()
-        if not P.relations:
+        closed = _closed_form_dims(P)
+        if closed is not None:
             # Counted without the build's monomials, so a basis it lost shows.
-            detail["dims_closed_form"] = _free_dims(len(P.generators), P.wmax)
-            ok = detail["dims"] == detail["dims_closed_form"]
+            detail["dims_closed_form"] = closed
+            ok = detail["dims"] == closed
     if args.basis is not None:
         detail["basis"] = [format_monomial(m) for m in P.weight_basis(args.basis)]
     return [check_entry("build", ok, detail)]

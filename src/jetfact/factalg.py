@@ -668,11 +668,13 @@ def check_coequalizer_chain(P: AlgebraPresentation, radii, wmax=None) -> dict:
             for pk, qk in zip(p, q):
                 # The row of p - q; blocks i and j are disjoint column
                 # ranges.  An image outside the weight-delta basis has none.
-                if not pk.data.keys() | qk.data.keys() <= index.keys():
+                try:
+                    row = {i * d + index[m]: c for m, c in pk.data.items()}
+                    for m, c in qk.data.items():
+                        row[j * d + index[m]] = -c
+                except KeyError:
                     maps_ok = False
                     continue
-                row = {i * d + index[m]: c for m, c in pk.data.items()}
-                row.update((j * d + index[m], -c) for m, c in qk.data.items())
                 rows.append(row)
 
         rank = _exact_rank(rows)

@@ -24,7 +24,11 @@ the remainder of an element after full reduction depend only on the
 span, not on the echelon basis chosen for it.  Pivot rows are kept
 unscaled, each with its lead coefficient in the row: a reduction step
 divides once, by the lead it cancels, a one-term pivot row only deletes
-its key, and a row that meets no pivot is returned as it is.
+its key, and a row that meets no pivot is returned as it is.  The
+one-term pivots are the monomials of the ideal.  The build keeps their
+ranks as a set and drops a term at one of them as its row is formed, as
+reduction would; a row that then meets no pivot is stored as built, and
+only the rest are reduced.
 
 The truncated model of a presentation F / I is F / (I + F_{>W}), the
 jets of the germ at the origin truncated at weight W.  Its total
@@ -194,7 +198,14 @@ class AlgebraPresentation:
 
         The rows are built and reduced on the ranks of packed keys (see
         _enumerate), whose natural order is the monomial order; the pivots
-        stay on ranks, and the packed keys and the rank map are kept."""
+        stay on ranks, and the packed keys and the rank map are kept.
+
+        The one-term pivots are the monomials of the ideal, kept as a set of
+        ranks.  A term at one of them is dropped as its row is formed, since
+        reduction would delete it; a row that then meets no pivot is stored
+        as built, and only a row that still meets one is reduced.  The
+        remainder depends only on the span, so every pivot is the one that
+        Echelon.add would store, in the same order."""
         W = self.wmax
         fields, keys = self._enumerate()
         unit = {v: u for v, u, _ in fields}
@@ -212,6 +223,8 @@ class AlgebraPresentation:
         rank = {k: r for r, k in enumerate(chain.from_iterable(ranked))}
         self._keys, self._rank = keys, rank
         echelon = self._echelon
+        pivots = echelon.pivots
+        ideal = set()  # ranks of the one-term pivots
         for rel in self.relations:
             jet = rel.data
             while jet:
@@ -220,7 +233,14 @@ class AlgebraPresentation:
                 for delta in range(W - low + 1):
                     fit = [(k, c) for w, k, c in terms if w + delta <= W]
                     for s in keys[delta]:
-                        echelon.add({rank[s + k]: c for k, c in fit})
+                        row = {r: c for k, c in fit if (r := rank[s + k]) not in ideal}
+                        if row and not pivots.keys().isdisjoint(row):
+                            row = echelon.reduce(row)
+                        if row:
+                            lead = max(row)
+                            pivots[lead] = row
+                            if len(row) == 1:
+                                ideal.add(lead)
                 jet = lc_derive(jet, W)
 
     # -- normal forms ----------------------------------------------------------

@@ -29,10 +29,11 @@ __all__ = ["Scalar", "ZERO", "ONE", "I", "frac"]
 
 
 def frac(value) -> Fraction:
-    """Coerce ints, Fractions, or strings like "3/5" to an exact Fraction."""
+    """Coerce ints, Fractions, or strings like "3/5" to an exact Fraction.
+    A bool is refused, as a float is: in JSON input true is not 1."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

@@ -42,6 +42,25 @@ def test_jet_build_dims_match_the_free_closed_form(gens, closed_form, tmp_path):
     assert detail["dims"] == detail["dims_closed_form"] == closed_form
 
 
+@pytest.mark.parametrize(
+    "relation, closed_form",
+    [
+        # Rogers-Ramanujan: partitions into parts congruent to +-1 mod 5.
+        ("x*x", [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9]),
+        # Andrews-Gordon: no part congruent to 0 or +-3 mod 7.
+        ("x*x*x", [1, 1, 2, 2, 3, 4, 6, 7, 10, 12, 16, 19, 25]),
+    ],
+)
+def test_jet_build_dims_match_the_andrews_gordon_closed_form(relation, closed_form, tmp_path):
+    code, report = run_json(
+        ["jet", "build", "--gens", "x", "--relations", relation, "--max-weight", "12", "--dims"],
+        tmp_path,
+    )
+    detail = report["checks"][0]["detail"]
+    assert code == 0
+    assert detail["dims"] == detail["dims_closed_form"] == closed_form
+
+
 def test_jet_build_fails_on_a_lost_basis_monomial(tmp_path, monkeypatch):
     weight_basis = AlgebraPresentation.weight_basis
 
@@ -57,6 +76,26 @@ def test_jet_build_fails_on_a_lost_basis_monomial(tmp_path, monkeypatch):
     detail = report["checks"][0]["detail"]
     assert detail["dims"] == [1, 1, 2, 2, 5, 7, 11]
     assert detail["dims_closed_form"] == [1, 1, 2, 3, 5, 7, 11]
+
+
+def test_jet_build_fails_on_a_deleted_pivot_of_x_squared(tmp_path, monkeypatch):
+    # A pivot lost from the saturation of x | x*x leaves one weight a basis
+    # monomial too many, which only the closed form can show.
+    saturate = AlgebraPresentation._saturate
+
+    def dropping(P):
+        saturate(P)
+        pivots = P._echelon.pivots
+        del pivots[next(reversed(pivots))]
+
+    monkeypatch.setattr(AlgebraPresentation, "_saturate", dropping)
+    code, report = run_json(
+        ["jet", "build", "--gens", "x", "--relations", "x*x", "--max-weight", "8", "--dims"],
+        tmp_path,
+    )
+    detail = report["checks"][0]["detail"]
+    assert code == 1
+    assert detail["dims"] != detail["dims_closed_form"] == [1, 1, 1, 1, 2, 2, 3, 3, 4]
 
 
 def test_jet_build_with_relations(tmp_path):
@@ -270,6 +309,7 @@ def test_zero_denominator_exits_two(argv, capsys):
         {"geometry": {"L": [{"c": ["0", "0"]}]}},
         {"geometry": {"L": [{"c": ["0"], "r": "1"}]}},
         {"geometry": {"U": {"regions": [[{"c": ["0", "0"], "r": "x"}]]}}},
+        {"geometry": {"L": [{"c": [True, 0], "r": True}]}},
     ],
     ids=[
         "top-level list",
@@ -288,6 +328,7 @@ def test_zero_denominator_exits_two(argv, capsys):
         "disk without radius",
         "disk center of one number",
         "region disk radius not a number",
+        "disk of booleans",
     ],
 )
 def test_malformed_preset_exits_two(doc, tmp_path, capsys):

@@ -249,6 +249,9 @@ SATURATION_PRESENTATIONS = [
     (["x", "y"], ["d^7(x) + x*y"], 8),
     (["x", "y"], ["x - 2*y"], 1),
     (["x", "y"], ["2 + x*y"], 0),
+    # The binomial's pivots come first; many hold a rank that x*y later
+    # makes a one-term pivot, where the build's filter meets their rows.
+    (["x", "y"], ["x*x - 2*y*y", "x*y"], 8),
 ]
 
 
@@ -273,6 +276,7 @@ def generic_saturation(P):
     ids=[
         "xy", "uv-vz", "aa-bb", "xdy-ydx", "xz-yy", "xx", "xx+yy",
         "unsorted", "prefix", "inhomogeneous", "top-jet", "W=1", "W=0",
+        "xx-yy,xy",
     ],
 )
 def test_saturation_matches_generic_products(gens, rels, W):
@@ -314,6 +318,24 @@ def test_saturation_makes_no_tuple_products(monkeypatch):
     for gens, rels, W in SATURATION_PRESENTATIONS[:5]:
         assert AlgebraPresentation(gens, rels, W)._echelon.pivots
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "gens, rels, W", [(["x"], ["x*x"], 10), (["x", "y"], ["x*y"], 8)], ids=["xx", "xy"]
+)
+def test_build_reduces_no_row_at_a_monomial_of_the_ideal(gens, rels, W, monkeypatch):
+    # A one-term pivot is a monomial of the ideal: the build drops a term
+    # there as the row is formed, so no row it reduces holds that rank.
+    seen = []
+    reduce = Echelon.reduce
+
+    def recording(self, row):
+        seen.extend(r for r in row if len(self.pivots.get(r, ())) == 1)
+        return reduce(self, row)
+
+    monkeypatch.setattr(Echelon, "reduce", recording)
+    assert AlgebraPresentation(gens, rels, W)._echelon.pivots
+    assert seen == []
 
 
 def test_one_term_pivot_is_deleted_without_a_division(monkeypatch):
