@@ -11,9 +11,10 @@ version, backend, python} to stdout or --out.  A sampling command (one
 with --samples) reports each check once through reports.SampledChecks; the
 num commands share the sampled loop _sampled.  Exit status is 0 when every
 check passes, 1 on check failures, 2 on bad input (an InputError such as
-a parse error or a malformed preset or flag, an OSError, or a negative
-count) and 3 on any other error, reported as one line on stderr.  All
-randomness flows from the --seed flag.
+a parse error or a malformed preset or flag, an OSError, a negative
+count or a tolerance that is not finite) and 3 on any other error,
+reported as one line on stderr.  All randomness flows from the --seed
+flag.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import argparse
 import json
 import sys
 import time
-from math import factorial
+from math import factorial, isfinite
 
 from ._kernels import lc_mul
 from .diskgeom import BasisElement
@@ -102,12 +103,18 @@ def _euler_dims(multiplicity, wmax: int) -> list:
 def _closed_form_dims(P):
     """The weight dimensions of P by a closed form, or None when none
     applies.  On k free generators, whose factor g_m weighs m + 1, they
-    are prod (1 - q^j)^-k.  On one generator with the one relation c x^k,
-    k = 2, 3, 4, they count the partitions with no part congruent to 0 or
-    +-k mod 2k + 1 (Andrews-Gordon; Rogers-Ramanujan for k = 2)."""
+    are prod (1 - q^j)^-k.  On k generators with the relations c d(g), one
+    for each generator g, the quotient is the locally constant one, the
+    polynomials in the g_0: C(n + k - 1, k - 1) at weight n, which is
+    (1 - q)^-k.  On one generator with the one relation c x^k, k = 2, 3,
+    4, they count the partitions with no part congruent to 0 or +-k mod
+    2k + 1 (Andrews-Gordon; Rogers-Ramanujan for k = 2)."""
+    k = len(P.generators)
     if not P.relations:
-        k = len(P.generators)
         return _euler_dims(lambda j: k, P.wmax)
+    monos = [mono for rel in P.relations if len(rel.data) == 1 for mono in rel.data]
+    if len(monos) == len(P.relations) == k and set(monos) == {((g, 1),) for g in P.generators}:
+        return _euler_dims(lambda j: k if j == 1 else 0, P.wmax)
     if len(P.generators) == 1 and len(P.relations) == 1:
         (x,) = P.generators
         rel = P.relations[0].data
@@ -287,6 +294,16 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    """argparse type of --tolerance: a finite float.  A negative one is
+    valid and fails every check; nan and +-inf are bad input, not a
+    tolerance that fails or passes every check."""
+    value = float(text)
+    if not isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 # The flags of every command: the presentation, the preset and the report.
 _COMMON = (
     ("--preset", {"help": "scenario JSON file"}),
@@ -317,10 +334,10 @@ COMMANDS = (
      "reconstructed structure against the source", None, ()),
     ("num", "laurent", cmd_num_laurent, "numeric Laurent coefficients against exact modes", 3,
      (("--nmax", {"type": non_negative_int, "default": 6}), _NODES,
-      ("--tolerance", {"type": float, "default": 1e-9}))),
+      ("--tolerance", {"type": finite_float, "default": 1e-9}))),
     ("num", "swap", cmd_num_swap, "iterated contour orders of the weighted insertion", 5,
      (("--nmax", {"type": non_negative_int, "default": 2}), _NODES,
-      ("--tolerance", {"type": float, "default": 1e-8}))),
+      ("--tolerance", {"type": finite_float, "default": 1e-8}))),
 )
 
 

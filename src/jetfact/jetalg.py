@@ -24,7 +24,10 @@ the remainder of an element after full reduction depend only on the
 span, not on the echelon basis chosen for it.  Pivot rows are kept
 unscaled, each with its lead coefficient in the row: a reduction step
 divides once, by the lead it cancels, a one-term pivot row only deletes
-its key, and a row that meets no pivot is returned as it is.  The
+its key, and a row that meets no pivot is returned as it is.  The steps
+are scalars.reduce_row, which eliminates the row's pivot keys largest
+first from a heap and holds each coefficient it touches as an integer
+triple, made canonical once when the row is done.  The
 one-term pivots are the monomials of the ideal.  The build keeps their
 ranks as a set and drops a term at one of them as its row is formed, as
 reduction would; a row that then meets no pivot is stored as built, and
@@ -68,7 +71,7 @@ from math import factorial
 from .errors import InputError
 from .exprs import IDENTIFIER, parse_element
 from .grading import GradedElement, format_element
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, reduce_row
 from ._kernels import lc_add_scaled, lc_derive, lc_scale, mono_mul, mono_weight
 
 __all__ = [
@@ -98,6 +101,11 @@ class Echelon:
     against later pivots.  Every echelon has int keys: a presentation's
     are the ranks of the monomials in the monomial order, kept after the
     build.
+
+    The elimination step is scalars.reduce_row, for the build, the normal
+    forms and factalg's exact ranks alike.  It lives in scalars because it
+    works on the integer triples of the coefficients it touches, with no
+    Scalar and no gcd per step, which only that module may read.
     """
 
     __slots__ = ("pivots",)
@@ -108,34 +116,8 @@ class Echelon:
     def reduce(self, row: dict) -> dict:
         """The remainder of row after full reduction: no key of it is a
         pivot.  It depends only on the span of the rows added.  A row that
-        meets no pivot is returned as it is, not copied.
-
-        The elimination step is inlined, not _kernels.lc_add_scaled: through
-        it, the elimination workload ran about 10% fewer ops per second
-        (seed 7, 2 cores: 44.8-45.2 down to 39.0-41.7)."""
-        pivots = self.pivots
-        if pivots.keys().isdisjoint(row):
-            return row
-        row = dict(row)
-        while True:
-            hits = [m for m in row if m in pivots]
-            if not hits:
-                return row
-            m = hits[0] if len(hits) == 1 else max(hits)
-            prow = pivots[m]
-            c = row.pop(m)
-            if len(prow) == 1:
-                continue
-            c /= prow[m]
-            for pm, pv in prow.items():
-                if pm == m:
-                    continue
-                acc = row.get(pm)
-                nv = -(c * pv) if acc is None else acc - c * pv
-                if nv:
-                    row[pm] = nv
-                else:
-                    row.pop(pm, None)
+        meets no pivot is returned as it is, not copied."""
+        return reduce_row(row, self.pivots)
 
     def add(self, row: dict) -> bool:
         """Add row to the span; True if it was independent of the rows

@@ -16,16 +16,23 @@ reports and parsers see exact rationals; `triple` hands the integers
 themselves to exact comparisons elsewhere, and `from_triple` builds a value
 from integers with no `Fraction` on the way.  Floating-point coefficients
 never appear here; the numeric layer converts at its own boundary.
+
+`reduce_row` is the elimination step of every echelon (jetalg.Echelon):
+a sparse row reduced against pivot rows.  It lives here because it works
+on the triples themselves: a coefficient that a reduction touches is
+carried as an unnormalised triple, with no Scalar and no gcd per step, and
+made canonical once when the row is done.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import InputError
 
-__all__ = ["Scalar", "ZERO", "ONE", "I", "frac"]
+__all__ = ["Scalar", "ZERO", "ONE", "I", "frac", "reduce_row"]
 
 
 def frac(value) -> Fraction:
@@ -253,6 +260,79 @@ class Scalar:
         if not im_part.startswith("-"):
             im_part = "+" + im_part
         return f"{re}{im_part}"
+
+
+def reduce_row(row: dict, pivots: dict) -> dict:
+    """The remainder of a sparse row of Scalars after full reduction
+    against pivots, {lead key: pivot row}, each pivot row holding its
+    lead, its largest key, with its coefficient unscaled.  No key of the
+    remainder is a pivot, and the remainder depends only on the span of
+    the pivot rows.  The caller's row is never mutated; one that meets no
+    pivot is returned as it is, not copied.
+
+    The pivot keys of the row wait in a max-heap, so each is eliminated
+    once, largest first: a pivot row's other keys lie below its lead.  A
+    step divides by the lead once, in integers; a one-term pivot row only
+    deletes its key.  A coefficient that a step touches is held as an
+    unnormalised triple (a, b, d) with d > 0, zero exactly when a = b = 0,
+    and made canonical once at the end; an untouched one keeps its object.
+    """
+    heap = [-m for m in row if m in pivots]
+    if not heap:
+        return row
+    heapify(heap)
+    row = dict(row)
+    pop, get = row.pop, row.get
+    while heap:
+        m = -heappop(heap)
+        c = pop(m, None)
+        if c is None:
+            continue  # queued twice, or cancelled: no longer in the row
+        prow = pivots[m]
+        if len(prow) == 1:
+            continue
+        a, b, d = c if type(c) is tuple else (c._a, c._b, c._d)
+        lead = prow[m]
+        la, lb, ld = lead._a, lead._b, lead._d
+        # (a + b*i)/d divided by the lead (la + lb*i)/ld, over d > 0.
+        if lb:
+            a, b, d = ld * (a * la + b * lb), ld * (b * la - a * lb), d * (la * la + lb * lb)
+        else:
+            if la < 0:
+                a, b, la = -a, -b, -la
+            if ld != 1:
+                a *= ld
+                b *= ld
+            d *= la
+        for pm, pv in prow.items():
+            if pm == m:
+                continue
+            pa, pb, pd = pv._a, pv._b, pv._d
+            if b or pb:
+                ta, tb = a * pa - b * pb, a * pb + b * pa
+            else:
+                ta, tb = a * pa, 0
+            td = d * pd
+            acc = get(pm)
+            if acc is None:
+                row[pm] = (-ta, -tb, td)
+                if pm in pivots:
+                    heappush(heap, -pm)
+                continue
+            xa, xb, xd = acc if type(acc) is tuple else (acc._a, acc._b, acc._d)
+            if xd == td:
+                xa -= ta
+                xb -= tb
+            else:
+                xa, xb, xd = xa * td - ta * xd, xb * td - tb * xd, xd * td
+            if xa or xb:
+                row[pm] = (xa, xb, xd)
+            else:
+                pop(pm)
+    for k, v in row.items():
+        if type(v) is tuple:
+            row[k] = _make(*v)
+    return row
 
 
 def _imag_str(im: Fraction) -> str:

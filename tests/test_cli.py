@@ -98,6 +98,40 @@ def test_jet_build_fails_on_a_deleted_pivot_of_x_squared(tmp_path, monkeypatch):
     assert detail["dims"] != detail["dims_closed_form"] == [1, 1, 1, 1, 2, 2, 3, 3, 4]
 
 
+def test_jet_build_dims_match_the_locally_constant_closed_form(tmp_path):
+    # d(x) and d(y) span the locally constant quotient, the polynomials in
+    # x and y: C(n + 1, 1) monomials at weight n.
+    code, report = run_json(
+        ["jet", "build", "--gens", "x,y", "--relations", "d(x);2*d(y)", "--max-weight", "8",
+         "--dims"],
+        tmp_path,
+    )
+    detail = report["checks"][0]["detail"]
+    assert code == 0
+    assert detail["dims"] == detail["dims_closed_form"] == list(range(1, 10))
+
+
+def test_jet_build_fails_on_a_deleted_pivot_of_the_locally_constant_quotient(
+    tmp_path, monkeypatch
+):
+    saturate = AlgebraPresentation._saturate
+
+    def dropping(P):
+        saturate(P)
+        pivots = P._echelon.pivots
+        del pivots[next(reversed(pivots))]
+
+    monkeypatch.setattr(AlgebraPresentation, "_saturate", dropping)
+    code, report = run_json(
+        ["jet", "build", "--gens", "x,y", "--relations", "d(x);2*d(y)", "--max-weight", "8",
+         "--dims"],
+        tmp_path,
+    )
+    detail = report["checks"][0]["detail"]
+    assert code == 1
+    assert detail["dims"] != detail["dims_closed_form"] == list(range(1, 10))
+
+
 def test_jet_build_with_relations(tmp_path):
     code, report = run_json(
         ["jet", "build", "--gens", "x,y", "--relations", "x*y", "--max-weight", "6", "--dims"],
@@ -354,6 +388,15 @@ def test_malformed_preset_exits_two(doc, tmp_path, capsys):
 def test_negative_count_exits_two(argv, capsys):
     assert run([*argv, *SMALL]) == 2
     assert "must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["laurent", "swap"])
+def test_non_finite_tolerance_exits_two(command, value, capsys):
+    # A finite negative tolerance fails every check; nan and +-inf are bad
+    # input, not a tolerance.
+    assert run(["num", command, f"--tolerance={value}", *SMALL]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

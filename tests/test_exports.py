@@ -262,8 +262,8 @@ def test_private_reads_through_a_class_are_keyed_by_the_class(tmp_path):
 def test_only_kernels_delete_from_a_dict():
     # Every zero-dropping sum into a kernel dict is _kernels.lc_add_scaled,
     # so a `del x[...]` elsewhere is a sum written out by hand.
-    # Echelon.reduce's inlined elimination step drops zeros with pop, and
-    # its docstring says why it stays inlined.
+    # The echelon's elimination step, scalars.reduce_row, drops zeros with
+    # pop, as it works on integer triples and not on a kernel dict.
     found = [
         (path.stem, node.lineno)
         for path in sorted(SRC.glob("*.py"))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
@@ -252,6 +253,9 @@ SATURATION_PRESENTATIONS = [
     # The binomial's pivots come first; many hold a rank that x*y later
     # makes a one-term pivot, where the build's filter meets their rows.
     (["x", "y"], ["x*x - 2*y*y", "x*y"], 8),
+    # Complex leads: the reduction divides by i and by a non-real lead.
+    (["x", "y"], ["x*x + i*y*y"], 8),
+    (["x", "y"], ["i*x*d(y) - 2/3*y*d(x)"], 9),
 ]
 
 
@@ -276,7 +280,7 @@ def generic_saturation(P):
     ids=[
         "xy", "uv-vz", "aa-bb", "xdy-ydx", "xz-yy", "xx", "xx+yy",
         "unsorted", "prefix", "inhomogeneous", "top-jet", "W=1", "W=0",
-        "xx-yy,xy",
+        "xx-yy,xy", "xx+iyy", "ixdy-ydx",
     ],
 )
 def test_saturation_matches_generic_products(gens, rels, W):
@@ -346,6 +350,19 @@ def test_one_term_pivot_is_deleted_without_a_division(monkeypatch):
     monkeypatch.setattr(Scalar, "__truediv__", lambda a, b: calls.append(1) or div(a, b))
     assert not P.reduce_monomial((("x", 0), ("y", 0)))
     assert calls == []
+
+
+def test_one_term_pivot_row_is_deleted_without_reading_its_lead():
+    # The elimination step reads a lead's triple only to divide by it; a
+    # one-term pivot row holds no other key, so its key is only deleted.
+    class Opaque:
+        __slots__ = ()
+
+    rows = Echelon()
+    rows.pivots[5] = {5: Opaque()}
+    row = {5: Scalar(3), 1: ONE}
+    out = rows.reduce(row)
+    assert out == {1: ONE} and out[1] is ONE
 
 
 def test_rank_maps_wait_for_the_first_reduction_that_needs_them():
@@ -441,6 +458,91 @@ def test_echelon_keeps_unscaled_copies_of_its_rows():
     free = {2: Scalar(5)}
     assert rows.reduce(free) is free
     assert rows.reduce({1: Scalar(4), 5: ONE}) == {0: Scalar(-2)}
+
+
+def reference_reduce(pivots, row):
+    """The elimination step on Scalar operators, one max per step over
+    the row's pivot keys: the reducer's loop before its step moved to
+    scalars.reduce_row, kept as an independent reference."""
+    if pivots.keys().isdisjoint(row):
+        return row
+    row = dict(row)
+    while True:
+        hits = [m for m in row if m in pivots]
+        if not hits:
+            return row
+        m = hits[0] if len(hits) == 1 else max(hits)
+        prow = pivots[m]
+        c = row.pop(m)
+        if len(prow) == 1:
+            continue
+        c /= prow[m]
+        for pm, pv in prow.items():
+            if pm == m:
+                continue
+            acc = row.get(pm)
+            nv = -(c * pv) if acc is None else acc - c * pv
+            if nv:
+                row[pm] = nv
+            else:
+                row.pop(pm, None)
+
+
+# Complex, negative and non-unit values over unequal denominators.
+KERNEL_VALUES = [
+    Scalar(1), Scalar(-1), Scalar(0, 1), Scalar(0, -1), Scalar(3), Scalar(Fraction(-3, 2)),
+    Scalar(Fraction(2, 3)), Scalar(Fraction(5, 7), Fraction(-1, 2)), Scalar(2, 1),
+    Scalar(-1, 3), Scalar(Fraction(1, 6), Fraction(1, 4)), Scalar(0, Fraction(-9, 5)),
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reduce_row_matches_the_scalar_reference(seed):
+    # Seeded random sparse rows over Q(i) on keys 0..79, added to the
+    # echelon and to a reference one; every fourth row is a combination of
+    # two rows added before, which reduces to zero.  Before each add a
+    # probe row, the new row with terms on keys -1..-4 that no pivot row
+    # holds, is reduced on both sides.
+    rng = random.Random(seed)
+    keys = list(range(80))
+    echelon, ref = Echelon(), {}
+    added = []
+    for n in range(60):
+        if n % 4 == 3 and len(added) >= 2:
+            r1, r2 = rng.sample(added, 2)
+            c1, c2 = rng.sample(KERNEL_VALUES, 2)
+            row = {k: c1 * r1.get(k, 0) + c2 * r2.get(k, 0) for k in sorted({*r1, *r2})}
+            row = {k: v for k, v in row.items() if v}
+        else:
+            row = {k: rng.choice(KERNEL_VALUES) for k in rng.sample(keys, rng.randint(1, 6))}
+        probe = {**row, **{-k: rng.choice(KERNEL_VALUES) for k in rng.sample(range(1, 5), 2)}}
+        before = list(probe.items())
+        out = echelon.reduce(probe)
+        assert list(probe.items()) == before and all(
+            v is w for (_, v), (_, w) in zip(probe.items(), before)
+        )
+        assert list(out.items()) == list(reference_reduce(ref, probe).items())
+        for v in out.values():
+            a, b, d = v.triple()
+            assert d > 0 and (a or b) and Scalar.from_triple(a, b, d).triple() == (a, b, d)
+        assert all(out[k] is v for k, v in probe.items() if k < 0)
+        if probe.keys().isdisjoint(echelon.pivots):
+            assert out is probe
+        independent = echelon.add(row)
+        reduced = reference_reduce(ref, row)
+        assert independent == bool(reduced)
+        if reduced:
+            ref[max(reduced)] = dict(reduced)
+        added.append(row)
+        assert list(echelon.pivots) == list(ref)
+        assert all(list(echelon.pivots[k].items()) == list(ref[k].items()) for k in ref)
+    # The combinations cancelled to zero.
+    assert len(echelon.pivots) < len(added)
+    # A row that meets no pivot is its own remainder, and one on pivot keys
+    # only reduces away.
+    free = {-1: Scalar(2), -3: Scalar(0, 1)}
+    assert echelon.reduce(free) is free
+    assert echelon.reduce({k: c * 3 for k, c in echelon.pivots[max(ref)].items()}) == {}
 
 
 @pytest.mark.parametrize(
