@@ -105,7 +105,7 @@ class Echelon:
     The elimination step is scalars.reduce_row, for the build, the normal
     forms and factalg's exact ranks alike.  It lives in scalars because it
     works on the integer triples of the coefficients it touches, with no
-    Scalar and no gcd per step, which only that module may read.
+    Scalar and no gcd per term, which only that module may read.
     """
 
     __slots__ = ("pivots",)

@@ -20,8 +20,10 @@ never appear here; the numeric layer converts at its own boundary.
 `reduce_row` is the elimination step of every echelon (jetalg.Echelon):
 a sparse row reduced against pivot rows.  It lives here because it works
 on the triples themselves: a coefficient that a reduction touches is
-carried as an unnormalised triple, with no Scalar and no gcd per step, and
-made canonical once when the row is done.
+carried as an unnormalised triple, with no Scalar and no gcd per term, and
+made canonical once when the row is done.  Each step takes one gcd, to make
+its multiplier canonical, so a touch adds one multiplier's size to a
+coefficient instead of doubling it.
 """
 
 from __future__ import annotations
@@ -272,10 +274,11 @@ def reduce_row(row: dict, pivots: dict) -> dict:
 
     The pivot keys of the row wait in a max-heap, so each is eliminated
     once, largest first: a pivot row's other keys lie below its lead.  A
-    step divides by the lead once, in integers; a one-term pivot row only
-    deletes its key.  A coefficient that a step touches is held as an
-    unnormalised triple (a, b, d) with d > 0, zero exactly when a = b = 0,
-    and made canonical once at the end; an untouched one keeps its object.
+    step divides by the lead once, in integers, and takes one gcd to make
+    that multiplier canonical; a one-term pivot row only deletes its key.
+    A coefficient that a step touches is held as an unnormalised triple
+    (a, b, d) with d > 0, zero exactly when a = b = 0, and made canonical
+    once at the end; an untouched one keeps its object.
     """
     heap = [-m for m in row if m in pivots]
     if not heap:
@@ -304,6 +307,15 @@ def reduce_row(row: dict, pivots: dict) -> dict:
                 a *= ld
                 b *= ld
             d *= la
+        # One gcd per step, none per term: the multiplier is canonical, so
+        # a touched coefficient grows by one multiplier's size per touch,
+        # not by its own size again, which would double it along a chain.
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
         for pm, pv in prow.items():
             if pm == m:
                 continue

@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
 from jetfact._kernels import lc_derive, lc_mul, lc_scale, mono_weight
 
-from jetfact import jetalg
+from jetfact import jetalg, scalars
 from jetfact.errors import InputError
 from jetfact.exprs import parse_element
 from jetfact.factalg import check_coequalizer_chain
@@ -543,6 +543,34 @@ def test_reduce_row_matches_the_scalar_reference(seed):
     free = {-1: Scalar(2), -3: Scalar(0, 1)}
     assert echelon.reduce(free) is free
     assert echelon.reduce({k: c * 3 for k, c in echelon.pivots[max(ref)].items()}) == {}
+
+
+def test_reduce_row_keeps_its_integers_small_along_a_chain(monkeypatch):
+    # Pivot k is 2*e_k + e_(k-1) + ... + e_0, added largest first so none
+    # reduces.  Reducing e_n meets pivots n, n-1, ..., 1 in a chain, each
+    # step's multiplier built from the one before.  Unless every multiplier
+    # is brought to lowest terms, its denominator squares per step (2, 8,
+    # 128, 32768, ...) while the values stay near 1/2^n: a 40-step chain
+    # would never finish.  Every integer that reaches a gcd is bounded, and
+    # the chains grow one step at a time, so a blow-up fails early.
+    gcds = []
+
+    def bounded_gcd(*args):
+        gcds.append(max(abs(x).bit_length() for x in args))
+        assert gcds[-1] < 4096
+        return gcd(*args)
+
+    monkeypatch.setattr(scalars, "gcd", bounded_gcd)
+    n = 40
+    echelon = Echelon()
+    for k in range(n, 0, -1):
+        assert echelon.add({k: Scalar(2), **{j: ONE for j in range(k - 1, -1, -1)}})
+    assert all(len(echelon.pivots[k]) == k + 1 for k in range(1, n + 1))
+    for m in range(1, n + 1):
+        out = echelon.reduce({m: ONE})
+        assert list(out) == [0]
+        assert out == reference_reduce(echelon.pivots, {m: ONE})
+    assert gcds
 
 
 @pytest.mark.parametrize(
