@@ -56,10 +56,10 @@ from .diskgeom import (
 )
 from .errors import InputError
 from .grading import GradedElement, format_monomial, normalize_monomial
-from .jetalg import AlgebraHom, AlgebraPresentation, Echelon, lift_hom
+from .jetalg import AlgebraHom, AlgebraPresentation, lift_hom
 from .reports import SampledChecks, check_entry
 from .sampling import Sampler
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, reduce_row
 from ._kernels import lc_add_scaled, mono_weight
 
 __all__ = [
@@ -594,9 +594,15 @@ def check_adjunction(P: AlgebraPresentation, samples: int = 20, seed: int = 0) -
 
 
 def _exact_rank(rows) -> int:
-    """Rank of a list of sparse Scalar rows (dicts keyed by column)."""
-    echelon = Echelon()
-    return sum(echelon.add(row) for row in rows)
+    """Rank of a list of sparse Scalar rows (dicts keyed by column).  The
+    rows are left as given: a row that meets no pivot becomes one itself,
+    uncopied."""
+    pivots = {}
+    for row in rows:
+        row = reduce_row(row, pivots)
+        if row:
+            pivots[max(row)] = row
+    return len(pivots)
 
 
 def _block_images(s: TensorSection, d: int):

@@ -15,23 +15,21 @@ weight first, then tuple order.  The build runs on integers.  One pass
 enumerates the free monomials of each weight and packs each into an int,
 a bit field per variable, so that a shift adds two ints; a second pass
 ranks them in the monomial order, and the rows are reduced on ranks, in
-natural int order.  The pivots stay on ranks: the weight bases read the
-lead ranks through the packed keys, and a later reduction translates its
-monomials to ranks and the remainder back, through two maps built when
-the first reduction needs them.  The rows are not reduced against each
-other, yet normal forms are canonical: the set of leading monomials and
-the remainder of an element after full reduction depend only on the
-span, not on the echelon basis chosen for it.  Pivot rows are kept
-unscaled, each with its lead coefficient in the row: a reduction step
-divides once, by the lead it cancels, a one-term pivot row only deletes
-its key, and a row that meets no pivot is returned as it is.  The steps
-are scalars.reduce_row, which eliminates the row's pivot keys largest
-first from a heap and holds each coefficient it touches as an integer
-triple, made canonical once when the row is done.  The
-one-term pivots are the monomials of the ideal.  The build keeps their
-ranks as a set and drops a term at one of them as its row is formed, as
-reduction would; a row that then meets no pivot is stored as built, and
-only the rest are reduced.
+natural int order.  The echelon is one dict, {lead rank: pivot row}, and
+it stays on ranks: the weight bases read the lead ranks through a list of
+each free monomial's rank, and a later reduction translates its monomials
+to ranks and the remainder back, through two maps built when the first
+reduction needs them.  The rows are not reduced against each other, yet
+normal forms are canonical: the set of leading monomials and the
+remainder of an element after full reduction depend only on the span,
+not on the echelon basis chosen for it.  Pivot rows are kept unscaled,
+each with its lead coefficient in the row.  Every reduction is
+scalars.reduce_row, which divides once per step, by the lead it cancels,
+only deletes the key of a one-term pivot row, and returns a row that
+meets no pivot as it is.  The one-term pivots are the monomials of the
+ideal.  The build keeps their ranks as a set and drops a term at one of
+them as its row is formed, as reduction would; a row that then meets no
+pivot is stored as built, and only the rest are reduced.
 
 The truncated model of a presentation F / I is F / (I + F_{>W}), the
 jets of the germ at the origin truncated at weight W.  Its total
@@ -57,10 +55,10 @@ that moves disk sections are summed in the same way from per-monomial
 towers built on the derivative table.
 
 Presentations are immutable after construction.  The internal caches
-(free monomials, weight bases, the coordinate index, the monomial-rank
-maps, normal forms of monomials, the product and derivative tables, the
-per-monomial towers) are idempotent, so concurrent readers at worst
-recompute a value; no synchronization is required.
+(free monomials and their ranks, weight bases, the coordinate index, the
+monomial-rank maps, the product and derivative tables, the per-monomial
+towers) are idempotent, so concurrent readers at worst recompute a value;
+no synchronization is required.
 """
 
 from __future__ import annotations
@@ -75,7 +73,6 @@ from .scalars import ONE, Scalar, reduce_row
 from ._kernels import lc_add_scaled, lc_derive, lc_scale, mono_mul, mono_weight
 
 __all__ = [
-    "Echelon",
     "AlgebraPresentation",
     "AlgebraHom",
     "LiftError",
@@ -89,46 +86,6 @@ def _powers(s: Scalar, n: int) -> list:
     for _ in range(n):
         out.append(out[-1] * s)
     return out
-
-
-class Echelon:
-    """Sparse rows over the Gaussian rationals in row-echelon form.
-
-    pivots maps the leading key of each row, its largest key in natural
-    order, to that row as reduced, unscaled: its lead coefficient stays
-    in the row, and reduce divides by it once per elimination step, or
-    not at all when the row is that one term.  The rows are not reduced
-    against later pivots.  Every echelon has int keys: a presentation's
-    are the ranks of the monomials in the monomial order, kept after the
-    build.
-
-    The elimination step is scalars.reduce_row, for the build, the normal
-    forms and factalg's exact ranks alike.  It lives in scalars because it
-    works on the integer triples of the coefficients it touches, with no
-    Scalar and no gcd per term, which only that module may read.
-    """
-
-    __slots__ = ("pivots",)
-
-    def __init__(self):
-        self.pivots = {}
-
-    def reduce(self, row: dict) -> dict:
-        """The remainder of row after full reduction: no key of it is a
-        pivot.  It depends only on the span of the rows added.  A row that
-        meets no pivot is returned as it is, not copied."""
-        return reduce_row(row, self.pivots)
-
-    def add(self, row: dict) -> bool:
-        """Add row to the span; True if it was independent of the rows
-        before.  The stored pivot row is never the caller's dict."""
-        reduced = self.reduce(row)
-        if not reduced:
-            return False
-        if reduced is row:
-            reduced = dict(row)
-        self.pivots[max(reduced)] = reduced
-        return True
 
 
 class AlgebraPresentation:
@@ -162,32 +119,32 @@ class AlgebraPresentation:
         self._free = None  # free monomials by weight, filled by _enumerate
         self._basis_cache = {}
         self._index = None
-        self._mono_nf = {}
         self._products = {}  # m1 -> {m2: reduced row of m1 * m2}
         self._derivatives = {}  # m -> reduced row of T m
         self._towers = {}  # m -> [T^k m / k! for k = 1, 2, ...], nonzero
-        self._echelon = Echelon()  # on ranks; _saturate fills it
-        self._keys = self._rank = None  # packed keys by weight; packed key -> rank
+        self._pivots = {}  # lead rank -> unscaled pivot row, on ranks; by _saturate
+        self._ranks = None  # each free monomial's rank, parallel to _free
         self._maps = None  # ({monomial: rank}, [monomial of each rank]), by _rank_maps
         if rels:
             self._saturate()
 
     def _saturate(self):
-        """Fill the echelon of the differential ideal: every jet of every
+        """Fill the pivots of the differential ideal: every jet of every
         relation times every monomial that keeps the weight within the
         bound.  A row is the jet's terms that fit, shifted by the monomial;
         the shift is injective, so no two terms of a row share a key.
 
         The rows are built and reduced on the ranks of packed keys (see
         _enumerate), whose natural order is the monomial order; the pivots
-        stay on ranks, and the packed keys and the rank map are kept.
+        stay on ranks, and each free monomial's rank is kept in _ranks.
 
         The one-term pivots are the monomials of the ideal, kept as a set of
         ranks.  A term at one of them is dropped as its row is formed, since
         reduction would delete it; a row that then meets no pivot is stored
         as built, and only a row that still meets one is reduced.  The
-        remainder depends only on the span, so every pivot is the one that
-        Echelon.add would store, in the same order."""
+        remainder depends only on the span, so the pivots, in their order,
+        are those of storing each full row's nonzero remainder at its
+        largest rank."""
         W = self.wmax
         fields, keys = self._enumerate()
         unit = {v: u for v, u, _ in fields}
@@ -203,9 +160,8 @@ class AlgebraPresentation:
                     out.extend([u + k for k in ranked[delta - m - 1] if k < ceiling])
             ranked.append(out)
         rank = {k: r for r, k in enumerate(chain.from_iterable(ranked))}
-        self._keys, self._rank = keys, rank
-        echelon = self._echelon
-        pivots = echelon.pivots
+        self._ranks = [[rank[k] for k in ks] for ks in keys]
+        pivots = self._pivots
         ideal = set()  # ranks of the one-term pivots
         for rel in self.relations:
             jet = rel.data
@@ -217,7 +173,7 @@ class AlgebraPresentation:
                     for s in keys[delta]:
                         row = {r: c for k, c in fit if (r := rank[s + k]) not in ideal}
                         if row and not pivots.keys().isdisjoint(row):
-                            row = echelon.reduce(row)
+                            row = reduce_row(row, pivots)
                         if row:
                             lead = max(row)
                             pivots[lead] = row
@@ -231,20 +187,21 @@ class AlgebraPresentation:
         """{monomial: rank} and [monomial of each rank] over the free
         monomials up to the bound, built once."""
         if self._maps is None:
-            rank, keys = self._rank, chain.from_iterable(self._keys)
-            to_rank = {m: rank[k] for m, k in zip(chain.from_iterable(self._free), keys)}
+            ranks = chain.from_iterable(self._ranks)
+            to_rank = dict(zip(chain.from_iterable(self._free), ranks))
             self._maps = to_rank, sorted(to_rank, key=to_rank.__getitem__)
         return self._maps
 
     def _reduce(self, row: dict) -> dict:
         """The normal form of a kernel dict: its remainder against the
-        echelon, reduced on ranks.  A row that meets no pivot is returned
+        pivots, reduced on ranks.  A row that meets no pivot is returned
         as it is, not copied."""
-        if not self._echelon.pivots:
+        pivots = self._pivots
+        if not pivots:
             return row
         to_rank, by_rank = self._rank_maps()
         ranked = {to_rank[m]: c for m, c in row.items()}
-        out = self._echelon.reduce(ranked)
+        out = reduce_row(ranked, pivots)
         return row if out is ranked else {by_rank[r]: c for r, c in out.items()}
 
     def normal_form(self, elem: GradedElement) -> GradedElement:
@@ -252,19 +209,11 @@ class AlgebraPresentation:
         return GradedElement._make(self._reduce(elem.data), self.wmax)
 
     def reduce_monomial(self, mono) -> GradedElement:
-        """Cached normal form of a single free monomial.
-
-        The hot path of the section layer: grouped tensor factors multiply
-        into one free monomial whose reduction is shared across keys.
-        """
-        out = self._mono_nf.get(mono)
-        if out is None:
-            if mono_weight(mono) > self.wmax:
-                out = GradedElement.zero(self.wmax)
-            else:
-                out = GradedElement._make(self._reduce({mono: ONE}), self.wmax)
-            self._mono_nf[mono] = out
-        return out
+        """The normal form of a single free monomial, zero above the bound.
+        Not memoised: the product table keeps the rows that products read."""
+        if mono_weight(mono) > self.wmax:
+            return GradedElement.zero(self.wmax)
+        return GradedElement._make(self._reduce({mono: ONE}), self.wmax)
 
     # -- element constructors ------------------------------------------------
 
@@ -464,9 +413,9 @@ class AlgebraPresentation:
             raise InputError(f"weight {delta} exceeds truncation bound {self.wmax}")
         if delta not in self._basis_cache:
             basis = self._free_monomials(delta)
-            pivots, rank = self._echelon.pivots, self._rank
+            pivots = self._pivots
             if pivots:
-                basis = [m for m, k in zip(basis, self._keys[delta]) if rank[k] not in pivots]
+                basis = [m for m, r in zip(basis, self._ranks[delta]) if r not in pivots]
             self._basis_cache[delta] = basis
         return list(self._basis_cache[delta])
 

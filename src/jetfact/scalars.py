@@ -17,8 +17,9 @@ themselves to exact comparisons elsewhere, and `from_triple` builds a value
 from integers with no `Fraction` on the way.  Floating-point coefficients
 never appear here; the numeric layer converts at its own boundary.
 
-`reduce_row` is the elimination step of every echelon (jetalg.Echelon):
-a sparse row reduced against pivot rows.  It lives here because it works
+`reduce_row` is the elimination step of every echelon, a dict of pivot
+rows (jetalg's saturation and normal forms, factalg's exact ranks): a
+sparse row reduced against pivot rows.  It lives here because it works
 on the triples themselves: a coefficient that a reduction touches is
 carried as an unnormalised triple, with no Scalar and no gcd per term, and
 made canonical once when the row is done.  Each step takes one gcd, to make

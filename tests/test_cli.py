@@ -85,7 +85,7 @@ def test_jet_build_fails_on_a_deleted_pivot_of_x_squared(tmp_path, monkeypatch):
 
     def dropping(P):
         saturate(P)
-        pivots = P._echelon.pivots
+        pivots = P._pivots
         del pivots[next(reversed(pivots))]
 
     monkeypatch.setattr(AlgebraPresentation, "_saturate", dropping)
@@ -118,7 +118,7 @@ def test_jet_build_fails_on_a_deleted_pivot_of_the_locally_constant_quotient(
 
     def dropping(P):
         saturate(P)
-        pivots = P._echelon.pivots
+        pivots = P._pivots
         del pivots[next(reversed(pivots))]
 
     monkeypatch.setattr(AlgebraPresentation, "_saturate", dropping)

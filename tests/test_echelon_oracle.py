@@ -1,4 +1,6 @@
-"""The sparse echelon checked against sympy as an independent oracle.
+"""The pivots of a presentation and the exact ranks, each a dict of
+pivot rows that scalars.reduce_row reduces against, checked against sympy
+as an independent oracle.
 
 Jet quotients: the weight-d dimension is the number of standard monomials
 of weight d for a Groebner basis of the relation jets (the ideal is
@@ -152,7 +154,7 @@ def test_oracle_sees_a_dropped_pivot():
     # only its weight-2 dimension grows by the freed monomial x0*y0.
     gens, relations, sym_relations, W = PRESENTATIONS[0]
     P = AlgebraPresentation(gens, relations, W)
-    del P._echelon.pivots[P._rank_maps()[0][(("x", 0), ("y", 0))]]
+    del P._pivots[P._rank_maps()[0][(("x", 0), ("y", 0))]]
     expected = [Oracle(gens, sym_relations, W).standard_count(d) for d in range(W + 1)]
     assert expected == [1, 2, 4, 7, 12, 19]
     assert P.dims() == [1, 2, 5, 7, 12, 19]

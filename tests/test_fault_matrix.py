@@ -55,7 +55,7 @@ def deleted_pivot(P):
     # Of the README presentations only vertex check's x,y | x*y has a y,
     # and the pivot x0*y0, by its rank (a missing pivot would exit 3, not 0).
     if "y" in P.generators:
-        del P._echelon.pivots[P._rank_maps()[0][mono_mul((X0,), (Y0,))]]
+        del P._pivots[P._rank_maps()[0][mono_mul((X0,), (Y0,))]]
 
 
 def flow_without_rotation(monkeypatch):

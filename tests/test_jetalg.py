@@ -10,18 +10,17 @@ from jetfact._kernels import lc_derive, lc_mul, lc_scale, mono_weight
 from jetfact import jetalg, scalars
 from jetfact.errors import InputError
 from jetfact.exprs import parse_element
-from jetfact.factalg import check_coequalizer_chain
+from jetfact.factalg import _exact_rank, check_coequalizer_chain
 from jetfact.grading import GradedElement
 from jetfact.jetalg import (
     AlgebraHom,
     AlgebraPresentation,
-    Echelon,
     LiftError,
     lift_hom,
 )
 from jetfact.reports import all_pass
 from jetfact.sampling import Sampler
-from jetfact.scalars import ONE, Scalar
+from jetfact.scalars import ONE, Scalar, reduce_row
 
 
 def brute_force_partitions(n: int, max_part=None) -> int:
@@ -181,10 +180,8 @@ def test_change_of_coordinates_is_an_isomorphism():
     hom = lift_hom({"x": circle.parse("x + i*y"), "y": circle.parse("x - i*y")}, cross, circle)
     for delta in range(W + 1):
         basis = cross.weight_basis(delta)
-        rows = Echelon()
-        for m in basis:
-            rows.add(circle.coordinates(hom.apply(GradedElement({m: 1}, W))))
-        assert len(rows.pivots) == len(basis) == circle.dims()[delta]
+        rows = [circle.coordinates(hom.apply(GradedElement({m: 1}, W))) for m in basis]
+        assert _exact_rank(rows) == len(basis) == circle.dims()[delta]
     with pytest.raises(LiftError):
         lift_hom({"x": circle.gen("x"), "y": circle.gen("y")}, cross, circle)
 
@@ -259,6 +256,17 @@ SATURATION_PRESENTATIONS = [
 ]
 
 
+def pivots_of(rows):
+    """{lead: row} of rows added in turn: each nonzero remainder is stored
+    at its largest key, uncopied."""
+    pivots = {}
+    for row in rows:
+        row = reduce_row(row, pivots)
+        if row:
+            pivots[max(row)] = row
+    return pivots
+
+
 def generic_saturation(P):
     """The saturation rows of P rebuilt with generic products: every
     relation jet times every free monomial that keeps a term within the
@@ -294,11 +302,9 @@ def test_saturation_matches_generic_products(gens, rels, W):
         key=lambda m: (mono_weight(m), m),
     )
     rank = {m: r for r, m in enumerate(monos)}
-    rows = Echelon()
-    for row in generic_saturation(P):
-        rows.add({rank[m]: c for m, c in row.items()})
-    assert rows.pivots == P._echelon.pivots
-    assert list(rows.pivots) == list(P._echelon.pivots)
+    pivots = pivots_of({rank[m]: c for m, c in row.items()} for row in generic_saturation(P))
+    assert pivots == P._pivots
+    assert list(pivots) == list(P._pivots)
 
 
 def test_saturation_ranks_every_free_monomial_in_the_monomial_order():
@@ -308,10 +314,10 @@ def test_saturation_ranks_every_free_monomial_in_the_monomial_order():
     P = AlgebraPresentation(["y", "x", "xx"], ["1"], W)
     to_rank, by_rank = P._rank_maps()
     monos = [m for d in range(W + 1) for m in P._free_monomials(d)]
-    assert list(P._echelon.pivots) == [to_rank[m] for m in monos]
+    assert list(P._pivots) == [to_rank[m] for m in monos]
     ranked = sorted(monos, key=lambda m: (mono_weight(m), m))
     assert sorted(to_rank, key=to_rank.__getitem__) == ranked == by_rank
-    assert sorted(P._echelon.pivots) == list(range(len(monos)))
+    assert sorted(P._pivots) == list(range(len(monos)))
 
 
 def test_saturation_makes_no_tuple_products(monkeypatch):
@@ -320,7 +326,7 @@ def test_saturation_makes_no_tuple_products(monkeypatch):
     mono_mul = jetalg.mono_mul
     monkeypatch.setattr(jetalg, "mono_mul", lambda a, b: calls.append(1) or mono_mul(a, b))
     for gens, rels, W in SATURATION_PRESENTATIONS[:5]:
-        assert AlgebraPresentation(gens, rels, W)._echelon.pivots
+        assert AlgebraPresentation(gens, rels, W)._pivots
     assert calls == []
 
 
@@ -330,26 +336,17 @@ def test_saturation_makes_no_tuple_products(monkeypatch):
 def test_build_reduces_no_row_at_a_monomial_of_the_ideal(gens, rels, W, monkeypatch):
     # A one-term pivot is a monomial of the ideal: the build drops a term
     # there as the row is formed, so no row it reduces holds that rank.
-    seen = []
-    reduce = Echelon.reduce
+    rows, seen = [], []
+    reduce = jetalg.reduce_row
 
-    def recording(self, row):
-        seen.extend(r for r in row if len(self.pivots.get(r, ())) == 1)
-        return reduce(self, row)
+    def recording(row, pivots):
+        rows.append(row)
+        seen.extend(r for r in row if len(pivots.get(r, ())) == 1)
+        return reduce(row, pivots)
 
-    monkeypatch.setattr(Echelon, "reduce", recording)
-    assert AlgebraPresentation(gens, rels, W)._echelon.pivots
-    assert seen == []
-
-
-def test_one_term_pivot_is_deleted_without_a_division(monkeypatch):
-    # x0*y0 meets the pivot of the relation itself, one term long.
-    P = AlgebraPresentation(["x", "y"], ["x*y"], 4)
-    calls = []
-    div = Scalar.__truediv__
-    monkeypatch.setattr(Scalar, "__truediv__", lambda a, b: calls.append(1) or div(a, b))
-    assert not P.reduce_monomial((("x", 0), ("y", 0)))
-    assert calls == []
+    monkeypatch.setattr(jetalg, "reduce_row", recording)
+    assert AlgebraPresentation(gens, rels, W)._pivots
+    assert rows and seen == []
 
 
 def test_one_term_pivot_row_is_deleted_without_reading_its_lead():
@@ -358,10 +355,8 @@ def test_one_term_pivot_row_is_deleted_without_reading_its_lead():
     class Opaque:
         __slots__ = ()
 
-    rows = Echelon()
-    rows.pivots[5] = {5: Opaque()}
     row = {5: Scalar(3), 1: ONE}
-    out = rows.reduce(row)
+    out = reduce_row(row, {5: {5: Opaque()}})
     assert out == {1: ONE} and out[1] is ONE
 
 
@@ -388,8 +383,8 @@ def test_relation_with_another_truncation_bound_is_refused():
     assert AlgebraPresentation(["x"], [rel], 3).dims() == [1, 1, 1, 1]
 
 
-class ScaledEchelon:
-    """Reference echelon that scales each pivot row to a leading
+class ScaledPivots:
+    """Reference row-echelon form that scales each pivot row to a leading
     coefficient of one when it is added."""
 
     def __init__(self, key):
@@ -427,37 +422,33 @@ def test_unscaled_pivots_give_the_scaled_normal_forms(gens, rels, W):
     # On the five elimination templates, every free monomial up to the
     # bound has the normal form that the scaled reference echelon gives.
     P = AlgebraPresentation(gens, rels, W)
-    ref = ScaledEchelon(lambda m: (mono_weight(m), m))
+    ref = ScaledPivots(lambda m: (mono_weight(m), m))
     for row in generic_saturation(P):
         ref.add(row)
     to_rank, _ = P._rank_maps()
-    assert [to_rank[m] for m in ref.pivots] == list(P._echelon.pivots)
+    assert [to_rank[m] for m in ref.pivots] == list(P._pivots)
     for delta in range(W + 1):
         for mono in P._free_monomials(delta):
             assert P.normal_form(GradedElement({mono: 1}, W)).data == ref.reduce({mono: ONE})
 
 
-def test_echelon_keeps_unscaled_copies_of_its_rows():
-    rows = Echelon()
+def test_pivots_keep_their_rows_unscaled():
     first, second, third = {1: Scalar(2), 0: ONE}, {5: Scalar(3)}, {1: ONE, 4: Scalar(-1)}
     # The first row meets no pivot, the second is a lone term and the third
-    # reduces against the first: each pivot is a row of its own.
-    assert rows.add(first) and rows.add(second) and rows.add(third)
-    kept = {lead: dict(row) for lead, row in rows.pivots.items()}
-    assert kept == {
+    # reduces against the first: each pivot keeps its lead unscaled, and
+    # the rows that meet no pivot are stored as they are.
+    pivots = pivots_of([first, second, third])
+    assert pivots == {
         1: {1: Scalar(2), 0: ONE},
         5: {5: Scalar(3)},
         4: {4: Scalar(-1), 0: Scalar(Fraction(-1, 2))},
     }
-    first[1] = Scalar(7)
-    first[3] = ONE
-    second.clear()
-    third.clear()
-    assert rows.pivots == kept
+    assert pivots[1] is first and pivots[5] is second
+    assert third == {1: ONE, 4: Scalar(-1)}
     # A row that meets no pivot is its own remainder.
     free = {2: Scalar(5)}
-    assert rows.reduce(free) is free
-    assert rows.reduce({1: Scalar(4), 5: ONE}) == {0: Scalar(-2)}
+    assert reduce_row(free, pivots) is free
+    assert reduce_row({1: Scalar(4), 5: ONE}, pivots) == {0: Scalar(-2)}
 
 
 def reference_reduce(pivots, row):
@@ -499,13 +490,13 @@ KERNEL_VALUES = [
 @pytest.mark.parametrize("seed", range(6))
 def test_reduce_row_matches_the_scalar_reference(seed):
     # Seeded random sparse rows over Q(i) on keys 0..79, added to the
-    # echelon and to a reference one; every fourth row is a combination of
+    # pivots and to a reference; every fourth row is a combination of
     # two rows added before, which reduces to zero.  Before each add a
     # probe row, the new row with terms on keys -1..-4 that no pivot row
     # holds, is reduced on both sides.
     rng = random.Random(seed)
     keys = list(range(80))
-    echelon, ref = Echelon(), {}
+    pivots, ref = {}, {}
     added = []
     for n in range(60):
         if n % 4 == 3 and len(added) >= 2:
@@ -517,7 +508,7 @@ def test_reduce_row_matches_the_scalar_reference(seed):
             row = {k: rng.choice(KERNEL_VALUES) for k in rng.sample(keys, rng.randint(1, 6))}
         probe = {**row, **{-k: rng.choice(KERNEL_VALUES) for k in rng.sample(range(1, 5), 2)}}
         before = list(probe.items())
-        out = echelon.reduce(probe)
+        out = reduce_row(probe, pivots)
         assert list(probe.items()) == before and all(
             v is w for (_, v), (_, w) in zip(probe.items(), before)
         )
@@ -526,23 +517,25 @@ def test_reduce_row_matches_the_scalar_reference(seed):
             a, b, d = v.triple()
             assert d > 0 and (a or b) and Scalar.from_triple(a, b, d).triple() == (a, b, d)
         assert all(out[k] is v for k, v in probe.items() if k < 0)
-        if probe.keys().isdisjoint(echelon.pivots):
+        if probe.keys().isdisjoint(pivots):
             assert out is probe
-        independent = echelon.add(row)
+        out = reduce_row(row, pivots)
         reduced = reference_reduce(ref, row)
-        assert independent == bool(reduced)
+        assert bool(out) == bool(reduced)
+        if out:
+            pivots[max(out)] = out
         if reduced:
             ref[max(reduced)] = dict(reduced)
         added.append(row)
-        assert list(echelon.pivots) == list(ref)
-        assert all(list(echelon.pivots[k].items()) == list(ref[k].items()) for k in ref)
+        assert list(pivots) == list(ref)
+        assert all(list(pivots[k].items()) == list(ref[k].items()) for k in ref)
     # The combinations cancelled to zero.
-    assert len(echelon.pivots) < len(added)
+    assert len(pivots) < len(added)
     # A row that meets no pivot is its own remainder, and one on pivot keys
     # only reduces away.
     free = {-1: Scalar(2), -3: Scalar(0, 1)}
-    assert echelon.reduce(free) is free
-    assert echelon.reduce({k: c * 3 for k, c in echelon.pivots[max(ref)].items()}) == {}
+    assert reduce_row(free, pivots) is free
+    assert reduce_row({k: c * 3 for k, c in pivots[max(ref)].items()}, pivots) == {}
 
 
 def test_reduce_row_keeps_its_integers_small_along_a_chain(monkeypatch):
@@ -562,15 +555,39 @@ def test_reduce_row_keeps_its_integers_small_along_a_chain(monkeypatch):
 
     monkeypatch.setattr(scalars, "gcd", bounded_gcd)
     n = 40
-    echelon = Echelon()
-    for k in range(n, 0, -1):
-        assert echelon.add({k: Scalar(2), **{j: ONE for j in range(k - 1, -1, -1)}})
-    assert all(len(echelon.pivots[k]) == k + 1 for k in range(1, n + 1))
+    pivots = pivots_of(
+        {k: Scalar(2), **{j: ONE for j in range(k - 1, -1, -1)}} for k in range(n, 0, -1)
+    )
+    assert all(len(pivots[k]) == k + 1 for k in range(1, n + 1))
     for m in range(1, n + 1):
-        out = echelon.reduce({m: ONE})
+        out = reduce_row({m: ONE}, pivots)
         assert list(out) == [0]
-        assert out == reference_reduce(echelon.pivots, {m: ONE})
+        assert out == reference_reduce(pivots, {m: ONE})
     assert gcds
+
+
+def test_exact_rank_leaves_its_rows_as_given():
+    # The rank's pivots hold the caller's dicts uncopied, so it must write
+    # into none of them: values, value objects and key order stay as given,
+    # and the same dicts passed again in other orders give the same rank.
+    rng = random.Random(3)
+    rows = [{k: rng.choice(KERNEL_VALUES) for k in rng.sample(range(12), 3)} for _ in range(6)]
+    for r1, r2 in [(rows[0], rows[1]), (rows[2], rows[5]), (rows[1], rows[4])]:
+        c1, c2 = rng.sample(KERNEL_VALUES, 2)
+        row = {k: c1 * r1.get(k, 0) + c2 * r2.get(k, 0) for k in sorted({*r1, *r2})}
+        rows.append({k: v for k, v in row.items() if v})
+    before = [list(row.items()) for row in rows]
+
+    def unchanged():
+        return all(
+            list(row.items()) == items and all(row[k] is v for k, v in items)
+            for row, items in zip(rows, before)
+        )
+
+    rank = _exact_rank(rows)
+    assert rank == 6 and unchanged()
+    for order in (rows[::-1], rows[6:] + rows[:6], sorted(rows, key=len)):
+        assert _exact_rank(order) == rank and unchanged()
 
 
 @pytest.mark.parametrize(
