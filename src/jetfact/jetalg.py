@@ -49,10 +49,14 @@ A monomial's normal form starts from the shared ONE, so every row of a
 free presentation's product table is {m: ONE}.  Every row sum is made by
 _kernels.lc_add_scaled, which skips each multiplication by ONE: a product
 on a free presentation makes one Scalar multiplication per pair of
-terms, and none where a coefficient is ONE, as on basis states.  The
-translation tower T^k a / k! of an element and the flow e^{zT} q^{L0}
-that moves disk sections are summed in the same way from per-monomial
-towers built on the derivative table.
+terms, and none where a coefficient is ONE, as on basis states.  Each
+monomial's tower T^k m / k! is built once on the derivative table and
+memoised.  The translation tower of a basis state (one monomial, its
+coefficient the shared ONE) is that memoised tower, read as it is, with
+no sum; the tower of any other element, and the flow e^{zT} q^{L0} that
+moves disk sections, are summed from the monomials' towers in the same
+way as products.  No code writes to an element's data, so a memoised row
+can be handed out uncopied.
 
 Presentations are immutable after construction.  The internal caches
 (free monomials and their ranks, weight bases, the coordinate index, the
@@ -269,10 +273,18 @@ class AlgebraPresentation:
 
         The k = 0 term is a itself, unreduced; the others are normal forms.
         T^k a = 0 forces T^(k+1) a = 0, so the list stops at the first zero.
+        A basis state (one monomial m, coefficient the shared ONE) reads
+        m's memoised tower rows as they are, wrapped, not copied; any other
+        state's rows are summed from its monomials' towers.
         """
         self.check(a)
         if not a:
             return []
+        if len(a.data) == 1:
+            ((m, c),) = a.data.items()
+            if c is ONE:
+                rows = self._monomial_tower(m)
+                return [a] + [GradedElement._make(row, self.wmax) for row in rows]
         towers = [(c, self._monomial_tower(m)) for m, c in a.data.items()]
         out = [a]
         while True:

@@ -14,9 +14,13 @@ Laurent coefficients.  Locally constant structures give series with no
 pole, so all non-negative modes vanish and requests for them answer
 zero.  insert checks each state once (P.check); the series is then kept
 as kernel rows, multiplied through P.product_rows, and a state placed at
-an exact point is moved there by P.flow.  The roundtrip check builds each
-basis state a's one-point series and native field Field(a, V) once, and
-compares, for every b, the series' rows times b placed at 0 with the
+an exact point is moved there by P.flow.  A state at a symbolic point is
+expanded from rows that reconstruct builds with its own translate loop
+and memoises per monomial in V.insertion_terms, apart from the
+presentation's towers; a basis state reads its monomial's rows as they
+are, and any other state's rows are summed from them.  The roundtrip
+check builds each basis state a's one-point series and native field
+Field(a, V) once, and compares, for every b, the series' rows times b placed at 0 with the
 field's rows for b, skipping the (a, weight of b) blocks that both sides'
 own weight bounds leave empty.  Both sides multiply through the same
 product and derivative tables, so the roundtrip sees a fault in the
@@ -99,9 +103,11 @@ class InsertionSeries:
 def _expansion_terms(a: GradedElement, V: VertexAlgebra) -> list:
     """The kernel rows of T^k a / k!, k = 0, 1, ..., to the last nonzero one.
 
-    The k = 0 row is a's own data; the others are summed by lc_add_scaled
-    from the per-monomial rows that V memoises, so the translate loop runs
-    once per monomial and a basis state (coefficient ONE) multiplies nothing.
+    The k = 0 row is a's own data.  The others come from the per-monomial
+    rows that V memoises, so the translate loop runs once per monomial: a
+    basis state (one monomial, coefficient the shared ONE) reads its
+    monomial's rows as they are, and any other state's rows are summed by
+    lc_add_scaled.
     """
     memo = V.insertion_terms
     towers = []
@@ -109,6 +115,8 @@ def _expansion_terms(a: GradedElement, V: VertexAlgebra) -> list:
         if m not in memo:
             memo[m] = _monomial_terms(m, V)
         towers.append((c, memo[m]))
+    if len(towers) == 1 and towers[0][0] is ONE:
+        return [a.data] + towers[0][1]
     rows = [a.data]
     for k in range(max((len(terms) for _, terms in towers), default=0)):
         row = {}

@@ -8,11 +8,12 @@ attached to a state acts by
 
 so the mode a_(n) b is the z^(-n-1) coefficient: modes with n >= 0 vanish
 and a_(-n-1) b = (T^n a) * b / n!.  The tower T^n a / n! depends on a
-alone, so Field(a, V) builds it once: field.rows(b) gives the nonzero
-modes of (a, b) as kernel rows {n: row}, through the presentation's check
-and product_rows, field(b) the same modes as a ModeTable, and field.low
-is the least lowest weight of the tower, so that no b of lowest weight
-above W - low meets the field.  vertex_op is the field's form for one
+alone, so Field(a, V) reads it once (the presentation's translation
+tower, for a basis state its memoised rows as they are): field.rows(b)
+gives the nonzero modes of (a, b) as kernel rows {n: row}, through the
+presentation's check and product_rows, field(b) the same modes as a
+ModeTable, and field.low is the least lowest weight of the tower, so
+that no b of lowest weight above W - low meets the field.  vertex_op is the field's form for one
 pair, and field_tables(V), one Field per distinct state, the table maker
 of both locality checks, the exact one here and numcx's.  The flow a ->
 e^{zT} q^{L0} a of an isometry is the presentation's flow(q, z);
@@ -59,8 +60,9 @@ class VertexAlgebra:
         self.presentation = presentation
         self.wmax = presentation.wmax
         # reconstruct's per-monomial T^k m / k!, built by its own translate
-        # loop: the roundtrip check compares it with the presentation's
-        # translation tower, so the two must not share one memo.
+        # loop and read as they are for a basis state: the roundtrip check
+        # compares them with the presentation's translation tower, so the
+        # two must not share one memo or one row.
         self.insertion_terms = {}
 
     def vacuum(self) -> GradedElement:
@@ -122,10 +124,12 @@ class ModeTable:
 class Field:
     """The field Y(a, z) of one state a, for any b.
 
-    a is checked and its translation tower T^n a / n! built once, each
-    term kept with its lowest monomial weight; low is the least of these
-    (W + 1 when a is zero), so no product of the field with a state of
-    lowest weight above W - low survives truncation.  rows(b) checks b,
+    a is checked and its translation tower T^n a / n! read once from the
+    presentation (for a basis state its memoised rows, uncopied; any
+    other a summed from them), each term kept with its lowest monomial
+    weight; low is the least of these (W + 1 when a is zero), so no
+    product of the field with a state of lowest weight above W - low
+    survives truncation.  rows(b) checks b,
     also when a is zero, and returns {n: kernel row} of the nonzero modes
     a_(n) b, multiplying by b through the product table rows only the
     terms that can meet b.  A term whose lowest weight plus b's exceeds W
